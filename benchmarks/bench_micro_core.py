@@ -65,18 +65,13 @@ def test_apro_run_k1_t80(benchmark, paper_context, paper_pipeline):
     benchmark(run)
 
 
-@pytest.mark.parametrize("batched", [True, False], ids=["batched", "legacy"])
-def test_usefulness_sweep_k1(
-    benchmark, paper_pipeline, sample_query, batched
-):
+def test_usefulness_sweep_k1(benchmark, paper_pipeline, sample_query):
     """One greedy policy round: usefulness of every candidate database.
 
-    A fresh computer per call, as APro pays after each observation; the
-    legacy variant is the per-atom ``best_set`` path kept behind
-    ``GreedyUsefulnessPolicy(batched=False)``.
+    A fresh computer per call, as APro pays after each observation.
     """
     rds = paper_pipeline.rd_selector.build_rds(sample_query)
-    policy = GreedyUsefulnessPolicy(batched=batched)
+    policy = GreedyUsefulnessPolicy()
 
     def sweep():
         computer = TopKComputer(rds, 1)

@@ -21,8 +21,9 @@ Fourteen commands:
 * ``bench-train`` — benchmark the offline phase: serial vs parallel ED
   training under injected probe latency (see ``docs/TRAINING.md``);
 * ``bench-core``  — time the per-query hot path (RD build, ``best_set``,
-  ``marginals``, usefulness sweep, APro run) baseline vs optimized and
-  write ``BENCH_core.json`` (see ``docs/PERFORMANCE.md``);
+  ``marginals``, usefulness sweep, APro run) on the ``python`` and
+  ``numpy`` backends and write ``BENCH_core.json`` (see
+  ``docs/PERFORMANCE.md``);
 * ``bench-gateway`` — load-test the gateway: coalescing under a
   duplicate burst and clean shedding under overload, with p50/p95/p99
   latency (see ``docs/GATEWAY.md``);
@@ -666,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_core = subparsers.add_parser(
         "bench-core",
-        help="benchmark the per-query hot path (baseline vs optimized)",
+        help="benchmark the per-query hot path (python vs numpy backend)",
     )
     bench_core.add_argument(
         "--repeats",
@@ -685,7 +686,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--apro-queries",
         type=int,
         default=10,
-        help="queries used for the incremental-vs-rebuild agreement check",
+        help=(
+            "test queries in the timed APro batch and the "
+            "backend-vs-oracle agreement check"
+        ),
     )
     bench_core.add_argument(
         "--out",
@@ -697,8 +701,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "exit non-zero unless the report passes schema validation, "
-            "every agreement flag holds, and no scenario regressed beyond "
-            "--tolerance vs --baseline on matching hardware (CI gate mode)"
+            "the numpy backend agrees with the python oracle, and no "
+            "scenario regressed beyond --tolerance vs --baseline on "
+            "matching hardware (CI gate mode)"
         ),
     )
     bench_core.add_argument(

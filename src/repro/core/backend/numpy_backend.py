@@ -16,6 +16,11 @@ practice):
   same multiplication sequence as the per-database fold.
 * The k = 1 leave-one-out combine and override fold reduce to single
   elementwise products, matching the oracle's loop bodies term for term.
+* ``derive_rd_arrays`` merges colliding RD values with ``np.bincount``
+  over run labels, which adds each run's weights sequentially in atom
+  order — the same sum ``DiscreteDistribution.from_pairs`` builds — so
+  the RDs are bitwise identical to ``derive_rd``'s (``np.add.reduceat``
+  would not be: it sums runs of 8+ atoms pairwise).
 * Only the k > 1 einsum combine reassociates sums (over at most k ≤ n
   unit-bounded terms), which is where the ≤1e-9 tolerance actually
   earns its keep.
@@ -163,9 +168,8 @@ class NumpyBackend(PythonBackend):
             owner = owner[keep]
         # The map is monotone nondecreasing within each database (ED
         # values ascend and the floored estimate is positive), so
-        # colliding values form adjacent runs and a segmented reduce
-        # accumulates each merged weight in the same order as the
-        # dict-based from_pairs path.
+        # colliding values form adjacent runs; ``bincount`` over run
+        # labels sums each run in atom order (see the bitwise notes).
         total = len(mapped)
         if total == 0:
             return mapped, error_probs, owner
@@ -178,6 +182,6 @@ class NumpyBackend(PythonBackend):
         starts = np.flatnonzero(boundary)
         return (
             mapped[starts],
-            np.add.reduceat(error_probs, starts),
+            np.bincount(np.cumsum(boundary) - 1, weights=error_probs),
             owner[starts],
         )

@@ -36,12 +36,16 @@ __all__ = [
 class ProbePolicy(Protocol):
     """Strategy choosing the next database to probe.
 
-    The ``deadline`` keyword is optional for implementers:
-    :class:`~repro.core.probing.APro` inspects the signature and only
-    passes it to policies that accept it, so policies written against
-    the original four-argument signature keep working. Deadline-aware
-    policies may cut their candidate sweep short once the deadline
-    expires, returning the best candidate evaluated so far.
+    Implementers must accept the ``deadline`` keyword:
+    :class:`~repro.core.probing.APro` always passes it (``None`` when
+    the run has no deadline) and does not inspect signatures.
+    Deadline-aware policies may cut their candidate sweep short once
+    the deadline expires, returning the best candidate evaluated so
+    far.
+
+    *candidates* are row indices of *computer*; when APro runs over a
+    subset of the mediator (pruning or ``keep``),
+    ``computer.databases[row]`` is the row's mediation index.
     """
 
     def choose(
@@ -71,19 +75,14 @@ class GreedyUsefulnessPolicy:
     already-certain databases — so greedy never prefers a probe that
     cannot help over one that can.
 
-    By default the per-atom conditional scores come from
+    The per-atom conditional scores come from
     :meth:`TopKComputer.conditional_best_scores`, which evaluates every
-    atom of the candidate in one vectorized leave-one-out pass.
-    ``batched=False`` keeps the original one-``best_set``-per-atom
-    sweep; the two paths agree to floating-point tolerance and the
-    legacy path remains the reference for the agreement tests and the
-    ``bench-core`` baseline.
+    atom of the candidate in one vectorized leave-one-out pass; on a
+    vectorized backend :meth:`TopKComputer.usefulness_sweep` serves the
+    whole sweep from one cached array pass instead.
     """
 
     _NEGLIGIBLE = 1e-9
-
-    def __init__(self, batched: bool = True) -> None:
-        self._batched = batched
 
     def usefulness(
         self,
@@ -92,42 +91,25 @@ class GreedyUsefulnessPolicy:
         metric: CorrectnessMetric,
     ) -> float:
         """Expected post-probe maximal correctness for one database."""
-        if self._batched:
-            # Whole-sweep fast path: a vectorized backend computes every
-            # candidate's usefulness in one cached array pass (identical
-            # accumulation to the per-atom loop below, float for float).
-            # getattr-guarded so duck-typed computers without the sweep
-            # keep working.
-            sweep_fn = getattr(computer, "usefulness_sweep", None)
-            if sweep_fn is not None:
-                sweep = sweep_fn(metric, self._NEGLIGIBLE)
-                if sweep is not None:
-                    return float(sweep[database])
-        atoms = computer.atoms_of(database)
-        if self._batched:
-            scores = computer.conditional_best_scores(
-                database, metric, min_prob=self._NEGLIGIBLE
-            )
-            total = 0.0
-            for (_t, _value, prob), score in zip(atoms, scores):
-                # Negligible-mass atoms contribute at most their
-                # probability.
-                if prob < self._NEGLIGIBLE:
-                    total += prob
-                else:
-                    total += prob * float(score)
-            return total
+        # A vectorized backend serves every candidate from one cached
+        # array pass (same accumulation as the loop below, float for
+        # float).
+        sweep = computer.usefulness_sweep(metric, self._NEGLIGIBLE)
+        if sweep is not None:
+            return float(sweep[database])
+        scores = computer.conditional_best_scores(
+            database, metric, min_prob=self._NEGLIGIBLE
+        )
         total = 0.0
-        skipped = 0.0
-        for atom_index, _value, prob in atoms:
+        for (_t, _value, prob), score in zip(
+            computer.atoms_of(database), scores
+        ):
+            # Negligible-mass atoms contribute at most their probability.
             if prob < self._NEGLIGIBLE:
-                skipped += prob
-                continue
-            _best, score = computer.best_set(
-                metric, override=(database, atom_index)
-            )
-            total += prob * score
-        return total + skipped
+                total += prob
+            else:
+                total += prob * float(score)
+        return total
 
     def choose(
         self,
@@ -166,9 +148,7 @@ class GreedyUsefulnessPolicy:
         return best_db
 
     def __repr__(self) -> str:
-        if self._batched:
-            return "GreedyUsefulnessPolicy()"
-        return "GreedyUsefulnessPolicy(batched=False)"
+        return "GreedyUsefulnessPolicy()"
 
 
 class CostAwareGreedyPolicy(GreedyUsefulnessPolicy):
@@ -183,11 +163,12 @@ class CostAwareGreedyPolicy(GreedyUsefulnessPolicy):
     Parameters
     ----------
     costs:
-        Per-database probe costs in mediation order (all positive).
+        Per-database probe costs in mediation order (all positive),
+        looked up through ``computer.databases`` so a computer over a
+        survivor subset is charged its databases' own costs.
     """
 
-    def __init__(self, costs: Sequence[float], batched: bool = True) -> None:
-        super().__init__(batched=batched)
+    def __init__(self, costs: Sequence[float]) -> None:
         cost_list = [float(c) for c in costs]
         if not cost_list or any(c <= 0 for c in cost_list):
             raise ProbingError("probe costs must be positive and non-empty")
@@ -203,10 +184,11 @@ class CostAwareGreedyPolicy(GreedyUsefulnessPolicy):
     ) -> int:
         if not candidates:
             raise ProbingError("no candidate databases to probe")
-        if computer.num_databases > len(self._costs):
+        databases = computer.databases
+        if max(databases) >= len(self._costs):
             raise ProbingError(
                 f"cost vector covers {len(self._costs)} databases, "
-                f"mediator has {computer.num_databases}"
+                f"computer needs database {max(databases)}"
             )
         _best, current = computer.best_set(metric)
         best_db = candidates[0]
@@ -220,8 +202,8 @@ class CostAwareGreedyPolicy(GreedyUsefulnessPolicy):
             ):
                 break
             gain = self.usefulness(computer, database, metric) - current
-            rate = max(gain, 0.0) / self._costs[database]
-            cost = self._costs[database]
+            cost = self._costs[databases[database]]
+            rate = max(gain, 0.0) / cost
             # Higher gain-per-cost wins; equal rates go to the cheaper
             # probe (a single-step gain of zero does not mean a probe is
             # useless, only that one probe alone cannot raise the max).

@@ -14,7 +14,6 @@ Fig. 16 plots.
 
 from __future__ import annotations
 
-import inspect
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import comb
@@ -108,7 +107,7 @@ class ProbeSession:
     ``pruned_databases`` counts the databases the run excluded from the
     belief machinery — provably-out candidates under bound pruning
     (``APro(prune=True)``), plus anything outside an explicit ``keep``
-    restriction. ``0`` on the classic full-width path.
+    restriction. ``0`` when the run covered every database.
     """
 
     query: Query
@@ -160,26 +159,28 @@ class ProbeSession:
 class APro:
     """Adaptive probing on top of an :class:`RDBasedSelector`.
 
+    One loop serves every configuration: the belief machinery runs over
+    a list of candidate databases — all of them, the ``keep``
+    restriction, or the bound-pruned survivors — and every observation
+    is applied through :meth:`~repro.core.topk.TopKComputer.collapse`,
+    reusing the rank structure built once per query.
+
     Parameters
     ----------
     selector:
-        Provides RDs, the mediator and the relevancy definition.
+        Provides RDs, the mediator and the relevancy definition. APro
+        calls ``build_rds(query, backend=..., indices=...)`` with both
+        keywords.
     policy:
         Probe-order strategy (defaults to the paper's greedy policy).
+        APro always passes ``deadline=`` to ``choose`` (``None`` without
+        one) and does not inspect signatures, so implementers must
+        accept the keyword.
     prober:
         Probe-execution strategy (defaults to synchronous in-process
         probes through the selector's mediator). The serving layer
         plugs a concurrent, fault-tolerant
         :class:`~repro.service.executor.ProbeExecutor` in here.
-    incremental:
-        Apply observations through
-        :meth:`~repro.core.topk.TopKComputer.collapse`, reusing the
-        rank structure built once per query (the default). ``False``
-        rebuilds a fresh :class:`TopKComputer` after every observation —
-        the pre-optimization behaviour, kept as the reference path for
-        the agreement tests and the ``bench-core`` baseline. Both paths
-        produce identical answer sets and probe orders (certainties
-        agree to floating-point tolerance).
     backend:
         Numeric backend for RD construction and the top-k computers: a
         registry name (``"numpy"``, ``"python"``), an
@@ -195,8 +196,8 @@ class APro:
         out-of-support observation can weaken it, in which case the
         computer is rebuilt over the re-expanded survivor set). Same
         contract as the backends: identical selections and probe
-        orders, certainty deltas ≤1e-9. ``False`` (default) is the
-        classic full-width path, byte-identical to before.
+        orders, certainty deltas ≤1e-9. ``False`` (default) runs over
+        every database.
     """
 
     def __init__(
@@ -204,7 +205,6 @@ class APro:
         selector: RDBasedSelector,
         policy: ProbePolicy | None = None,
         prober: BatchProber | None = None,
-        incremental: bool = True,
         backend: "str | ArrayBackend | None" = None,
         prune: bool = False,
     ) -> None:
@@ -213,12 +213,8 @@ class APro:
         self._prober = prober or MediatorProber(
             selector.mediator, selector.definition
         )
-        self._incremental = incremental
         self._backend = backend
         self._prune = prune
-        self._policy_takes_deadline = _accepts_deadline(self._policy)
-        self._selector_takes_backend = _accepts_backend(self._selector)
-        self._selector_takes_indices = _accepts_indices(self._selector)
 
     @property
     def prober(self) -> BatchProber:
@@ -311,37 +307,24 @@ class APro:
                 raise ProbingError(
                     f"keep indices must be within [0, {n - 1}], got {pool}"
                 )
-        build_kwargs: dict[str, object] = {}
-        if self._selector_takes_backend:
-            build_kwargs["backend"] = self._backend
-        if pool is not None and len(pool) < n and self._selector_takes_indices:
-            # A hard candidate cut: skip RD construction for the
-            # excluded databases entirely (the restricted loop below
-            # never consults their placeholder slots).
-            build_kwargs["indices"] = pool
+        # A hard candidate cut skips RD construction for the excluded
+        # databases entirely (the loop below never consults their
+        # placeholder slots).
         rds: list[RelevancyDistribution] = self._selector.build_rds(
-            query, **build_kwargs
+            query, backend=self._backend, indices=pool
         )
         session = ProbeSession(
             query=query, k=k, metric=metric, threshold=threshold
         )
+        # ``sub`` maps computer rows to mediation indices: every
+        # database, the kept ones, or the bound-pruned survivors.
         sub, bounds = self._survivor_map(rds, k, pool)
-        if sub is None:
-            computer = TopKComputer(rds, k, backend=self._backend)
-        else:
-            computer = self._restricted_computer(rds, sub, k)
+        computer = self._restricted_computer(rds, sub, k)
         best, score = computer.best_set(metric)
         self._record_point(session, mediator, 0, best, score, sub)
 
         probed: set[int] = set()
-        local_of: dict[int, int] | None = (
-            None if sub is None else {g: p for p, g in enumerate(sub)}
-        )
-        policy_kwargs: dict[str, Deadline] = (
-            {"deadline": deadline}
-            if deadline is not None and self._policy_takes_deadline
-            else {}
-        )
+        local_of = {g: p for p, g in enumerate(sub)}
         while True:
             reached = score >= threshold
             want_more = (
@@ -354,40 +337,33 @@ class APro:
                 break
             if max_probes is not None and len(probed) >= max_probes:
                 break
-            if sub is None:
-                candidates = [
-                    i
-                    for i in range(len(rds))
-                    if i not in probed and not rds[i].is_impulse
+            candidates = [
+                local
+                for local, g in enumerate(sub)
+                if g not in probed and not rds[g].is_impulse
+            ]
+            if not candidates and bounds is not None:
+                # Every survivor is probed but the threshold is not
+                # met: the unpruned run would now probe the pruned
+                # remainder (each probe certainty-neutral in-model, but
+                # the paper's loop does issue them). Re-expand so the
+                # trajectories stay identical.
+                residual = [
+                    g
+                    for g in bounds[0]
+                    if g not in local_of
+                    and g not in probed
+                    and not rds[g].is_impulse
                 ]
-            else:
-                candidates = [
-                    local
-                    for local, g in enumerate(sub)
-                    if g not in probed and not rds[g].is_impulse
-                ]
-                if not candidates and bounds is not None:
-                    # Every survivor is probed but the threshold is not
-                    # met: the full-width path would now probe the
-                    # pruned remainder (each probe certainty-neutral
-                    # in-model, but the paper's loop does issue them).
-                    # Re-expand so the trajectories stay identical.
-                    residual = [
-                        g
-                        for g in bounds[0]
-                        if g not in local_of
-                        and g not in probed
-                        and not rds[g].is_impulse
+                if residual:
+                    sub = sorted(set(sub) | set(residual))
+                    local_of = {g: p for p, g in enumerate(sub)}
+                    computer = self._restricted_computer(rds, sub, k)
+                    candidates = [
+                        local
+                        for local, g in enumerate(sub)
+                        if g not in probed and not rds[g].is_impulse
                     ]
-                    if residual:
-                        sub = sorted(set(sub) | set(residual))
-                        local_of = {g: p for p, g in enumerate(sub)}
-                        computer = self._restricted_computer(rds, sub, k)
-                        candidates = [
-                            local
-                            for local, g in enumerate(sub)
-                            if g not in probed and not rds[g].is_impulse
-                        ]
             if not candidates:
                 break
             budget = len(candidates)
@@ -400,7 +376,7 @@ class APro:
                 if deadline is not None and deadline.expired:
                     break  # stop sweeping; the outer check ends the run
                 choice = self._policy.choose(
-                    computer, remaining, metric, threshold, **policy_kwargs
+                    computer, remaining, metric, threshold, deadline=deadline
                 )
                 if choice not in remaining:
                     raise ProbingError(
@@ -413,9 +389,7 @@ class APro:
                 # belief instead of paying for another probe round.
                 session.deadline_expired = True
                 break
-            probe_targets = (
-                batch if sub is None else [sub[local] for local in batch]
-            )
+            probe_targets = [sub[local] for local in batch]
             observations = self._prober.probe_batch(query, probe_targets)
             if len(observations) != len(batch):
                 raise ProbingError(
@@ -433,7 +407,7 @@ class APro:
                 probed.add(choice)
                 rds[choice] = RelevancyDistribution.impulse(observed)
                 expanded = False
-                if sub is not None and bounds is not None:
+                if bounds is not None and len(sub) < len(bounds[0]):
                     sub, expanded = self._recheck_certificate(
                         bounds, sub, k, choice, observed
                     )
@@ -444,61 +418,50 @@ class APro:
                     # rebuild is answer-equivalent to the collapse).
                     local_of = {g: p for p, g in enumerate(sub)}
                     computer = self._restricted_computer(rds, sub, k)
-                elif sub is None:
-                    if self._incremental:
-                        computer = computer.collapse(choice, observed)
-                    else:
-                        computer = TopKComputer(
-                            rds, k, backend=self._backend
-                        )
-                elif self._incremental:
-                    computer = computer.collapse(local_of[choice], observed)
                 else:
-                    computer = self._restricted_computer(rds, sub, k)
+                    computer = computer.collapse(local_of[choice], observed)
                 best, score = computer.best_set(metric)
                 self._record_point(
                     session, mediator, len(probed), best, score, sub
                 )
-        session.pruned_databases = n - (n if sub is None else len(sub))
+        session.pruned_databases = n - len(sub)
         return session
 
     def _survivor_map(
         self, rds, k: int, pool: list[int] | None
-    ) -> tuple[list[int] | None, tuple | None]:
+    ) -> tuple[list[int], tuple | None]:
         """(survivor indices, mutable bound state) for this run.
 
-        ``None`` survivors means no restriction at all — the loop then
-        runs the classic full-width path untouched. The bound state is
-        ``(universe, position, mins, maxs)``, carried only when pruning
-        is on so the certificate can be re-checked after each probe.
+        Without pruning the survivors are the whole universe: every
+        database, or the ``keep`` list when one is given. The bound
+        state is ``(universe, position, mins, maxs)``, carried only when
+        pruning is on so the certificate can be re-checked after each
+        probe.
         """
-        n = len(rds)
-        universe = list(range(n)) if pool is None else pool
-        bounds = None
-        survivors = universe
-        if self._prune:
-            mins, maxs = support_bounds([rds[g] for g in universe])
-            position = {g: p for p, g in enumerate(universe)}
-            bounds = (universe, position, mins, maxs)
-            mask = prunable_mask(mins, maxs, k)
-            survivors = [g for g, dead in zip(universe, mask) if not dead]
-            survivors = _pad_survivors(survivors, universe, position, mins, k)
-        if len(survivors) == n:
-            return None, bounds
-        return survivors, bounds
+        universe = list(range(len(rds))) if pool is None else pool
+        if not self._prune:
+            return universe, None
+        mins, maxs = support_bounds([rds[g] for g in universe])
+        position = {g: p for p, g in enumerate(universe)}
+        mask = prunable_mask(mins, maxs, k)
+        survivors = [g for g, dead in zip(universe, mask) if not dead]
+        survivors = _pad_survivors(survivors, universe, position, mins, k)
+        return survivors, (universe, position, mins, maxs)
 
     def _restricted_computer(
         self, rds, sub: list[int], k: int
     ) -> TopKComputer:
         """A :class:`TopKComputer` over the survivor sub-list.
 
-        ``exact_set_limit`` is pinned so the restricted ``best_set``
-        takes the same exhaustive-vs-hill-climb branch the full-width
-        computer would have: exhaustive iff ``comb(n_full, k)`` fits
-        the default budget (then ``comb(n_sub, k)`` fits it too), the
-        hill climb otherwise. This keeps the two paths' tie-breaking
-        identical instead of letting the branch flip with the survivor
-        count.
+        Row ``p`` of the computer is database ``sub[p]``, recorded in
+        its ``databases``. ``exact_set_limit`` is pinned so the
+        restricted ``best_set`` takes the same exhaustive-vs-hill-climb
+        branch the unpruned computer would have: exhaustive iff
+        ``comb(n_full, k)`` fits the default budget (then
+        ``comb(n_sub, k)`` fits it too), the hill climb otherwise. This
+        keeps tie-breaking identical instead of letting the branch flip
+        with the survivor count; over every database it is exactly the
+        default computer.
         """
         limit = 400 if comb(len(rds), k) <= 400 else 0
         return TopKComputer(
@@ -506,6 +469,7 @@ class APro:
             k,
             exact_set_limit=limit,
             backend=self._backend,
+            databases=sub,
         )
 
     @staticmethod
@@ -535,16 +499,11 @@ class APro:
         return merged, True
 
     @staticmethod
-    def _record_point(
-        session, mediator, probes, best, score, sub=None
-    ) -> None:
-        names = tuple(
-            mediator[i if sub is None else sub[i]].name for i in best
-        )
+    def _record_point(session, mediator, probes, best, score, sub) -> None:
         session.trajectory.append(
             TrajectoryPoint(
                 probes=probes,
-                names=names,
+                names=tuple(mediator[sub[i]].name for i in best),
                 expected_correctness=score,
             )
         )
@@ -561,7 +520,7 @@ def _pad_survivors(
 
     With exactly ``k`` survivors the restricted computer would take its
     own ``k == n`` certainty shortcut (score exactly 1.0) where the
-    full-width computer still computes the product of near-one
+    unpruned computer still computes the product of near-one
     marginals; padding with the nearest-miss pruned databases (largest
     worst-case bound, then earliest index) keeps both paths on the same
     arithmetic. The padded databases carry ~zero top-k mass, so they
@@ -577,55 +536,3 @@ def _pad_survivors(
     )
     kept.update(nearest[: target - len(kept)])
     return sorted(kept)
-
-
-def _accepts_backend(selector: RDBasedSelector) -> bool:
-    """Whether ``selector.build_rds`` takes a ``backend`` keyword.
-
-    Mirrors :func:`_accepts_deadline`: duck-typed selectors written
-    against the one-argument signature keep working (their RDs are
-    backend-independent values anyway).
-    """
-    return _build_rds_takes(selector, "backend")
-
-
-def _accepts_indices(selector: RDBasedSelector) -> bool:
-    """Whether ``selector.build_rds`` can restrict construction.
-
-    When it can, an explicit ``keep`` only builds RDs for the kept
-    databases — the per-query sublinear path. Duck-typed selectors
-    without the keyword still work; they just pay the full build.
-    """
-    return _build_rds_takes(selector, "indices")
-
-
-def _build_rds_takes(selector: RDBasedSelector, name: str) -> bool:
-    try:
-        parameters = inspect.signature(selector.build_rds).parameters
-    except (TypeError, ValueError, AttributeError):
-        return False
-    if any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    ):
-        return True
-    return name in parameters
-
-
-def _accepts_deadline(policy: ProbePolicy) -> bool:
-    """Whether ``policy.choose`` takes a ``deadline`` keyword.
-
-    The in-repo policies are deadline-aware; user-supplied policies with
-    the original four-argument signature keep working — APro simply
-    checks the deadline itself between rounds.
-    """
-    try:
-        parameters = inspect.signature(policy.choose).parameters
-    except (TypeError, ValueError):  # builtins / odd callables
-        return False
-    if any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    ):
-        return True
-    return "deadline" in parameters

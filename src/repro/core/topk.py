@@ -80,6 +80,10 @@ class TopKComputer:
         for the process default (``REPRO_BACKEND``, defaulting to the
         tensor engine). All backends produce identical answer sets and
         probe orders with certainty deltas ≤1e-9.
+    databases:
+        Mediation index of each row, when the computer covers a subset
+        of the mediator (APro's survivor list). Defaults to
+        ``range(n)``; policies read it to map rows back to databases.
     """
 
     def __init__(
@@ -89,12 +93,18 @@ class TopKComputer:
         exact_set_limit: int = 400,
         swap_width: int = 4,
         backend: "str | ArrayBackend | None" = None,
+        databases: Sequence[int] | None = None,
     ) -> None:
         n = len(rds)
         if n == 0:
             raise SelectionError("need at least one database")
         if not 1 <= k <= n:
             raise SelectionError(f"k must be in [1, {n}], got {k}")
+        self._databases = tuple(range(n) if databases is None else databases)
+        if len(self._databases) != n:
+            raise SelectionError(
+                f"{len(self._databases)} database indices for {n} RDs"
+            )
         self._rds = list(rds)
         self._n = n
         self._k = k
@@ -223,6 +233,11 @@ class TopKComputer:
         """Size of the answer set."""
         return self._k
 
+    @property
+    def databases(self) -> tuple[int, ...]:
+        """Mediation index of each row."""
+        return self._databases
+
     def rd(self, i: int) -> DiscreteDistribution:
         """The RD of database *i*."""
         return self._rds[i]
@@ -271,6 +286,7 @@ class TopKComputer:
         new = object.__new__(TopKComputer)
         new._rds = list(self._rds)
         new._rds[i] = DiscreteDistribution.impulse(value)
+        new._databases = self._databases
         new._n = self._n
         new._k = self._k
         new._exact_set_limit = self._exact_set_limit

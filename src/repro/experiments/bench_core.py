@@ -7,42 +7,24 @@ first ``apro_queries`` test queries — on the paper testbed, and writes
 the result as ``BENCH_core.json`` so the perf trajectory is tracked
 in-repo (see docs/PERFORMANCE.md).
 
-The two stages the optimization work targets (usefulness sweep, APro
-run) are measured as **three variants**:
-
-* ``baseline`` — the pre-incremental-rework tree. For k = 1 this is
-  :class:`_ReferenceSweep`, a self-contained reimplementation of the
-  original algorithm (rebuild the rank structure per observation, copy
-  the outrank matrix and run one full Poisson-binomial DP per
-  hypothetical outcome). The in-tree legacy flags
-  (``APro(incremental=False)`` / ``GreedyUsefulnessPolicy(batched=False)``)
-  are *not* used for k = 1 baseline timing because their ``best_set``
-  calls already ride the leave-one-out caches, which understates the
-  pre-change cost. For k > 1 the legacy flags are used (the reference
-  implements only the k = 1 selection rule).
-* ``optimized`` — the incremental/batched algorithm on the ``python``
-  oracle backend: the leave-one-out rework without the tensor kernels.
-  This is the variant the v1 reports called "optimized", kept so the
-  committed perf trajectory stays comparable across schema versions.
-* ``backend`` — the same algorithm on the ``numpy`` tensor backend
-  (the process default unless ``REPRO_BACKEND`` says otherwise).
-
-Variant repeats are **interleaved** (baseline, optimized, backend,
-baseline, …) rather than run as back-to-back blocks, so no variant
-enjoys warmer CPU caches / branch predictors than the others; the
-round-robin order is recorded in the scenario's ``repeat_order``.
-Speedups are medians of *per-round* ratios — the two samples of a
-round saw the same machine state, so frequency drift and noisy
-neighbours cancel instead of skewing a ratio of independent medians.
+The usefulness sweep and the APro run are measured on **two
+variants**, the ``python`` oracle backend and the ``numpy`` tensor
+backend, running the same algorithm. Their repeats are **interleaved**
+(python, numpy, python, …) rather than run as back-to-back blocks, so
+neither variant enjoys warmer CPU caches / branch predictors than the
+other; the round-robin order is recorded in the scenario's
+``repeat_order``. The speedup is the median of *per-round*
+python/numpy ratios — the two samples of a round saw the same machine
+state, so frequency drift and noisy neighbours cancel instead of
+skewing a ratio of independent medians.
 
 The agreement block doubles as an end-to-end correctness check — the
-incremental path must match a from-scratch rebuild, and the tensor
-backend must match the ``python`` oracle, on probe orders, answer sets,
-and certainties to 1e-9 — and :func:`check_bench_core` turns a
-committed report into a CI perf-regression gate: agreement violations
-are hard failures everywhere, while timing regressions are hard
-failures only when the report and the reference were produced on the
-same host with the same benchmark configuration (and soft warnings
+tensor backend must match the ``python`` oracle on probe orders,
+answer sets, and certainties to 1e-9 — and :func:`check_bench_core`
+turns a committed report into a CI perf-regression gate: an agreement
+violation is a hard failure everywhere, while timing regressions are
+hard failures only when the report and the reference were produced on
+the same host with the same benchmark configuration (and soft warnings
 otherwise, since absolute timings do not transfer across machines).
 
 Timing scenarios mirror ``benchmarks/bench_micro_core.py`` (the
@@ -72,7 +54,6 @@ from repro.experiments.setup import PaperSetupConfig, build_paper_context
 
 __all__ = [
     "BENCH_CORE_SCHEMA",
-    "BENCH_CORE_SCHEMA_V1",
     "BenchCoreConfig",
     "run_bench_core",
     "format_bench_core",
@@ -82,18 +63,14 @@ __all__ = [
 ]
 
 #: Schema tag embedded in (and asserted over) ``BENCH_core.json``.
-BENCH_CORE_SCHEMA = "bench-core/v2"
-
-#: The previous schema; still accepted as a *reference* by the check
-#: gate so a v2 run can be compared against a committed v1 file.
-BENCH_CORE_SCHEMA_V1 = "bench-core/v1"
+BENCH_CORE_SCHEMA = "bench-core/v3"
 
 #: Scenario names every report must contain.
 _SHARED_SCENARIOS = ("rd_build", "best_set_k1", "best_set_k3", "marginals_k3")
 _COMPARED_SCENARIOS = ("usefulness_sweep", "apro_run")
 
-#: Timed variants of each compared scenario, in round-robin order.
-_VARIANTS = ("baseline", "optimized", "backend")
+#: Timed backends of each compared scenario, in round-robin order.
+_VARIANTS = ("python", "numpy")
 
 #: Config keys that must match for timings to be comparable at all.
 _COMPARABLE_CONFIG_KEYS = (
@@ -130,167 +107,6 @@ class BenchCoreConfig:
             raise ConfigurationError("apro_queries must be >= 1")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigurationError("threshold must be in [0, 1]")
-
-
-class _ReferenceSweep:
-    """The pre-change belief machinery, ported verbatim for timing.
-
-    A faithful port of the original :class:`TopKComputer` internals as
-    they stood before the incremental/batched rework — the same
-    ``_build_atoms`` (both outrank matrices, per-database cumulative
-    structures, eager atom triples), the same ``_effective_rows`` (full
-    copies of *both* matrices per hypothetical outcome, single-slot
-    memo), the same full (m × k) Poisson-binomial DP per ``marginals``
-    call, and the same k = 1 ``best_set`` selection rule. Usefulness of
-    a database therefore costs one matrix copy plus one full DP per
-    support atom — the work profile the leave-one-out batch replaced.
-    Baseline timings use this class so committed speedups are measured
-    against the pre-change tree, not against legacy flags that already
-    ride the new caches. k = 1 only (the k > 1 absolute-metric search is
-    not ported).
-    """
-
-    _NEGLIGIBLE = 1e-9
-
-    def __init__(self, rds, k: int) -> None:
-        if k != 1:
-            raise ConfigurationError("reference sweep implements k = 1 only")
-        self._rds = list(rds)
-        self._n = len(self._rds)
-        self._k = k
-        self._override_memo = None
-        self._marginals_memo: dict = {}
-        self._best_set_memo: dict = {}
-        values = np.concatenate([rd.values for rd in self._rds])
-        probs = np.concatenate([rd.probs for rd in self._rds])
-        dbs = np.concatenate(
-            [np.full(rd.support_size, i) for i, rd in enumerate(self._rds)]
-        )
-        m = len(values)
-        bounds = np.concatenate(
-            ([0], np.cumsum([rd.support_size for rd in self._rds]))
-        )
-        self._db_atom_start = bounds[:-1]
-        self._db_atom_stop = bounds[1:]
-        order = np.lexsort((-dbs, values))
-        ranks = np.empty(m, dtype=np.int64)
-        ranks[order] = np.arange(m)
-        self._atom_probs = probs
-        self._atom_dbs = dbs
-        self._atom_ranks = ranks
-        self._num_atoms = m
-        self._db_sorted_ranks = []
-        self._db_cumprobs = []
-        for i in range(self._n):
-            mask = dbs == i
-            db_ranks = ranks[mask]
-            db_probs = probs[mask]
-            sort = np.argsort(db_ranks)
-            self._db_sorted_ranks.append(db_ranks[sort])
-            self._db_cumprobs.append(
-                np.concatenate(([0.0], np.cumsum(db_probs[sort])))
-            )
-        greater = np.empty((self._n, m), dtype=np.float64)
-        less = np.empty((self._n, m), dtype=np.float64)
-        for j in range(self._n):
-            sorted_ranks = self._db_sorted_ranks[j]
-            cum = self._db_cumprobs[j]
-            right = np.searchsorted(sorted_ranks, ranks, side="right")
-            left = np.searchsorted(sorted_ranks, ranks, side="left")
-            greater[j] = cum[-1] - cum[right]
-            less[j] = cum[left]
-        greater_masked = greater.copy()
-        greater_masked[dbs, np.arange(m)] = 0.0
-        self._greater = greater_masked
-        self._less = less
-        self._db_atom_triples = [
-            [
-                (int(t), float(values[t]), float(probs[t]))
-                for t in range(int(self._db_atom_start[i]),
-                               int(self._db_atom_stop[i]))
-            ]
-            for i in range(self._n)
-        ]
-
-    def _effective_rows(self, override):
-        if override is None:
-            return self._greater, self._less, self._atom_probs
-        i, t0 = override
-        if self._override_memo is not None:
-            key, rows = self._override_memo
-            if key == (i, t0):
-                return rows
-        rank0 = self._atom_ranks[t0]
-        greater = self._greater.copy()
-        less = self._less.copy()
-        row = (rank0 > self._atom_ranks).astype(np.float64)
-        row[self._db_atom_start[i] : self._db_atom_stop[i]] = 0.0
-        greater[i] = row
-        less[i] = (rank0 < self._atom_ranks).astype(np.float64)
-        probs = self._atom_probs.copy()
-        probs[self._db_atom_start[i] : self._db_atom_stop[i]] = 0.0
-        probs[t0] = 1.0
-        self._override_memo = ((i, t0), (greater, less, probs))
-        return greater, less, probs
-
-    def marginals(self, override=None) -> np.ndarray:
-        greater, _, probs = self._effective_rows(override)
-        m = self._num_atoms
-        dp = np.zeros((m, self._k), dtype=np.float64)
-        dp[:, 0] = 1.0
-        for j in range(self._n):
-            p = greater[j][:, None]
-            keep = dp * (1.0 - p)
-            keep[:, 1:] += dp[:, :-1] * p
-            dp = keep
-        membership = dp.sum(axis=1)
-        weighted = probs * membership
-        marginals = np.zeros(self._n)
-        np.add.at(marginals, self._atom_dbs, weighted)
-        result = np.clip(marginals, 0.0, 1.0)
-        self._marginals_memo[override] = result
-        return result.copy()
-
-    def best_set(self, override=None):
-        cached = self._best_set_memo.get(override)
-        if cached is not None:
-            return cached
-        marginals = self.marginals(override)
-        ranked = sorted(
-            range(self._n), key=lambda i: (-marginals[i], i)
-        )
-        chosen = tuple(sorted(ranked[: self._k]))
-        result = chosen, min(
-            1.0, float(np.mean([marginals[i] for i in chosen]))
-        )
-        self._best_set_memo[override] = result
-        return result
-
-    def usefulness(self, database: int) -> float:
-        total = 0.0
-        skipped = 0.0
-        for atom_index, _value, prob in self._db_atom_triples[database]:
-            if prob < self._NEGLIGIBLE:
-                skipped += prob
-                continue
-            _best, score = self.best_set(override=(database, atom_index))
-            total += prob * score
-        return total + skipped
-
-
-class _ReferencePolicy:
-    """Greedy choose() on top of :class:`_ReferenceSweep` (k = 1)."""
-
-    def choose(self, computer, candidates, metric, threshold) -> int:
-        rds = [computer.rd(i) for i in range(computer.num_databases)]
-        sweep = _ReferenceSweep(rds, computer.k)
-        best_db = candidates[0]
-        best_usefulness = -1.0
-        for database in candidates:
-            usefulness = sweep.usefulness(database)
-            if usefulness > best_usefulness + 1e-12:
-                best_db, best_usefulness = database, usefulness
-        return best_db
 
 
 def _summarize(samples: list[float]) -> dict[str, float]:
@@ -333,10 +149,8 @@ def _timeit_interleaved(
     return {name: _summarize(samples[name]) for name in names}, samples
 
 
-def _paired_speedup(
-    samples: dict[str, list[float]], baseline: str, other: str
-) -> float:
-    """Median of per-round baseline/other ratios.
+def _paired_speedup(samples: dict[str, list[float]]) -> float:
+    """Median of per-round python/numpy ratios.
 
     Rounds are interleaved, so the two samples of one round saw the
     same machine state; their ratio cancels frequency drift and noisy
@@ -344,8 +158,8 @@ def _paired_speedup(
     the code's actual speedup.
     """
     ratios = [
-        b / o if o > 0 else float("inf")
-        for b, o in zip(samples[baseline], samples[other])
+        p / q if q > 0 else float("inf")
+        for p, q in zip(samples["python"], samples["numpy"])
     ]
     return round(statistics.median(ratios), 3)
 
@@ -380,64 +194,33 @@ def _collect_environment() -> dict[str, object]:
     }
 
 
-def _trajectory_agreement(
-    fast: APro, slow: APro, queries, config: BenchCoreConfig
-) -> tuple[bool, bool, float]:
-    """(identical probe orders, identical answer sets, max certainty Δ)."""
-    identical_probe_orders = True
-    identical_answer_sets = True
-    max_certainty_delta = 0.0
-    for query in queries:
-        a = fast.run(query, k=config.k, threshold=config.threshold)
-        b = slow.run(query, k=config.k, threshold=config.threshold)
-        if [(r.index, r.observed) for r in a.records] != [
-            (r.index, r.observed) for r in b.records
-        ]:
-            identical_probe_orders = False
-        if [p.names for p in a.trajectory] != [
-            p.names for p in b.trajectory
-        ]:
-            identical_answer_sets = False
-        for pa, pb in zip(a.trajectory, b.trajectory):
-            max_certainty_delta = max(
-                max_certainty_delta,
-                abs(pa.expected_correctness - pb.expected_correctness),
-            )
-    return identical_probe_orders, identical_answer_sets, max_certainty_delta
-
-
 def _agreement(
     selector, queries, config: BenchCoreConfig
 ) -> dict[str, object]:
-    """Incremental-vs-rebuild and backend-vs-oracle trajectory checks."""
-    optimized = APro(selector, policy=GreedyUsefulnessPolicy())
-    rebuild = APro(
-        selector,
-        policy=GreedyUsefulnessPolicy(batched=False),
-        incremental=False,
-    )
-    inc_orders, inc_sets, inc_delta = _trajectory_agreement(
-        optimized, rebuild, queries, config
-    )
+    """Tensor-backend-vs-``python``-oracle trajectory checks."""
     tensor = APro(selector, backend="numpy")
     oracle = APro(selector, backend="python")
-    bk_orders, bk_sets, bk_delta = _trajectory_agreement(
-        tensor, oracle, queries, config
-    )
+    orders = sets = True
+    delta = 0.0
+    for query in queries:
+        a = tensor.run(query, k=config.k, threshold=config.threshold)
+        b = oracle.run(query, k=config.k, threshold=config.threshold)
+        orders &= [(r.index, r.observed) for r in a.records] == [
+            (r.index, r.observed) for r in b.records
+        ]
+        sets &= [p.names for p in a.trajectory] == [
+            p.names for p in b.trajectory
+        ]
+        for pa, pb in zip(a.trajectory, b.trajectory):
+            delta = max(
+                delta, abs(pa.expected_correctness - pb.expected_correctness)
+            )
     return {
         "queries": len(queries),
-        "identical_probe_orders": inc_orders,
-        "identical_answer_sets": inc_sets,
-        "max_certainty_delta": float(inc_delta),
-        "incremental_matches_rebuild": (
-            inc_orders and inc_sets and inc_delta <= 1e-9
-        ),
-        "backend_identical_probe_orders": bk_orders,
-        "backend_identical_answer_sets": bk_sets,
-        "backend_max_certainty_delta": float(bk_delta),
-        "backend_matches_python": (
-            bk_orders and bk_sets and bk_delta <= 1e-9
-        ),
+        "identical_probe_orders": orders,
+        "identical_answer_sets": sets,
+        "max_certainty_delta": float(delta),
+        "backend_matches_python": orders and sets and delta <= 1e-9,
     }
 
 
@@ -492,49 +275,6 @@ def run_bench_core(config: BenchCoreConfig | None = None) -> dict[str, object]:
         for database in range(n):
             policy.usefulness(computer, database, CorrectnessMetric.ABSOLUTE)
 
-    if config.k == 1:
-
-        def sweep_slow() -> None:
-            reference = _ReferenceSweep(rds, config.k)
-            for database in range(n):
-                reference.usefulness(database)
-
-        baseline_policy = _ReferencePolicy()
-    else:
-
-        def sweep_slow() -> None:
-            computer = TopKComputer(rds, config.k, backend="python")
-            policy = GreedyUsefulnessPolicy(batched=False)
-            for database in range(n):
-                policy.usefulness(computer, database, CorrectnessMetric.ABSOLUTE)
-
-        baseline_policy = GreedyUsefulnessPolicy(batched=False)
-
-    sweep_times, sweep_samples = _timeit_interleaved(
-        {
-            "baseline": sweep_slow,
-            "optimized": lambda: sweep_on("python"),
-            "backend": lambda: sweep_on("numpy"),
-        },
-        repeats,
-    )
-    scenarios["usefulness_sweep"] = {
-        **sweep_times,
-        "speedup_median": _paired_speedup(
-            sweep_samples, "baseline", "optimized"
-        ),
-        "speedup_backend_median": _paired_speedup(
-            sweep_samples, "baseline", "backend"
-        ),
-        "repeat_order": list(_VARIANTS),
-    }
-
-    apro_runners = {
-        "baseline": APro(selector, policy=baseline_policy, incremental=False),
-        "optimized": APro(selector, backend="python"),
-        "backend": APro(selector, backend="numpy"),
-    }
-
     def apro_batch(runner: APro) -> None:
         # A batch over the first ``apro_queries`` test queries, not a
         # single cherry-picked one: per-query round counts vary a lot
@@ -545,24 +285,27 @@ def run_bench_core(config: BenchCoreConfig | None = None) -> dict[str, object]:
         for query in apro_queries:
             runner.run(query, k=config.k, threshold=config.threshold)
 
-    apro_repeats = max(1, repeats // 2)
-    apro_times, apro_samples = _timeit_interleaved(
-        {
-            name: (lambda runner=runner: apro_batch(runner))
-            for name, runner in apro_runners.items()
-        },
-        apro_repeats,
-    )
-    scenarios["apro_run"] = {
-        **apro_times,
-        "speedup_median": _paired_speedup(
-            apro_samples, "baseline", "optimized"
+    runners = {name: APro(selector, backend=name) for name in _VARIANTS}
+    workloads = {
+        "usefulness_sweep": (
+            {name: (lambda name=name: sweep_on(name)) for name in _VARIANTS},
+            repeats,
         ),
-        "speedup_backend_median": _paired_speedup(
-            apro_samples, "baseline", "backend"
+        "apro_run": (
+            {
+                name: (lambda runner=runner: apro_batch(runner))
+                for name, runner in runners.items()
+            },
+            max(1, repeats // 2),
         ),
-        "repeat_order": list(_VARIANTS),
     }
+    for name, (fns, rounds) in workloads.items():
+        times, samples = _timeit_interleaved(fns, rounds)
+        scenarios[name] = {
+            **times,
+            "speedup_median": _paired_speedup(samples),
+            "repeat_order": list(_VARIANTS),
+        }
 
     report: dict[str, object] = {
         "schema": BENCH_CORE_SCHEMA,
@@ -585,10 +328,10 @@ def run_bench_core(config: BenchCoreConfig | None = None) -> dict[str, object]:
 
 
 def validate_bench_core(report: dict[str, object]) -> None:
-    """Assert the report matches the bench-core/v2 schema.
+    """Assert the report matches the bench-core/v3 schema.
 
     Raises :class:`~repro.exceptions.ReproError` on any violation —
-    the CI smoke step runs this plus the agreement flags.
+    the CI smoke step runs this plus the agreement flag.
     """
     if report.get("schema") != BENCH_CORE_SCHEMA:
         raise ReproError(
@@ -609,15 +352,13 @@ def validate_bench_core(report: dict[str, object]) -> None:
     for name in _COMPARED_SCENARIOS:
         entry = scenarios.get(name)
         if not isinstance(entry, dict) or not (
-            set(_VARIANTS)
-            | {"speedup_median", "speedup_backend_median", "repeat_order"}
+            set(_VARIANTS) | {"speedup_median", "repeat_order"}
         ) <= set(entry):
             raise ReproError(f"scenario {name!r} malformed: {entry!r}")
     agreement = report.get("agreement")
-    if not isinstance(agreement, dict) or not {
-        "incremental_matches_rebuild",
-        "backend_matches_python",
-    } <= set(agreement):
+    if not isinstance(agreement, dict) or (
+        "backend_matches_python" not in agreement
+    ):
         raise ReproError("report has no complete agreement section")
     environment = report.get("environment")
     if not isinstance(environment, dict) or not {
@@ -630,13 +371,10 @@ def validate_bench_core(report: dict[str, object]) -> None:
 
 
 def read_bench_core(path: str) -> dict[str, object]:
-    """Load a committed report, accepting both v1 and v2 schemas.
+    """Load a committed bench-core/v3 report.
 
-    v1 reports (no environment block, no ``backend`` variant) are
-    returned as-is; :func:`check_bench_core` treats their missing
-    pieces as "unknown hardware" and compares only what both schemas
-    share. Raises :class:`~repro.exceptions.ReproError` when the file
-    is unreadable or carries an unknown schema tag.
+    Raises :class:`~repro.exceptions.ReproError` when the file is
+    unreadable or carries any other schema tag.
     """
     import json
 
@@ -648,7 +386,7 @@ def read_bench_core(path: str) -> dict[str, object]:
     if not isinstance(report, dict):
         raise ReproError(f"bench report {path!r} is not a JSON object")
     schema = report.get("schema")
-    if schema not in (BENCH_CORE_SCHEMA, BENCH_CORE_SCHEMA_V1):
+    if schema != BENCH_CORE_SCHEMA:
         raise ReproError(
             f"bench report {path!r} has unsupported schema {schema!r}"
         )
@@ -672,17 +410,17 @@ def check_bench_core(
 
     Returns ``(failures, warnings)``. Failures (CI exits non-zero):
 
-    * an agreement flag in *report* is false — the incremental path or
-      the array backend diverged from its oracle, which no amount of
-      hardware variance excuses;
+    * the agreement flag in *report* is false — the tensor backend
+      diverged from the ``python`` oracle, which no amount of hardware
+      variance excuses;
     * a scenario median regressed beyond ``tolerance ×`` the reference
       *and* the reference was produced on the same host with the same
       benchmark configuration (fingerprint + config keys match);
-    * a paired speedup ratio fell below ``reference / tolerance`` with
-      the same benchmark configuration (any host). The per-round ratios
-      divide out machine state, so unlike absolute milliseconds they do
-      transfer — a drop means the optimized path got *relatively*
-      slower, which is an algorithmic regression.
+    * a paired python/numpy ratio fell below ``reference / tolerance``
+      with the same benchmark configuration (any host). The per-round
+      ratios divide out machine state, so unlike absolute milliseconds
+      they do transfer — a drop means the tensor kernels got
+      *relatively* slower, which is an algorithmic regression.
 
     On different or unknown hardware the absolute-time regressions come
     back as warnings instead: milliseconds do not transfer between
@@ -694,11 +432,10 @@ def check_bench_core(
     warnings: list[str] = []
 
     agreement = report.get("agreement")
-    if not isinstance(agreement, dict):
-        agreement = {}
-    for flag in ("incremental_matches_rebuild", "backend_matches_python"):
-        if not agreement.get(flag, False):
-            failures.append(f"agreement flag {flag} is false")
+    if not isinstance(agreement, dict) or not agreement.get(
+        "backend_matches_python", False
+    ):
+        failures.append("agreement flag backend_matches_python is false")
 
     if reference is None:
         return failures, warnings
@@ -732,17 +469,17 @@ def check_bench_core(
             )
             (failures if gate_perf else warnings).append(message)
 
-    def compare_ratio(label: str, ref_entry: dict, new_entry: dict, key: str) -> None:
-        ref_ratio = ref_entry.get(key)
-        new_ratio = new_entry.get(key)
+    def compare_ratio(label: str, ref_entry: dict, new_entry: dict) -> None:
+        ref_ratio = ref_entry.get("speedup_median")
+        new_ratio = new_entry.get("speedup_median")
         if not isinstance(ref_ratio, (int, float)) or not isinstance(
             new_ratio, (int, float)
         ):
             return
         if float(new_ratio) < float(ref_ratio) / tolerance:
             message = (
-                f"{label}/{key}: {float(new_ratio):.2f}x vs reference "
-                f"{float(ref_ratio):.2f}x (< 1/{tolerance:.2f})"
+                f"{label}/speedup_median: {float(new_ratio):.2f}x vs "
+                f"reference {float(ref_ratio):.2f}x (< 1/{tolerance:.2f})"
             )
             (failures if same_config else warnings).append(message)
 
@@ -764,8 +501,7 @@ def check_bench_core(
                     ref_entry.get(variant),
                     new_entry.get(variant),
                 )
-            for key in ("speedup_median", "speedup_backend_median"):
-                compare_ratio(name, ref_entry, new_entry, key)
+            compare_ratio(name, ref_entry, new_entry)
     return failures, warnings
 
 
@@ -793,21 +529,14 @@ def format_bench_core(report: dict[str, object]) -> str:
     for name in _COMPARED_SCENARIOS:
         entry = scenarios[name]
         lines.append(
-            f"{name:<21}: {entry['backend']['median_ms']:.3f} ms median "
-            f"(python {entry['optimized']['median_ms']:.3f} ms, "
-            f"baseline {entry['baseline']['median_ms']:.3f} ms, "
-            f"{entry['speedup_backend_median']:.2f}x over baseline)"
+            f"{name:<21}: {entry['numpy']['median_ms']:.3f} ms median "
+            f"(python {entry['python']['median_ms']:.3f} ms, "
+            f"numpy {entry['speedup_median']:.2f}x faster, paired)"
         )
-    lines.append(
-        "incremental==rebuild : "
-        f"{agreement['incremental_matches_rebuild']} "
-        f"(max certainty delta {agreement['max_certainty_delta']:.2e} "
-        f"over {agreement['queries']} queries)"
-    )
     lines.append(
         "backend==python      : "
         f"{agreement['backend_matches_python']} "
-        f"(max certainty delta "
-        f"{agreement['backend_max_certainty_delta']:.2e})"
+        f"(max certainty delta {agreement['max_certainty_delta']:.2e} "
+        f"over {agreement['queries']} queries)"
     )
     return "\n".join(lines)

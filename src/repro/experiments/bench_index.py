@@ -1,7 +1,7 @@
 """``bench-index``: one summary over every committed ``BENCH_*.json``.
 
 The repo accumulates benchmark reports with per-family schemas
-(``bench-core/v2``, ``bench-scale/v1``, ``schema_version: 1`` for the
+(``bench-core/v3``, ``bench-scale/v1``, ``schema_version: 1`` for the
 serve/drift/cluster families). CI and humans both want one answer to
 "what benchmarks exist, on what hardware did they run, and did any of
 them record a failed target?" — without knowing each family's layout.

@@ -152,7 +152,6 @@ class WorkerStateBlob:
     estimator: RelevancyEstimator
     policy: ProbePolicy
     fingerprint: str
-    incremental: bool = True
     # Numeric backend for the worker-side APro. Deliberately NOT part
     # of the fingerprint: backends are answer-invariant (the equality
     # contract pins them to the ``python`` oracle), so switching one
@@ -333,7 +332,6 @@ def _rebuild_apro(blob: WorkerStateBlob, conn) -> APro:
         selector,
         policy=blob.policy,
         prober=ConnProber(conn),
-        incremental=blob.incremental,
         backend=blob.backend,
         prune=blob.prune_mode in ("exact", "topm"),
     )

@@ -6,7 +6,8 @@ certainty deltas within 1e-9. The property sweep here drives both
 backends through randomized belief states — ragged supports, one-atom
 (impulse) RDs, every k from 1 to n, in-support and out-of-support
 collapses — and asserts marginals, override batches, collapse results
-and best sets agree.
+and best sets agree. RD construction is held to the stricter bitwise
+standard: the batched builder must reproduce ``derive_rd`` exactly.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from repro.core.backend import (
     register_backend,
     unregister_backend,
 )
+from repro.core.relevancy import derive_rd, derive_rds
 from repro.core.topk import CorrectnessMetric, TopKComputer
 from repro.exceptions import ConfigurationError
+from repro.hiddenweb.database import RelevancyDefinition
 from repro.stats.distribution import DiscreteDistribution as D
 
 
@@ -219,3 +222,43 @@ def test_usefulness_sweep_matches_across_backends():
             tensor, database, CorrectnessMetric.ABSOLUTE
         )
         assert u_oracle == pytest.approx(u_tensor, abs=1e-9)
+
+
+class _FixedED:
+    """An ED stand-in whose error distribution is given directly."""
+
+    def __init__(self, distribution: D) -> None:
+        self._distribution = distribution
+
+    def to_distribution(self) -> D:
+        return self._distribution
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_derive_rds_is_bitwise_derive_rd(seed):
+    # Each ED carries 8+ errors in [-1, -0.9] (document frequency rounds
+    # them all to 0) and 8+ in [0, 2] (similarity clamps them all to 1),
+    # so every RD merges runs of 8+ atoms — where a pairwise-summing
+    # merge reorders the additions that from_pairs makes one by one.
+    rng = np.random.default_rng(seed)
+    estimates, eds = [], []
+    for _ in range(int(rng.integers(1, 5))):
+        errors = np.concatenate(
+            (
+                rng.uniform(-1.0, -0.9, int(rng.integers(8, 17))),
+                rng.uniform(0.0, 2.0, int(rng.integers(8, 17))),
+                rng.uniform(-1.0, 2.0, int(rng.integers(0, 11))),
+            )
+        )
+        weights = rng.random(len(errors)) + 1e-3
+        eds.append(
+            _FixedED(D.from_pairs(zip(errors.tolist(), weights.tolist())))
+        )
+        estimates.append(float(rng.uniform(1.0, 4.0)))
+    for definition in RelevancyDefinition:
+        batched = derive_rds(estimates, eds, definition, backend="numpy")
+        for estimate, ed, rd in zip(estimates, eds, batched):
+            single = derive_rd(estimate, ed, definition)
+            assert rd.values.tobytes() == single.values.tobytes(), seed
+            assert rd.probs.tobytes() == single.probs.tobytes(), seed

@@ -200,22 +200,6 @@ class TestPolicySweepCutoff:
         # valid even under an already-expired deadline.
         assert choice in candidates
 
-    def test_four_argument_policies_still_work(self, trained_pipeline):
-        class LegacyPolicy:
-            def choose(self, computer, candidates, metric, threshold):
-                return candidates[0]
-
-        apro = APro(trained_pipeline["selector"], policy=LegacyPolicy())
-        query = trained_pipeline["test_queries"][2]
-        clock = FakeClock()
-        session = apro.run(
-            query,
-            k=2,
-            threshold=1.0,
-            deadline=Deadline.after(60.0, clock=clock),
-        )
-        assert session.satisfied  # deadline never expired; run completed
-
 
 def _uncertain_queries(metasearcher, queries, k=2):
     """Queries whose no-probe prior does not already reach certainty 1."""

@@ -91,7 +91,7 @@ class TestTopKEdges:
 class _MisbehavingPolicy:
     """A policy that returns a database outside the candidate list."""
 
-    def choose(self, computer, candidates, metric, threshold):
+    def choose(self, computer, candidates, metric, threshold, deadline=None):
         return -1
 
 

@@ -227,3 +227,39 @@ class TestAProOnTinyTestbed:
             random.run(q, k=1, threshold=0.9).num_probes for q in queries
         )
         assert greedy_total <= random_total + 2
+
+
+class TestReplayMatchesFreshComputer:
+    """APro's collapsed belief against a from-scratch rebuild.
+
+    After every probe, a fresh unpruned :class:`TopKComputer` over the
+    RDs with the session's observations applied must pick the same
+    answer set, with certainty within 1e-9 — on both backends, with and
+    without bound pruning.
+    """
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("prune", [False, True], ids=["off", "exact"])
+    def test_trajectory_replays(self, trained_pipeline, backend, prune):
+        selector = trained_pipeline["selector"]
+        names = [db.name for db in selector.mediator]
+        apro = APro(selector, backend=backend, prune=prune)
+        probes = pruned = 0
+        for query in trained_pipeline["test_queries"][:12]:
+            for k in (1, 2, 3):
+                session = apro.run(query, k=k, threshold=1.0)
+                rds = selector.build_rds(query, backend=backend)
+                applied = 0
+                for point in session.trajectory:
+                    for record in session.records[applied : point.probes]:
+                        rds[record.index] = D.impulse(record.observed)
+                    applied = point.probes
+                    best, score = TopKComputer(
+                        rds, k, backend=backend
+                    ).best_set(CorrectnessMetric.ABSOLUTE)
+                    assert tuple(names[i] for i in best) == point.names
+                    assert abs(score - point.expected_correctness) <= 1e-9
+                probes += session.num_probes
+                pruned += session.pruned_databases
+        assert probes > 0
+        assert (pruned > 0) == prune

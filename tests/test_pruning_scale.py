@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.policies import CostAwareGreedyPolicy
 from repro.core.pruning import prunable_mask, support_bounds, survivor_indices
 from repro.core.probing import APro
 from repro.exceptions import ConfigurationError
@@ -182,33 +183,55 @@ class TestExactModeIdentity:
         # The sweep must actually exercise the pruning path.
         assert pruned_total > 0
 
+    def test_cost_aware_policy_charges_mediation_costs(
+        self, registry, background_vocab, analyzer, health_queries
+    ):
+        # Under pruning the policy sees survivor rows, not mediation
+        # indices; it must still charge each row its own database's
+        # cost, or cost-aware probe orders drift from the unpruned run.
+        rng = np.random.default_rng(4242)
+        for _ in range(2):
+            mediator = _random_testbed(
+                rng, registry, background_vocab, analyzer
+            )
+            costs = [1.0 + i % 4 for i in range(len(mediator))]
+            base = Metasearcher(
+                mediator,
+                MetasearcherConfig(samples_per_type=6, prune_mode="off"),
+                policy=CostAwareGreedyPolicy(costs),
+                analyzer=analyzer,
+            )
+            base.train(health_queries[:20])
+            exact = Metasearcher.from_trained(
+                base,
+                MetasearcherConfig(
+                    samples_per_type=6, prune_mode="exact"
+                ),
+            )
+            self._assert_identical(
+                base, exact, health_queries[20:40], (1, 2, 3)
+            )
+
     def test_backends_agree_under_pruning(self, trained_pipeline):
         sessions = []
         for backend in ("numpy", "python"):
-            for incremental in (True, False):
-                apro = APro(
-                    trained_pipeline["selector"],
-                    incremental=incremental,
-                    backend=backend,
-                    prune=True,
-                )
-                sessions.append(
-                    [
-                        apro.run(query, k=2, threshold=0.9)
-                        for query in trained_pipeline["test_queries"][:4]
-                    ]
-                )
-        reference = sessions[0]
-        for other in sessions[1:]:
-            for a, b in zip(reference, other):
-                assert a.final.names == b.final.names
-                assert [(r.index, r.observed) for r in a.records] == [
-                    (r.index, r.observed) for r in b.records
+            apro = APro(
+                trained_pipeline["selector"], backend=backend, prune=True
+            )
+            sessions.append(
+                [
+                    apro.run(query, k=2, threshold=0.9)
+                    for query in trained_pipeline["test_queries"][:4]
                 ]
-                assert abs(
-                    a.final.expected_correctness
-                    - b.final.expected_correctness
-                ) <= 1e-9
+            )
+        for a, b in zip(*sessions):
+            assert a.final.names == b.final.names
+            assert [(r.index, r.observed) for r in a.records] == [
+                (r.index, r.observed) for r in b.records
+            ]
+            assert abs(
+                a.final.expected_correctness - b.final.expected_correctness
+            ) <= 1e-9
 
 
 class TestPrefilterTier:

@@ -5,8 +5,8 @@ The contract under test: a computer evolved through a chain of
 :class:`TopKComputer` built from the post-probe RDs — for in-support
 observations, out-of-support observations (midpoint rank insertion),
 and observed values duplicating another database's support atom.
-Also covers the batched usefulness path against the legacy per-atom
-path, and memo migration across collapse.
+Also covers greedy usefulness against a brute-force reference built on
+joint enumeration, and memo migration across collapse.
 """
 
 from itertools import combinations
@@ -17,6 +17,7 @@ import pytest
 from repro.core.policies import GreedyUsefulnessPolicy
 from repro.core.topk import CorrectnessMetric, TopKComputer
 from repro.stats.distribution import DiscreteDistribution as D
+from tests.test_topk_reference import brute_force_topk_stats
 
 # Every test in this module runs under both numeric backends.
 pytestmark = pytest.mark.usefixtures("numeric_backend")
@@ -192,7 +193,29 @@ class TestMemoMigration:
         assert_agrees(collapsed, TopKComputer(current, 2), 4, 2)
 
 
+def brute_force_usefulness(rds, k, database, metric):
+    """Σ_v P[r_i = v] · (best score with RD i collapsed to v).
+
+    The best score is read off the exact joint enumeration: the largest
+    set probability for the absolute metric, the mean of the k largest
+    marginals for the partial metric.
+    """
+    total = 0.0
+    for value, prob in rds[database].atoms():
+        collapsed = list(rds)
+        collapsed[database] = D.impulse(value)
+        marginals, set_probs = brute_force_topk_stats(collapsed, k)
+        if metric is CorrectnessMetric.ABSOLUTE:
+            best = max(set_probs.values())
+        else:
+            best = float(np.mean(np.sort(marginals)[-k:]))
+        total += prob * best
+    return total
+
+
 class TestBatchedUsefulnessMatchesLegacy:
+    """Greedy usefulness against the brute-force reference above."""
+
     @pytest.mark.parametrize("seed", range(15))
     def test_randomized(self, seed):
         rng = np.random.default_rng(1000 + seed)
@@ -200,14 +223,13 @@ class TestBatchedUsefulnessMatchesLegacy:
         k = int(rng.integers(1, n + 1))
         rds = random_rds(rng, n)
         computer = TopKComputer(rds, k)
-        batched = GreedyUsefulnessPolicy()
-        legacy = GreedyUsefulnessPolicy(batched=False)
+        policy = GreedyUsefulnessPolicy()
         for metric in CorrectnessMetric:
             for database in range(n):
-                assert batched.usefulness(
+                assert policy.usefulness(
                     computer, database, metric
                 ) == pytest.approx(
-                    legacy.usefulness(computer, database, metric),
+                    brute_force_usefulness(rds, k, database, metric),
                     abs=ATOL,
                 )
 
@@ -217,9 +239,19 @@ class TestBatchedUsefulnessMatchesLegacy:
             n = int(rng.integers(2, 6))
             rds = random_rds(rng, n, impulse_prob=0.0)
             computer = TopKComputer(rds, 1)
-            candidates = list(range(n))
-            assert GreedyUsefulnessPolicy().choose(
-                computer, candidates, CorrectnessMetric.ABSOLUTE, 0.9
-            ) == GreedyUsefulnessPolicy(batched=False).choose(
-                computer, candidates, CorrectnessMetric.ABSOLUTE, 0.9
+            reference = [
+                brute_force_usefulness(
+                    rds, 1, database, CorrectnessMetric.ABSOLUTE
+                )
+                for database in range(n)
+            ]
+            # First database within 1e-12 of the maximum: the policy's
+            # tie rule.
+            expected = next(
+                database
+                for database, value in enumerate(reference)
+                if value >= max(reference) - 1e-12
             )
+            assert GreedyUsefulnessPolicy().choose(
+                computer, list(range(n)), CorrectnessMetric.ABSOLUTE, 0.9
+            ) == expected
