@@ -29,6 +29,7 @@ mechanism pointed at drift.
 Scoring uses golden standards built over the *current* content of each
 phase; certainty calibration is the mean absolute gap between an
 answer's reported certainty and its actual correctness.
+:func:`drift_gates` records the headline claims as gates.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 
+from repro import bench
 from repro.core.correctness import GoldenStandard
 from repro.corpus.collections import testbed_specs
 from repro.corpus.generator import DocumentGenerator
@@ -48,16 +50,11 @@ from repro.service.server import MetasearchService, ServiceConfig
 from repro.types import Query
 
 __all__ = [
-    "BENCH_DRIFT_SCHEMA_VERSION",
     "BenchDriftConfig",
     "run_bench_drift",
+    "drift_gates",
     "format_bench_drift",
-    "validate_bench_drift",
 ]
-
-#: Version of the committed ``BENCH_drift.json`` document. Bump on any
-#: key change so trajectory tooling can refuse mixed-schema diffs.
-BENCH_DRIFT_SCHEMA_VERSION = 1
 
 _PHASES = ("pre", "post_early", "post_late")
 
@@ -280,9 +277,11 @@ def _run_leg(
         }
 
 
-def run_bench_drift(config: BenchDriftConfig | None = None) -> dict:
-    """Run the drift benchmark; returns the ``BENCH_drift.json``
-    document (stable schema, JSON-able)."""
+def run_bench_drift(
+    config: BenchDriftConfig | None = None,
+) -> dict[str, object]:
+    """Run the drift benchmark; returns the ``bench/v1`` document
+    committed as ``BENCH_drift.json``."""
     config = config or BenchDriftConfig()
     context = config.context
     if context is None:
@@ -351,18 +350,23 @@ def run_bench_drift(config: BenchDriftConfig | None = None) -> dict:
 
     adapted_late = legs["adapted"]["phases"]["post_late"]
     frozen_late = legs["frozen"]["phases"]["post_late"]
-    quality_delta = round(
-        adapted_late["avg_absolute"] - frozen_late["avg_absolute"], 6
-    )
-    calibration_delta = round(
-        frozen_late["calibration_error"]
-        - adapted_late["calibration_error"],
-        6,
-    )
-    return {
-        "schema_version": BENCH_DRIFT_SCHEMA_VERSION,
-        "benchmark": "bench-drift",
-        "config": {
+    results = {
+        "phases": list(_PHASES),
+        "runs": legs,
+        "post_late": {
+            "quality_delta": round(
+                adapted_late["avg_absolute"] - frozen_late["avg_absolute"], 6
+            ),
+            "calibration_delta": round(
+                frozen_late["calibration_error"]
+                - adapted_late["calibration_error"],
+                6,
+            ),
+        },
+    }
+    return bench.report(
+        "bench-drift",
+        {
             "scale": config.scale,
             "seed": config.seed,
             "queries_per_phase": config.queries_per_phase,
@@ -378,116 +382,106 @@ def run_bench_drift(config: BenchDriftConfig | None = None) -> dict:
             "adapt_min_samples": config.adapt_min_samples,
             "databases": len(mediators["original"]),
         },
-        "phases": list(_PHASES),
-        "runs": legs,
-        "derived": {
-            "drift_detected": legs["adapted"]["drift"]["flagged"] > 0,
-            "swaps": legs["adapted"]["drift"]["swaps"],
-            "model_changed": (
-                legs["adapted"]["fingerprints"]["initial"]
-                != legs["adapted"]["fingerprints"]["final"]
-            ),
-            "post_late_quality_delta": quality_delta,
-            "post_late_calibration_delta": calibration_delta,
-            # "Recovered" = by the late phase the adapted service is
-            # strictly better-calibrated and no worse on selection
-            # quality than the frozen one.
-            "adaptation_recovers": bool(
-                calibration_delta > 0 and quality_delta >= 0
-            ),
-        },
-    }
+        results,
+        drift_gates(results),
+    )
 
 
-def validate_bench_drift(document: dict) -> list[str]:
-    """Schema and correctness failures of a bench-drift document.
+def drift_gates(results: dict[str, object]) -> list[dict[str, object]]:
+    """The benchmark's headline claims, as recorded gates.
 
-    Used by ``bench-drift --check`` (CI smoke). Structural gates only
-    plus the benchmark's headline claims: drift was detected, at least
-    one swap installed a changed model, no request was lost, and the
-    adapted run recovered (calibration strictly better, quality no
-    worse, in ``post_late``).
+    Both legs replay every phase without losing a request; the frozen
+    leg never swaps or changes its model; the adapted leg flags drift
+    and hot-swaps a changed model; and by ``post_late`` it has
+    recovered — strictly better calibrated and no worse on selection
+    quality than the frozen leg. Missing measurements fail their gate.
     """
-    failures: list[str] = []
-    if document.get("schema_version") != BENCH_DRIFT_SCHEMA_VERSION:
-        failures.append(
-            f"schema_version must be {BENCH_DRIFT_SCHEMA_VERSION}, "
-            f"got {document.get('schema_version')!r}"
-        )
-    for key in ("benchmark", "config", "phases", "runs", "derived"):
-        if key not in document:
-            failures.append(f"missing top-level key {key!r}")
-    runs = document.get("runs") or {}
+    runs = results.get("runs") or {}
+    gates: list[dict[str, object]] = []
     for leg in ("adapted", "frozen"):
-        run = runs.get(leg)
-        if run is None:
-            failures.append(f"missing run {leg!r}")
-            continue
-        for phase in _PHASES:
-            if phase not in run.get("phases", {}):
-                failures.append(f"run {leg!r} missing phase {phase!r}")
-        if run.get("lost_requests", 1) != 0:
-            failures.append(
-                f"run {leg!r} lost {run.get('lost_requests')} requests"
-            )
-    frozen = runs.get("frozen") or {}
-    if frozen.get("drift", {}).get("swaps", 0) != 0:
-        failures.append("frozen run performed swaps")
-    if (
-        frozen.get("fingerprints", {}).get("initial")
-        != frozen.get("fingerprints", {}).get("final")
-    ):
-        failures.append("frozen run's model fingerprint changed")
-    derived = document.get("derived") or {}
-    if not derived.get("drift_detected"):
-        failures.append("adapted run never flagged drift")
-    if derived.get("swaps", 0) < 1:
-        failures.append("adapted run never swapped a refreshed model")
-    if not derived.get("model_changed"):
-        failures.append("adapted run's final model equals the initial one")
-    if not derived.get("adaptation_recovers"):
-        failures.append(
-            "post_late recovery claim failed: calibration_delta="
-            f"{derived.get('post_late_calibration_delta')}, "
-            f"quality_delta={derived.get('post_late_quality_delta')}"
-        )
-    return failures
+        run = runs.get(leg) or {}
+        gates += [
+            bench.gate(
+                f"{leg}.phases",
+                sum(phase in run.get("phases", {}) for phase in _PHASES),
+                len(_PHASES),
+                "==",
+            ),
+            bench.gate(
+                f"{leg}.lost_requests", run.get("lost_requests"), 0, "=="
+            ),
+        ]
+    adapted, frozen = runs.get("adapted") or {}, runs.get("frozen") or {}
+
+    def model_changed(run: dict) -> bool | None:
+        fingerprints = run.get("fingerprints")
+        if not fingerprints:
+            return None
+        return fingerprints.get("initial") != fingerprints.get("final")
+
+    post_late = results.get("post_late") or {}
+    return gates + [
+        bench.gate(
+            "frozen.swaps", frozen.get("drift", {}).get("swaps"), 0, "=="
+        ),
+        bench.gate("frozen.model_changed", model_changed(frozen), False, "=="),
+        bench.gate(
+            "adapted.drift_flagged",
+            adapted.get("drift", {}).get("flagged"),
+            1,
+            ">=",
+        ),
+        bench.gate(
+            "adapted.swaps", adapted.get("drift", {}).get("swaps"), 1, ">="
+        ),
+        bench.gate(
+            "adapted.model_changed", model_changed(adapted), True, "=="
+        ),
+        bench.gate(
+            "post_late.recovery.calibration_delta",
+            post_late.get("calibration_delta"),
+            0,
+            ">",
+        ),
+        bench.gate(
+            "post_late.recovery.quality_delta",
+            post_late.get("quality_delta"),
+            0,
+            ">=",
+        ),
+    ]
 
 
-def format_bench_drift(document: dict) -> str:
+def format_bench_drift(document: dict[str, object]) -> str:
     """Human-readable phase table of a bench-drift document."""
-    config = document.get("config", {})
+    config, results = document["config"], document["results"]
     lines = [
-        f"databases            : {config.get('databases')}",
-        f"queries per phase    : {config.get('queries_per_phase')} "
-        f"(k={config.get('k')}, certainty={config.get('certainty')})",
+        f"databases            : {config['databases']}",
+        f"queries per phase    : {config['queries_per_phase']} "
+        f"(k={config['k']}, certainty={config['certainty']})",
         f"{'run':<8} {'phase':<11} {'Cor_a':>7} {'Cor_p':>7} "
         f"{'probes':>7} {'|cal err|':>10}",
     ]
     for leg in ("adapted", "frozen"):
-        run = document.get("runs", {}).get(leg, {})
         for phase in _PHASES:
-            row = run.get("phases", {}).get(phase, {})
+            row = results["runs"][leg]["phases"][phase]
             lines.append(
-                f"{leg:<8} {phase:<11} {row.get('avg_absolute', 0):>7.3f} "
-                f"{row.get('avg_partial', 0):>7.3f} "
-                f"{row.get('avg_probes', 0):>7.2f} "
-                f"{row.get('calibration_error', 0):>10.4f}"
+                f"{leg:<8} {phase:<11} {row['avg_absolute']:>7.3f} "
+                f"{row['avg_partial']:>7.3f} "
+                f"{row['avg_probes']:>7.2f} "
+                f"{row['calibration_error']:>10.4f}"
             )
-    adapted = document.get("runs", {}).get("adapted", {})
-    drift = adapted.get("drift", {})
-    derived = document.get("derived", {})
+    adapted = results["runs"]["adapted"]
+    drift = adapted["drift"]
+    post_late = results["post_late"]
     lines += [
-        f"drift checks/flagged : {drift.get('checks')} / "
-        f"{drift.get('flagged')} "
-        f"(databases: {', '.join(drift.get('flagged_databases', [])) or '-'})",
-        f"model swaps          : {drift.get('swaps')} "
-        f"({adapted.get('fingerprints', {}).get('initial')} -> "
-        f"{adapted.get('fingerprints', {}).get('final')})",
+        f"drift checks/flagged : {drift['checks']} / {drift['flagged']} "
+        f"(databases: {', '.join(drift['flagged_databases']) or '-'})",
+        f"model swaps          : {drift['swaps']} "
+        f"({adapted['fingerprints']['initial']} -> "
+        f"{adapted['fingerprints']['final']})",
         f"post-late deltas     : quality "
-        f"{derived.get('post_late_quality_delta'):+.3f}, calibration "
-        f"{derived.get('post_late_calibration_delta'):+.4f} "
-        f"(adapted vs frozen)",
-        f"adaptation recovers  : {derived.get('adaptation_recovers')}",
+        f"{post_late['quality_delta']:+.3f}, calibration "
+        f"{post_late['calibration_delta']:+.4f} (adapted vs frozen)",
     ]
     return "\n".join(lines)

@@ -42,8 +42,11 @@ Fourteen commands:
   with answer-identity proven for exact mode and the prefilter's
   quality delta measured, written to ``BENCH_scale.json`` (see
   ``docs/PERFORMANCE.md``);
-* ``bench-index`` — aggregate every committed ``BENCH_*.json`` into
-  one schema-validated summary of hosts and target verdicts.
+* ``bench-index`` — judge every committed ``BENCH_*.json`` from its
+  host block and recorded gates.
+
+Every ``bench-*`` command records its verdicts as ``bench/v1`` gates
+(:mod:`repro.bench`) and exits 3 when any gate is false.
 
 All commands are deterministic for a given ``--seed`` (wall-clock
 metrics excepted).
@@ -313,15 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="1,4",
         help="comma-separated client concurrency levels for the grid",
     )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "with --snapshot: exit non-zero unless the document passes "
-            "schema validation and every grid cell matched the serial "
-            "in-process baseline (CI smoke mode)"
-        ),
-    )
 
     gateway = subparsers.add_parser(
         "gateway",
@@ -443,14 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(see docs/OBSERVABILITY.md)"
         ),
     )
-    bench_gateway.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "exit non-zero unless coalescing collapsed duplicates and "
-            "overload shed cleanly (CI smoke mode)"
-        ),
-    )
 
     cluster = subparsers.add_parser(
         "cluster",
@@ -570,17 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="BENCH_cluster.json",
         help="path of the report JSON (default BENCH_cluster.json)",
     )
-    bench_cluster.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "exit non-zero unless every cluster answer matched the "
-            "single-node baseline, a cache-tier hit served across "
-            "replicas, and the mid-burst kill lost or duplicated zero "
-            "requests; QPS scaling gates apply only on >= 4-core hosts "
-            "(CI smoke mode)"
-        ),
-    )
 
     fig = subparsers.add_parser(
         "fig", help="regenerate one paper figure/table"
@@ -697,21 +672,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="path of the report JSON (default BENCH_core.json)",
     )
     bench_core.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "exit non-zero unless the report passes schema validation, "
-            "the numpy backend agrees with the python oracle, and no "
-            "scenario regressed beyond --tolerance vs --baseline on "
-            "matching hardware (CI gate mode)"
-        ),
-    )
-    bench_core.add_argument(
         "--baseline",
         default="BENCH_core.json",
         help=(
-            "committed reference report the --check gate diffs against "
-            "(default BENCH_core.json; missing file skips the perf diff)"
+            "committed reference report the regression gates compare "
+            "against (default BENCH_core.json; a missing file leaves "
+            "them unjudged)"
         ),
     )
     bench_core.add_argument(
@@ -719,8 +685,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.5,
         help=(
-            "per-scenario median regression factor the --check gate "
-            "tolerates (default 1.5)"
+            "regression factor the gates tolerate on scenario medians "
+            "and paired ratios (default 1.5)"
         ),
     )
 
@@ -767,15 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="BENCH_drift.json",
         help="path of the report JSON (default BENCH_drift.json)",
     )
-    bench_drift.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "exit non-zero unless the document passes schema validation, "
-            "drift was detected and swapped, no request was lost, and "
-            "the adapted run recovered in post_late (CI smoke mode)"
-        ),
-    )
 
     bench_scale = subparsers.add_parser(
         "bench-scale",
@@ -820,22 +777,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="BENCH_scale.json",
         help="path of the report JSON (default BENCH_scale.json)",
     )
-    bench_scale.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "exit non-zero unless exact mode is answer-identical at "
-            "every size, topm recall clears its floor, and — on hosts "
-            "with >= 4 cores — exact-mode growth is sublinear with the "
-            "target speedup at the largest size (CI gate mode)"
-        ),
-    )
 
     bench_index = subparsers.add_parser(
         "bench-index",
         help=(
-            "aggregate all committed BENCH_*.json reports into one "
-            "machine-readable summary"
+            "judge every committed BENCH_*.json report: exit 3 on a "
+            "non-bench/v1 file, a report without gates, a false gate, "
+            "or a null verdict its host could have judged"
         ),
     )
     bench_index.add_argument(
@@ -847,14 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default=None,
         help="write the summary JSON here (default: stdout only)",
-    )
-    bench_index.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "exit non-zero if any report is unreadable, carries no "
-            "recognizable schema, or records meets_target false"
-        ),
     )
     return parser
 
@@ -1063,13 +1003,11 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_gateway(args: argparse.Namespace) -> int:
-    import json
-
+    from repro.bench import finish
     from repro.gateway.bench import (
         BenchGatewayConfig,
         format_bench_gateway,
         run_bench_gateway,
-        validate_bench_gateway,
     )
 
     print(
@@ -1078,7 +1016,7 @@ def _cmd_bench_gateway(args: argparse.Namespace) -> int:
         f"{args.shed_requests} shed requests)...",
         flush=True,
     )
-    report = run_bench_gateway(
+    document = run_bench_gateway(
         BenchGatewayConfig(
             scale=args.scale,
             seed=args.seed,
@@ -1096,22 +1034,8 @@ def _cmd_bench_gateway(args: argparse.Namespace) -> int:
             trace_path=args.trace,
         )
     )
-    print(format_bench_gateway(report))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"Report written to {args.out}")
-    if args.check:
-        failures = validate_bench_gateway(report)
-        if failures:
-            for failure in failures:
-                print(f"error: {failure}", file=sys.stderr)
-            return 3
-        print(
-            "check passed: coalescing collapsed duplicates, "
-            "overload shed cleanly"
-        )
-    return 0
+    print(format_bench_gateway(document))
+    return finish(document, args.out)
 
 
 def _parse_int_list(raw: str, flag: str) -> tuple[int, ...]:
@@ -1125,14 +1049,22 @@ def _parse_int_list(raw: str, flag: str) -> tuple[int, ...]:
         ) from None
 
 
-def _cmd_bench_serve_snapshot(args: argparse.Namespace) -> int:
-    import json
+def _write_metrics(metrics: dict, path: str | None) -> None:
+    """``--metrics-out``: the metrics snapshot JSON, when asked for."""
+    if path:
+        import json
 
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(metrics, handle, indent=2, sort_keys=True)
+        print(f"Metrics written to {path}")
+
+
+def _cmd_bench_serve_snapshot(args: argparse.Namespace) -> int:
+    from repro.bench import finish
     from repro.service.bench import (
         BenchServeSnapshotConfig,
         format_bench_serve_snapshot,
         run_bench_serve_snapshot,
-        validate_bench_serve_snapshot,
     )
 
     pool_sizes = _parse_int_list(
@@ -1164,26 +1096,11 @@ def _cmd_bench_serve_snapshot(args: argparse.Namespace) -> int:
         )
     )
     print(format_bench_serve_snapshot(document))
-    with open(args.snapshot, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"Snapshot written to {args.snapshot}")
-    if args.check:
-        failures = validate_bench_serve_snapshot(document)
-        if failures:
-            for failure in failures:
-                print(f"error: {failure}", file=sys.stderr)
-            return 3
-        print(
-            "check passed: schema valid, every grid cell identical "
-            "to the serial in-process baseline"
-        )
-    return 0
+    return finish(document, args.snapshot)
 
 
 def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    import json
-
+    from repro.bench import finish
     from repro.service.bench import (
         BenchServeConfig,
         format_bench_serve,
@@ -1197,7 +1114,7 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         f"{args.queries} queries, {args.workers} workers)...",
         flush=True,
     )
-    report = run_bench_serve(
+    document = run_bench_serve(
         BenchServeConfig(
             scale=args.scale,
             seed=args.seed,
@@ -1217,12 +1134,9 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
             trace_path=args.trace,
         )
     )
-    print(format_bench_serve(report))
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(report.metrics, handle, indent=2, sort_keys=True)
-        print(f"Metrics written to {args.metrics_out}")
-    return 0
+    print(format_bench_serve(document))
+    _write_metrics(document["results"]["metrics"], args.metrics_out)
+    return finish(document)
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
@@ -1289,13 +1203,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_cluster(args: argparse.Namespace) -> int:
-    import json
-
+    from repro.bench import finish
     from repro.cluster import (
         BenchClusterConfig,
         format_bench_cluster,
         run_bench_cluster,
-        validate_bench_cluster,
     )
 
     counts = _parse_int_list(args.replica_counts, "--replica-counts")
@@ -1305,7 +1217,7 @@ def _cmd_bench_cluster(args: argparse.Namespace) -> int:
         f"burst)...",
         flush=True,
     )
-    report = run_bench_cluster(
+    document = run_bench_cluster(
         BenchClusterConfig(
             scale=args.scale,
             seed=args.seed,
@@ -1321,25 +1233,8 @@ def _cmd_bench_cluster(args: argparse.Namespace) -> int:
             failover_requests=args.failover_requests,
         )
     )
-    print(format_bench_cluster(report))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"Report written to {args.out}")
-    if args.check:
-        failures = validate_bench_cluster(report)
-        if failures:
-            for failure in failures:
-                print(f"error: {failure}", file=sys.stderr)
-            return 3
-        gated = (
-            "identity, cursors, shared cache, failover, and QPS scaling"
-            if report["cpu_count"] >= 4
-            else "identity, cursors, shared cache, and failover "
-            f"(QPS gates skipped on this {report['cpu_count']}-core host)"
-        )
-        print(f"check passed: {gated}")
-    return 0
+    print(format_bench_cluster(document))
+    return finish(document, args.out)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -1372,8 +1267,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_train(args: argparse.Namespace) -> int:
-    import json
-
+    from repro.bench import finish
     from repro.service.bench import (
         BenchTrainConfig,
         format_bench_train,
@@ -1385,7 +1279,7 @@ def _cmd_bench_train(args: argparse.Namespace) -> int:
         f"{args.queries} queries, {args.workers} workers)...",
         flush=True,
     )
-    report = run_bench_train(
+    document = run_bench_train(
         BenchTrainConfig(
             scale=args.scale,
             seed=args.seed,
@@ -1400,45 +1294,39 @@ def _cmd_bench_train(args: argparse.Namespace) -> int:
             max_retries=args.retries,
         )
     )
-    print(format_bench_train(report))
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(report.metrics, handle, indent=2, sort_keys=True)
-        print(f"Metrics written to {args.metrics_out}")
-    return 0
+    print(format_bench_train(document))
+    _write_metrics(document["results"]["metrics"], args.metrics_out)
+    return finish(document)
 
 
 def _cmd_bench_core(args: argparse.Namespace) -> int:
-    import json
     import os
 
+    from repro.bench import finish, read
     from repro.experiments.bench_core import (
+        FAMILY,
         BenchCoreConfig,
-        check_bench_core,
         format_bench_core,
-        read_bench_core,
         run_bench_core,
-        validate_bench_core,
     )
 
     # Read the reference up front: --out may point at the same file the
-    # gate diffs against, and the fresh report must not overwrite the
-    # committed numbers before they are loaded.
+    # gates compare against, and the fresh report must not overwrite
+    # the committed numbers before they are loaded.
     reference = None
-    if args.check:
-        if os.path.exists(args.baseline):
-            reference = read_bench_core(args.baseline)
-        else:
-            print(
-                f"note: no reference report at {args.baseline}; "
-                "the perf diff is skipped",
-            )
+    if os.path.exists(args.baseline):
+        reference = read(args.baseline, FAMILY)
+    else:
+        print(
+            f"note: no reference report at {args.baseline}; "
+            "the regression gates stay unjudged",
+        )
     print(
         f"Benchmarking core hot path (scale={args.scale}, "
         f"k={args.k}, t={args.certainty}, {args.repeats} repeats)...",
         flush=True,
     )
-    report = run_bench_core(
+    document = run_bench_core(
         BenchCoreConfig(
             scale=args.scale,
             seed=args.seed,
@@ -1448,40 +1336,21 @@ def _cmd_bench_core(args: argparse.Namespace) -> int:
             k=args.k,
             threshold=args.certainty,
             apro_queries=args.apro_queries,
-        )
+        ),
+        reference=reference,
+        tolerance=args.tolerance,
     )
-    print(format_bench_core(report))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"Report written to {args.out}")
-    if args.check:
-        validate_bench_core(report)
-        failures, warnings = check_bench_core(
-            report, reference, tolerance=args.tolerance
-        )
-        for warning in warnings:
-            print(f"warning: {warning}")
-        if failures:
-            for failure in failures:
-                print(f"error: {failure}", file=sys.stderr)
-            return 3
-        print(
-            "check passed: schema valid, agreement holds"
-            + ("" if reference is None else ", no gated perf regression")
-        )
-    return 0
+    print(format_bench_core(document))
+    return finish(document, args.out)
 
 
 def _cmd_bench_drift(args: argparse.Namespace) -> int:
-    import json
-
     from repro.adapt.bench import (
         BenchDriftConfig,
         format_bench_drift,
         run_bench_drift,
-        validate_bench_drift,
     )
+    from repro.bench import finish
 
     print(
         f"Benchmarking drift adaptation (scale={args.scale}, "
@@ -1504,29 +1373,13 @@ def _cmd_bench_drift(args: argparse.Namespace) -> int:
         )
     )
     print(format_bench_drift(document))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"Report written to {args.out}")
-    if args.check:
-        failures = validate_bench_drift(document)
-        if failures:
-            for failure in failures:
-                print(f"error: {failure}", file=sys.stderr)
-            return 3
-        print(
-            "check passed: drift detected, model swapped, no request "
-            "lost, adaptation recovered in post_late"
-        )
-    return 0
+    return finish(document, args.out)
 
 
 def _cmd_bench_scale(args: argparse.Namespace) -> int:
-    import json
-
+    from repro.bench import finish
     from repro.experiments.bench_scale import (
         BenchScaleConfig,
-        check_bench_scale,
         format_bench_scale,
         run_bench_scale,
     )
@@ -1537,7 +1390,7 @@ def _cmd_bench_scale(args: argparse.Namespace) -> int:
         f"k={args.k}, t={args.certainty}, top_m={args.top_m})...",
         flush=True,
     )
-    report = run_bench_scale(
+    document = run_bench_scale(
         BenchScaleConfig(
             sizes=sizes,
             seed=args.seed,
@@ -1549,56 +1402,20 @@ def _cmd_bench_scale(args: argparse.Namespace) -> int:
             top_m=args.top_m,
         )
     )
-    print(format_bench_scale(report))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"Report written to {args.out}")
-    if args.check:
-        failures = check_bench_scale(report)
-        if failures:
-            for failure in failures:
-                print(f"error: {failure}", file=sys.stderr)
-            return 3
-        print(
-            "check passed: exact mode answer-identical at every size, "
-            "topm recall above floor"
-            + (
-                ", wall-clock gates met"
-                if report["gates"]["meets_target"]
-                else " (wall-clock gates not judged on this host)"
-            )
-        )
-    return 0
+    print(format_bench_scale(document))
+    return finish(document, args.out)
 
 
 def _cmd_bench_index(args: argparse.Namespace) -> int:
-    import json
-
+    from repro.bench import finish
     from repro.experiments.bench_index import (
         build_bench_index,
-        check_bench_index,
         format_bench_index,
     )
 
-    index = build_bench_index(args.dir)
-    print(format_bench_index(index))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(index, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"Index written to {args.out}")
-    if args.check:
-        failures = check_bench_index(index)
-        if failures:
-            for failure in failures:
-                print(f"error: {failure}", file=sys.stderr)
-            return 3
-        print(
-            f"check passed: {len(index['reports'])} report(s) indexed, "
-            "no recorded target failures"
-        )
-    return 0
+    document = build_bench_index(args.dir)
+    print(format_bench_index(document))
+    return finish(document, args.out)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -20,9 +20,9 @@ See ``docs/CLUSTER.md`` for topology and protocol details.
 
 from repro.cluster.bench import (
     BenchClusterConfig,
+    cluster_gates,
     format_bench_cluster,
     run_bench_cluster,
-    validate_bench_cluster,
 )
 from repro.cluster.cachetier import (
     CACHE_PROTOCOL_VERSION,
@@ -56,11 +56,11 @@ __all__ = [
     "RouterConfig",
     "SubprocessReplica",
     "answer_key",
+    "cluster_gates",
     "decode_answer",
     "encode_answer",
     "format_bench_cluster",
     "parse_address",
     "request_fingerprint",
     "run_bench_cluster",
-    "validate_bench_cluster",
 ]

@@ -21,19 +21,18 @@ Four phases, each demonstrating one cluster property the docs claim:
   exact: every request answered exactly once, zero lost, zero
   duplicated, all answers identical to baseline.
 
-QPS gates apply only on hosts with ≥ 4 cores (a 1-core box
-legitimately cannot scale); identity gates always apply. The report
-records ``cpu_count`` so a committed snapshot is honest about the
-hardware it ran on.
+:func:`cluster_gates` records each property as a gate. QPS scaling
+gates need a host with ≥ 4 cores (a 1-core box legitimately cannot
+scale); identity gates are judged everywhere.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+from repro import bench
 from repro.exceptions import ConfigurationError
 from repro.gateway.client import GatewayClient
 from repro.service.bench import build_trained_testbed
@@ -45,8 +44,8 @@ from repro.cluster.router import RouterConfig
 __all__ = [
     "BenchClusterConfig",
     "run_bench_cluster",
+    "cluster_gates",
     "format_bench_cluster",
-    "validate_bench_cluster",
 ]
 
 #: Certainty agreement bound between replicas and the single-node
@@ -101,24 +100,6 @@ class BenchClusterConfig:
             n_test=self.n_test,
             batch_size=self.batch_size,
         )
-
-
-def _percentile(ordered: list[float], pct: float) -> float:
-    rank = max(1, round(pct / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
-def _latency_summary(wall_ms: list[float]) -> dict[str, object]:
-    if not wall_ms:
-        return {"samples": 0}
-    ordered = sorted(wall_ms)
-    return {
-        "samples": len(ordered),
-        "p50_ms": round(_percentile(ordered, 50.0), 3),
-        "p95_ms": round(_percentile(ordered, 95.0), 3),
-        "p99_ms": round(_percentile(ordered, 99.0), 3),
-        "max_ms": round(ordered[-1], 3),
-    }
 
 
 def _baseline(config: BenchClusterConfig) -> tuple[list[str], dict]:
@@ -236,7 +217,7 @@ async def _scaling_run(
             "mismatches": mismatches[:10],
             "mismatch_count": len(mismatches),
         },
-        "latency": _latency_summary(wall_ms),
+        "latency": bench.latency_summary(wall_ms),
     }
 
 
@@ -375,7 +356,7 @@ async def _failover_phase(
 def run_bench_cluster(
     config: BenchClusterConfig | None = None,
 ) -> dict[str, object]:
-    """Run all phases; returns a JSON-able report (schema v1)."""
+    """Run all phases; returns the ``bench/v1`` document."""
     config = config or BenchClusterConfig()
     queries, reference = _baseline(config)
 
@@ -391,10 +372,15 @@ def run_bench_cluster(
         return scaling, cursors, shared, failover
 
     scaling, cursors, shared, failover = asyncio.run(phases())
-    return {
-        "schema_version": 1,
-        "cpu_count": os.cpu_count() or 1,
-        "config": {
+    results = {
+        "scaling": scaling,
+        "cursors": cursors,
+        "shared_cache": shared,
+        "failover": failover,
+    }
+    return bench.report(
+        "bench-cluster",
+        {
             "scale": config.scale,
             "seed": config.seed,
             "n_train": config.n_train,
@@ -407,28 +393,107 @@ def run_bench_cluster(
             "replica_counts": list(config.replica_counts),
             "failover_requests": config.failover_requests,
         },
-        "certainty_eps": CERTAINTY_EPS,
-        "scaling_gates": {
-            str(count): gate for count, gate in SCALING_GATES.items()
-        },
-        "scaling": scaling,
-        "cursors": cursors,
-        "shared_cache": shared,
-        "failover": failover,
-    }
+        results,
+        cluster_gates(results),
+    )
 
 
-def format_bench_cluster(report: dict) -> str:
-    """Human-readable summary (full report stays JSON)."""
-    import json
+def cluster_gates(results: dict[str, object]) -> list[dict[str, object]]:
+    """Acceptance checks of one cluster run, as recorded gates.
 
+    Identity, cursor, shared-cache and failover gates are judged on
+    any host; each N-replica run's QPS must reach ``SCALING_GATES[N]``
+    times the 1-replica QPS on hosts with >= 4 cores — a 1-core box
+    cannot scale and the committed snapshot must not pretend it did.
+    """
+    gates: list[dict[str, object]] = []
+    runs = {run["replicas"]: run for run in results["scaling"]}
+    for count, run in sorted(runs.items()):
+        prefix = f"scaling.x{count}"
+        gates += [
+            bench.gate(f"{prefix}.ok", run["ok"], run["requests"], "=="),
+            bench.gate(
+                f"{prefix}.identity_mismatches",
+                run["identity"]["mismatch_count"],
+                0,
+                "==",
+            ),
+        ]
+        if count > 1:
+            gates.append(
+                bench.gate(
+                    f"{prefix}.replicas_seen",
+                    len(run["replicas_seen"]),
+                    2,
+                    ">=",
+                )
+            )
+        if count in SCALING_GATES and 1 in runs:
+            gates.append(
+                bench.gate(
+                    f"{prefix}.qps_vs_x1",
+                    round(run["qps"] / runs[1]["qps"], 3),
+                    SCALING_GATES[count],
+                    ">=",
+                    min_cores=4,
+                )
+            )
+    cursors = results["cursors"]
+    shared = results["shared_cache"]
+    failover = results["failover"]
+    return gates + [
+        bench.gate(
+            "cursors.run_id_prefixed", cursors["run_id_prefixed"], True, "=="
+        ),
+        bench.gate("cursors.reassembled", cursors["reassembled"], True, "=="),
+        bench.gate("cursors.pages", cursors["pages"], 2, ">="),
+        bench.gate(
+            "shared_cache.first_cache_hit",
+            shared["first_cache_hit"],
+            False,
+            "==",
+        ),
+        bench.gate(
+            "shared_cache.second_cache_hit",
+            shared["second_cache_hit"],
+            True,
+            "==",
+        ),
+        bench.gate(
+            "shared_cache.cross_replica_tier_hits",
+            shared["cross_replica_tier_hits"],
+            1,
+            ">=",
+        ),
+        bench.gate(
+            "shared_cache.answers_match", shared["answers_match"], True, "=="
+        ),
+        bench.gate(
+            "failover.responses",
+            failover["responses"],
+            failover["requests"],
+            "==",
+        ),
+        bench.gate(
+            "failover.identity_mismatches",
+            failover["identity_mismatch_count"],
+            0,
+            "==",
+        ),
+        bench.gate("failover.survivors", len(failover["survivors"]), 1, "=="),
+    ]
+
+
+def format_bench_cluster(document: dict[str, object]) -> str:
+    """Human-readable summary (the full report stays JSON)."""
+    results = document["results"]
     lines = [
-        f"cpu_count            : {report['cpu_count']}",
+        f"cpu_count            : {document['environment']['cpu_count']}",
         "",
         "scaling (vs single-node baseline):",
     ]
     base_qps = None
-    for run in report["scaling"]:
+    for run in results["scaling"]:
         if base_qps is None:
             base_qps = run["qps"]
         ratio = run["qps"] / base_qps if base_qps else 0.0
@@ -437,9 +502,9 @@ def format_bench_cluster(report: dict) -> str:
             f"{run['qps']:>8.1f} qps ({ratio:.2f}x)  "
             f"identity mismatches: {run['identity']['mismatch_count']}"
         )
-    cursors = report["cursors"]
-    shared = report["shared_cache"]
-    failover = report["failover"]
+    cursors = results["cursors"]
+    shared = results["shared_cache"]
+    failover = results["failover"]
     lines += [
         "",
         f"cursors              : {cursors['rows']} rows in "
@@ -451,87 +516,5 @@ def format_bench_cluster(report: dict) -> str:
         f"{failover['requests']} answered, lost={failover['lost']}, "
         f"failovers={failover['failovers']}, "
         f"mismatches={failover['identity_mismatch_count']}",
-        "",
-        "report:",
-        json.dumps(report, indent=2, sort_keys=True),
     ]
     return "\n".join(lines)
-
-
-def validate_bench_cluster(report: dict) -> list[str]:
-    """Acceptance checks; returns failure messages (empty = pass).
-
-    Identity, cursor, shared-cache and failover gates always apply;
-    the QPS scaling gates apply only when the host has >= 4 cores —
-    a 1-core box cannot scale and the committed snapshot must not
-    pretend it did.
-    """
-    failures = []
-    runs = {run["replicas"]: run for run in report["scaling"]}
-    for count, run in sorted(runs.items()):
-        if run["ok"] != run["requests"]:
-            failures.append(
-                f"scaling x{count}: {run['ok']}/{run['requests']} answered"
-            )
-        if run["identity"]["mismatch_count"]:
-            failures.append(
-                f"scaling x{count}: "
-                f"{run['identity']['mismatch_count']} identity mismatches "
-                f"(e.g. {run['identity']['mismatches'][:1]})"
-            )
-        if count > 1 and len(run["replicas_seen"]) < 2:
-            failures.append(
-                f"scaling x{count}: only {run['replicas_seen']} served "
-                f"(sharding did not spread)"
-            )
-    if report["cpu_count"] >= 4 and 1 in runs:
-        base = runs[1]["qps"]
-        for count, gate in SCALING_GATES.items():
-            run = runs.get(count)
-            if run is None:
-                continue
-            if run["qps"] < gate * base:
-                failures.append(
-                    f"scaling x{count}: {run['qps']} qps < "
-                    f"{gate}x single-replica {base} qps"
-                )
-    cursors = report["cursors"]
-    if not cursors["run_id_prefixed"]:
-        failures.append("cursors: run_id carried no replica prefix")
-    if not cursors["reassembled"]:
-        failures.append(
-            f"cursors: {cursors['rows']} rows over {cursors['pages']} "
-            f"pages did not reassemble to {cursors['total']}"
-        )
-    if cursors["pages"] < 2:
-        failures.append("cursors: result fit one page (paging untested)")
-    shared = report["shared_cache"]
-    if shared["first_cache_hit"]:
-        failures.append("shared cache: first request was already cached")
-    if not shared["second_cache_hit"]:
-        failures.append(
-            "shared cache: second replica did not serve from cache"
-        )
-    if shared["cross_replica_tier_hits"] < 1:
-        failures.append("shared cache: no cross-replica tier hit")
-    if not shared["answers_match"]:
-        failures.append("shared cache: tier-served answer differs")
-    failover = report["failover"]
-    if failover["lost"]:
-        failures.append(f"failover: {failover['lost']} requests lost")
-    if failover["responses"] != failover["requests"]:
-        failures.append(
-            f"failover: {failover['responses']} responses for "
-            f"{failover['requests']} requests"
-        )
-    if failover["identity_mismatch_count"]:
-        failures.append(
-            f"failover: {failover['identity_mismatch_count']} "
-            f"identity mismatches after the kill"
-        )
-    if len(failover["survivors"]) != 1:
-        failures.append(
-            f"failover: expected exactly one survivor, "
-            f"got {failover['survivors']}"
-        )
-    return failures

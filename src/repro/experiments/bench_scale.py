@@ -37,47 +37,36 @@ tiny constant, so it delivers the speedup gate (identical answers,
 several times faster) while topm — which skips RD construction for
 dropped candidates outright — delivers the sublinear growth.
 
-Gate policy follows ``BENCH_serve``: identity and quality gates are
+:func:`scale_gates` judges a run: identity and quality gates are
 deterministic and judged everywhere; the wall-clock gates (sublinear
 topm growth across the size span, exact-mode speedup at the largest
-size) are judged only on hosts with ≥ 4 cores and otherwise recorded
-with ``meets_target: null`` — a committed report is honest about the
-machine it ran on.
+size) carry ``min_cores=4`` and stay unjudged on smaller hosts — a
+committed report is honest about the machine it ran on.
 """
 
 from __future__ import annotations
 
-import os
-import statistics
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro import bench
 from repro.corpus.generator import DatabaseSpec, DocumentGenerator
 from repro.corpus.topics import TopicRegistry, default_topic_registry
 from repro.corpus.zipf import ZipfVocabulary
 from repro.exceptions import ConfigurationError
-from repro.experiments.bench_core import (
-    _collect_environment,
-    _summarize,
-)
 from repro.hiddenweb.mediator import Mediator
 from repro.metasearch.metasearcher import Metasearcher, MetasearcherConfig
 from repro.text.analyzer import Analyzer
 from repro.types import Query
 
 __all__ = [
-    "BENCH_SCALE_SCHEMA",
     "BenchScaleConfig",
     "scale_specs",
     "run_bench_scale",
-    "validate_bench_scale",
-    "check_bench_scale",
+    "scale_gates",
     "format_bench_scale",
 ]
-
-BENCH_SCALE_SCHEMA = "bench-scale/v1"
 
 #: Identity tolerance for certainties (matches the backend/incremental
 #: equality contract): exact-mode runs must agree with unpruned runs to
@@ -258,7 +247,7 @@ def _relevancy_recall(
 def run_bench_scale(
     config: BenchScaleConfig | None = None,
 ) -> dict[str, object]:
-    """Run the scale benchmark, returning the JSON-able report."""
+    """Run the scale benchmark; returns the ``bench/v1`` document."""
     config = config or BenchScaleConfig()
     registry = default_topic_registry(seed=config.seed)
     shared = {
@@ -324,37 +313,36 @@ def run_bench_scale(
             natural["topm"],
         )
         # Fixed-budget runs: per-query wall-clock with the probe count
-        # pinned (interleaved rounds, like bench-core), so the numbers
-        # measure the selection machinery rather than the workload's
-        # own hardness growth.
+        # pinned, the variants interleaved on each query, so the
+        # numbers measure the selection machinery rather than the
+        # workload's own hardness growth.
         samples: dict[str, list[float]] = {name: [] for name in runners}
-        for _round in range(config.repeats):
-            for name, searcher in runners.items():
-                for query in eval_queries:
-                    started = time.perf_counter()
-                    searcher.select(
+        for query in eval_queries:
+            fns = {
+                name: (
+                    lambda searcher=searcher, query=query: searcher.select(
                         query,
                         k=config.k,
                         certainty=config.certainty,
                         max_probes=config.probe_budget,
                         force_probes=config.probe_budget,
                     )
-                    samples[name].append(
-                        (time.perf_counter() - started) * 1000.0
-                    )
-        exact_ratios = [
-            u / e if e > 0 else float("inf")
-            for u, e in zip(samples["unpruned"], samples["exact"])
-        ]
+                )
+                for name, searcher in runners.items()
+            }
+            for name, values in bench.time_interleaved(
+                fns, config.repeats
+            ).items():
+                samples[name] += values
         sizes_out.append(
             {
                 "databases": n_databases,
                 "timing_ms": {
-                    name: _summarize(values)
+                    name: bench.latency_summary(values)
                     for name, values in samples.items()
                 },
-                "speedup_exact": round(
-                    statistics.median(exact_ratios), 3
+                "speedup_exact": bench.paired_ratio(
+                    samples["unpruned"], samples["exact"]
                 ),
                 "identical_selections": same_sel,
                 "identical_probe_orders": same_ord,
@@ -366,239 +354,139 @@ def run_bench_scale(
                     2,
                 ),
                 "pruned_mean": {
-                    "exact": round(
-                        sum(
-                            s.pruned_databases
-                            for s in natural["exact"]
-                        )
+                    name: round(
+                        sum(s.pruned_databases for s in natural[name])
                         / len(eval_queries),
                         1,
-                    ),
-                    "topm": round(
-                        sum(
-                            s.pruned_databases for s in natural["topm"]
-                        )
-                        / len(eval_queries),
-                        1,
-                    ),
+                    )
+                    for name in ("exact", "topm")
                 },
                 "topm_recall": round(recall, 4),
             }
         )
 
-    span = config.sizes[-1] / config.sizes[0]
-    growth = {
-        name: round(
-            sizes_out[-1]["timing_ms"][name]["median_ms"]
-            / sizes_out[0]["timing_ms"][name]["median_ms"],
-            3,
-        )
-        for name in ("unpruned", "exact", "topm")
-    }
-    identity_ok = all(
-        entry["identical_selections"]
-        and entry["identical_probe_orders"]
-        and entry["max_certainty_delta"] <= CERTAINTY_TOLERANCE
-        for entry in sizes_out
-    )
-    recall_ok = all(
-        entry["topm_recall"] >= config.min_topm_recall
-        for entry in sizes_out
-    )
-    speedup_at_max = sizes_out[-1]["speedup_exact"]
-    sublinear = growth["topm"] < span
-    applicable = (os.cpu_count() or 1) >= 4
-    report = {
-        "schema": BENCH_SCALE_SCHEMA,
-        "config": {
-            "sizes": list(config.sizes),
-            "seed": config.seed,
-            "n_train": config.n_train,
-            "samples_per_type": config.samples_per_type,
-            "queries": config.queries,
-            "repeats": config.repeats,
-            "k": config.k,
-            "certainty": config.certainty,
-            "top_m": config.top_m,
-            "probe_budget": config.probe_budget,
-            "min_speedup": config.min_speedup,
-            "min_topm_recall": config.min_topm_recall,
-        },
-        "environment": _collect_environment(),
+    results = {
         "sizes": sizes_out,
         "growth": {
-            "span": span,
-            "median_ms_ratio_last_over_first": growth,
-        },
-        "gates": {
-            "identity": identity_ok,
-            "topm_recall": recall_ok,
-            "sublinear_growth": {
-                "measured": growth["topm"],
-                "limit": span,
-                "ok": sublinear,
-            },
-            "speedup_at_max": {
-                "measured": speedup_at_max,
-                "target": config.min_speedup,
-                "ok": bool(speedup_at_max >= config.min_speedup),
-            },
-            "perf_applicable": applicable,
-            # Wall-clock verdict only on >= 4 cores (BENCH_serve
-            # convention); identity/recall are judged everywhere.
-            "meets_target": (
-                bool(
-                    sublinear and speedup_at_max >= config.min_speedup
+            "span": config.sizes[-1] / config.sizes[0],
+            "p50_ratio_last_over_first": {
+                name: round(
+                    sizes_out[-1]["timing_ms"][name]["p50_ms"]
+                    / sizes_out[0]["timing_ms"][name]["p50_ms"],
+                    3,
                 )
-                if applicable
-                else None
-            ),
+                for name in runners
+            },
         },
     }
-    return report
+    report_config = {
+        "sizes": list(config.sizes),
+        "seed": config.seed,
+        "n_train": config.n_train,
+        "samples_per_type": config.samples_per_type,
+        "queries": config.queries,
+        "repeats": config.repeats,
+        "k": config.k,
+        "certainty": config.certainty,
+        "top_m": config.top_m,
+        "probe_budget": config.probe_budget,
+        "min_speedup": config.min_speedup,
+        "min_topm_recall": config.min_topm_recall,
+    }
+    return bench.report(
+        "bench-scale",
+        report_config,
+        results,
+        scale_gates(results, report_config),
+    )
 
 
-def validate_bench_scale(report: dict[str, object]) -> None:
-    """Raise :class:`ConfigurationError` on a malformed report."""
-    if report.get("schema") != BENCH_SCALE_SCHEMA:
-        raise ConfigurationError(
-            f"unexpected schema {report.get('schema')!r}, "
-            f"wanted {BENCH_SCALE_SCHEMA!r}"
-        )
-    for key in ("config", "environment", "sizes", "growth", "gates"):
-        if key not in report:
-            raise ConfigurationError(f"report missing key {key!r}")
-    sizes = report["sizes"]
-    if not isinstance(sizes, list) or not sizes:
-        raise ConfigurationError("report sizes must be a non-empty list")
-    for entry in sizes:
-        for key in (
-            "databases",
-            "timing_ms",
-            "speedup_exact",
-            "identical_selections",
-            "identical_probe_orders",
-            "max_certainty_delta",
-            "probe_budget",
-            "natural_probes_per_query",
-            "pruned_mean",
-            "topm_recall",
-        ):
-            if key not in entry:
-                raise ConfigurationError(
-                    f"size entry missing key {key!r}"
-                )
-    gates = report["gates"]
-    for key in (
-        "identity",
-        "topm_recall",
-        "sublinear_growth",
-        "speedup_at_max",
-        "perf_applicable",
-        "meets_target",
-    ):
-        if key not in gates:
-            raise ConfigurationError(f"gates missing key {key!r}")
+def scale_gates(
+    results: dict[str, object], config: dict[str, object]
+) -> list[dict[str, object]]:
+    """The verdicts of one bench-scale run.
 
-
-def check_bench_scale(report: dict[str, object]) -> list[str]:
-    """Gate failures of *report* (empty = all judged gates pass).
-
-    Identity and topm-recall are deterministic — judged whatever the
-    host. The wall-clock gates are judged only when the report's own
-    environment shows >= 4 cores; on smaller hosts they are recorded
-    but not failures (``meets_target`` stays ``null``).
+    Per size, exact mode must reproduce the unpruned selections, probe
+    orders and certainties (to ``CERTAINTY_TOLERANCE``) and topm recall
+    must clear ``min_topm_recall`` — judged on any host. The wall-clock
+    gates (topm growth below the size span, exact speedup at the
+    largest size) need 4 cores.
     """
-    validate_bench_scale(report)
-    failures: list[str] = []
-    for entry in report["sizes"]:
+    gates: list[dict[str, object]] = []
+    for entry in results["sizes"]:
         n = entry["databases"]
-        if not entry["identical_selections"]:
-            failures.append(
-                f"{n} databases: exact-mode selections differ from "
-                f"unpruned"
-            )
-        if not entry["identical_probe_orders"]:
-            failures.append(
-                f"{n} databases: exact-mode probe order differs from "
-                f"unpruned"
-            )
-        if entry["max_certainty_delta"] > CERTAINTY_TOLERANCE:
-            failures.append(
-                f"{n} databases: certainty delta "
-                f"{entry['max_certainty_delta']:.2e} exceeds "
-                f"{CERTAINTY_TOLERANCE:.0e}"
-            )
-    floor = report["config"]["min_topm_recall"]
-    for entry in report["sizes"]:
-        if entry["topm_recall"] < floor:
-            failures.append(
-                f"{entry['databases']} databases: topm recall "
-                f"{entry['topm_recall']} below floor {floor}"
-            )
-    gates = report["gates"]
-    if report["environment"].get("cpu_count", 0) >= 4:
-        if not gates["sublinear_growth"]["ok"]:
-            failures.append(
-                f"prefilter-tier growth "
-                f"{gates['sublinear_growth']['measured']}x is not "
-                f"sublinear over a "
-                f"{gates['sublinear_growth']['limit']}x size span"
-            )
-        if not gates["speedup_at_max"]["ok"]:
-            failures.append(
-                f"exact-mode speedup at the largest size is "
-                f"{gates['speedup_at_max']['measured']}x, target "
-                f"{gates['speedup_at_max']['target']}x"
-            )
-    return failures
+        gates += [
+            bench.gate(
+                f"{n}db.exact.identical_selections",
+                entry["identical_selections"],
+                True,
+                "==",
+            ),
+            bench.gate(
+                f"{n}db.exact.identical_probe_orders",
+                entry["identical_probe_orders"],
+                True,
+                "==",
+            ),
+            bench.gate(
+                f"{n}db.exact.max_certainty_delta",
+                entry["max_certainty_delta"],
+                CERTAINTY_TOLERANCE,
+                "<=",
+            ),
+            bench.gate(
+                f"{n}db.topm_recall",
+                entry["topm_recall"],
+                config["min_topm_recall"],
+                ">=",
+            ),
+        ]
+    growth = results["growth"]
+    return gates + [
+        bench.gate(
+            "topm.growth_over_span",
+            growth["p50_ratio_last_over_first"]["topm"],
+            growth["span"],
+            "<",
+            min_cores=4,
+        ),
+        bench.gate(
+            "exact.speedup_at_max_size",
+            results["sizes"][-1]["speedup_exact"],
+            config["min_speedup"],
+            ">=",
+            min_cores=4,
+        ),
+    ]
 
 
-def format_bench_scale(report: dict[str, object]) -> str:
+def format_bench_scale(document: dict[str, object]) -> str:
     """Human-readable rendering of a bench-scale report."""
-    env = report["environment"]
+    results = document["results"]
     lines = [
         "bench-scale: selection cost vs federated database count",
-        f"  schema      : {report['schema']}",
-        f"  environment : python {env['python']}, numpy {env['numpy']}, "
-        f"cpu_count {env['cpu_count']}",
-        f"  probe budget: {report['config']['probe_budget']} "
+        f"  probe budget: {document['config']['probe_budget']} "
         f"probes/query (timing workload pinned across sizes)",
         "",
         "  size   unpruned     exact        topm        speedup  "
         "pruned(exact)  recall",
     ]
-    for entry in report["sizes"]:
+    for entry in results["sizes"]:
         timing = entry["timing_ms"]
         lines.append(
             f"  {entry['databases']:>5}"
-            f"  {timing['unpruned']['median_ms']:>9.1f}ms"
-            f"  {timing['exact']['median_ms']:>9.1f}ms"
-            f"  {timing['topm']['median_ms']:>9.1f}ms"
+            f"  {timing['unpruned']['p50_ms']:>9.1f}ms"
+            f"  {timing['exact']['p50_ms']:>9.1f}ms"
+            f"  {timing['topm']['p50_ms']:>9.1f}ms"
             f"  {entry['speedup_exact']:>6.2f}x"
             f"  {entry['pruned_mean']['exact']:>9.1f}"
             f"  {entry['topm_recall']:>9.3f}"
         )
-    gates = report["gates"]
-    growth = gates["sublinear_growth"]
-    ratios = report["growth"]["median_ms_ratio_last_over_first"]
-    lines += [
-        "",
-        f"  identity (all sizes)   : "
-        f"{'ok' if gates['identity'] else 'FAILED'}",
-        f"  topm recall            : "
-        f"{'ok' if gates['topm_recall'] else 'FAILED'}",
-        f"  growth over {growth['limit']}x span : "
-        f"unpruned {ratios['unpruned']}x, exact {ratios['exact']}x, "
-        f"topm {growth['measured']}x "
-        f"({'sublinear' if growth['ok'] else 'NOT sublinear'})",
-        f"  speedup at max size    : "
-        f"{gates['speedup_at_max']['measured']}x "
-        f"(target {gates['speedup_at_max']['target']}x)",
-        f"  meets_target           : {gates['meets_target']}",
-    ]
-    if not gates["perf_applicable"]:
-        lines.append(
-            "  (wall-clock gates not judged: fewer than 4 cores)"
-        )
+    growth = results["growth"]
+    ratios = growth["p50_ratio_last_over_first"]
+    lines.append(
+        f"  growth over {growth['span']}x span: unpruned "
+        f"{ratios['unpruned']}x, exact {ratios['exact']}x, "
+        f"topm {ratios['topm']}x"
+    )
     return "\n".join(lines)

@@ -16,8 +16,8 @@ See ``docs/GATEWAY.md`` for the protocol and operational semantics.
 from repro.gateway.bench import (
     BenchGatewayConfig,
     format_bench_gateway,
+    gateway_gates,
     run_bench_gateway,
-    validate_bench_gateway,
 )
 from repro.gateway.client import GatewayClient, SyncGatewayClient
 from repro.gateway.gateway import GatewayConfig, MetasearchGateway
@@ -42,5 +42,5 @@ __all__ = [
     "BenchGatewayConfig",
     "run_bench_gateway",
     "format_bench_gateway",
-    "validate_bench_gateway",
+    "gateway_gates",
 ]

@@ -20,16 +20,17 @@ it:
 
 Latencies are reported as p50/p95/p99 over the per-request wall clock
 observed by the *client*, which includes queueing — the number an SLA
-would be written against.
+would be written against. :func:`gateway_gates` turns both
+demonstrations into recorded gates.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from dataclasses import dataclass
 
+from repro import bench
 from repro.exceptions import ConfigurationError
 from repro.gateway.client import GatewayClient
 from repro.gateway.gateway import GatewayConfig, MetasearchGateway
@@ -48,8 +49,8 @@ from repro.service.server import MetasearchService, ServiceConfig
 __all__ = [
     "BenchGatewayConfig",
     "run_bench_gateway",
+    "gateway_gates",
     "format_bench_gateway",
-    "validate_bench_gateway",
 ]
 
 
@@ -92,24 +93,6 @@ class BenchGatewayConfig:
             raise ConfigurationError("workers must be >= 1")
         if self.pool_workers < 0:
             raise ConfigurationError("pool_workers must be >= 0")
-
-
-def _percentile(ordered: list[float], pct: float) -> float:
-    rank = max(1, round(pct / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
-def _latency_summary(wall_ms: list[float]) -> dict[str, float]:
-    if not wall_ms:
-        return {"samples": 0}
-    ordered = sorted(wall_ms)
-    return {
-        "samples": len(ordered),
-        "p50_ms": round(_percentile(ordered, 50.0), 3),
-        "p95_ms": round(_percentile(ordered, 95.0), 3),
-        "p99_ms": round(_percentile(ordered, 99.0), 3),
-        "max_ms": round(ordered[-1], 3),
-    }
 
 
 def _service(
@@ -201,7 +184,7 @@ async def _coalesce_phase(
         "gateway_coalesced_counter": int(
             snapshot["counters"]["gateway_coalesced"]
         ),
-        "latency": _latency_summary(wall_ms),
+        "latency": bench.latency_summary(wall_ms),
     }
 
 
@@ -281,14 +264,14 @@ async def _shed_phase(
         "gateway_shed_counter": int(snapshot["counters"]["gateway_shed"]),
         "leaked_tasks": leaked,
         "clean_drain": leaked == 0 and not unexpected,
-        "latency": _latency_summary(wall_ms),
+        "latency": bench.latency_summary(wall_ms),
     }
 
 
 def run_bench_gateway(
     config: BenchGatewayConfig | None = None,
 ) -> dict[str, object]:
-    """Run both phases; returns a JSON-able report."""
+    """Run both phases; returns the ``bench/v1`` document."""
     config = config or BenchGatewayConfig()
     context, metasearcher = build_trained_testbed(
         scale=config.scale,
@@ -329,8 +312,15 @@ def run_bench_gateway(
             "spans": trace_sink.emitted,
             "breakdown": tier_breakdown(load_spans(config.trace_path)),
         }
-    return {
-        "config": {
+    results = {
+        "databases": len(context.mediator),
+        "coalesce": coalesce,
+        "shed": shed,
+        "trace": trace,
+    }
+    return bench.report(
+        "bench-gateway",
+        {
             "scale": config.scale,
             "seed": config.seed,
             "k": config.k,
@@ -343,19 +333,66 @@ def run_bench_gateway(
             "shed_requests": config.shed_requests,
             "shed_queue": config.shed_queue,
         },
-        "databases": len(context.mediator),
-        "coalesce": coalesce,
-        "shed": shed,
-        "trace": trace,
-    }
+        results,
+        gateway_gates(results),
+    )
 
 
-def format_bench_gateway(report: dict) -> str:
-    """Human-readable benchmark summary (full report stays JSON)."""
-    coalesce = report["coalesce"]
-    shed = report["shed"]
+def gateway_gates(results: dict[str, object]) -> list[dict[str, object]]:
+    """The benchmark's acceptance checks, as recorded gates.
+
+    Coalescing must merge concurrent duplicates (every request
+    answered, at least one coalesced, strictly fewer backend serve
+    calls than requests); overload must shed cleanly (something shed,
+    every request answered or shed, no other error, no leaked task).
+    A traced run must also have emitted ``gateway.request`` and
+    ``service.serve`` spans.
+    """
+    coalesce, shed = results["coalesce"], results["shed"]
+    gates = [
+        bench.gate(
+            "coalesce.ok", coalesce["ok"], coalesce["requests"], "=="
+        ),
+        bench.gate("coalesce.coalesced", coalesce["coalesced"], 1, ">="),
+        bench.gate(
+            "coalesce.backend_serve_calls",
+            coalesce["backend_serve_calls"],
+            coalesce["requests"],
+            "<",
+        ),
+        bench.gate("shed.shed", shed["shed"], 1, ">="),
+        bench.gate(
+            "shed.ok_plus_shed",
+            shed["ok"] + shed["shed"],
+            shed["requests"],
+            "==",
+        ),
+        bench.gate(
+            "shed.unexpected_errors", len(shed["unexpected_errors"]), 0, "=="
+        ),
+        bench.gate("shed.leaked_tasks", shed["leaked_tasks"], 0, "=="),
+    ]
+    trace = results["trace"]
+    if trace is not None:
+        gates.append(bench.gate("trace.spans", trace["spans"], 1, ">="))
+        for name in ("gateway.request", "service.serve"):
+            gates.append(
+                bench.gate(
+                    f"trace.{name}.count",
+                    trace["breakdown"].get(name, {}).get("count", 0),
+                    1,
+                    ">=",
+                )
+            )
+    return gates
+
+
+def format_bench_gateway(document: dict[str, object]) -> str:
+    """Human-readable benchmark summary (the full report stays JSON)."""
+    results = document["results"]
+    coalesce, shed = results["coalesce"], results["shed"]
     lines = [
-        f"databases            : {report['databases']}",
+        f"databases            : {results['databases']}",
         "",
         "coalesce phase (cache disabled):",
         f"  requests           : {coalesce['requests']} "
@@ -376,65 +413,12 @@ def format_bench_gateway(report: dict) -> str:
         f"  clean drain        : {shed['clean_drain']} "
         f"(leaked tasks: {shed['leaked_tasks']})",
     ]
-    if report.get("trace"):
-        trace = report["trace"]
+    trace = results["trace"]
+    if trace is not None:
         lines += [
             "",
             f"per-tier latency breakdown ({trace['spans']} spans "
             f"-> {trace['path']}):",
             format_tier_breakdown(trace["breakdown"]),
         ]
-    lines += [
-        "",
-        "report:",
-        json.dumps(report, indent=2, sort_keys=True),
-    ]
     return "\n".join(lines)
-
-
-def validate_bench_gateway(report: dict) -> list[str]:
-    """The benchmark's acceptance checks; returns failure messages.
-
-    Empty list = the run demonstrated both mechanisms: coalescing
-    merged concurrent duplicates (hit rate > 0 and strictly fewer
-    backend serve calls than requests) and overload shed cleanly
-    (typed responses, no leaked tasks, clean drain).
-    """
-    failures = []
-    coalesce = report["coalesce"]
-    shed = report["shed"]
-    if coalesce["ok"] != coalesce["requests"]:
-        failures.append(
-            f"coalesce phase: {coalesce['ok']}/{coalesce['requests']} ok"
-        )
-    if coalesce["coalesced"] < 1:
-        failures.append("coalesce phase: no request was coalesced")
-    if coalesce["backend_serve_calls"] >= coalesce["requests"]:
-        failures.append(
-            "coalesce phase: backend served "
-            f"{coalesce['backend_serve_calls']} calls for "
-            f"{coalesce['requests']} requests (no collapsing)"
-        )
-    if shed["shed"] < 1:
-        failures.append("shed phase: nothing was shed")
-    if shed["ok"] + shed["shed"] != shed["requests"]:
-        failures.append(
-            f"shed phase: {shed['ok']} ok + {shed['shed']} shed != "
-            f"{shed['requests']} requests"
-        )
-    if shed["unexpected_errors"]:
-        failures.append(
-            f"shed phase: unexpected errors {shed['unexpected_errors']}"
-        )
-    if not shed["clean_drain"]:
-        failures.append(
-            f"shed phase: unclean drain ({shed['leaked_tasks']} tasks)"
-        )
-    trace = report.get("trace")
-    if trace is not None:
-        if trace["spans"] < 1:
-            failures.append("trace: traced run emitted no spans")
-        for name in ("gateway.request", "service.serve"):
-            if name not in trace["breakdown"]:
-                failures.append(f"trace: no {name!r} spans recorded")
-    return failures

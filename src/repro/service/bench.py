@@ -17,19 +17,19 @@ The fault schedules are pure functions of ``(seed, database, attempt)``
 (see :mod:`repro.service.faults`), so both paths experience exactly the
 same latencies and failures; any selection or trained-state difference
 would be a real concurrency bug, which is why the benchmarks double as
-end-to-end determinism checks.
+end-to-end determinism checks: each records its identity result as a
+gate (:mod:`repro.bench`), so a mismatch fails the command.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import platform
 import random
 import threading
 import time
 from dataclasses import dataclass, field
 
+from repro import bench
 from repro.exceptions import ConfigurationError
 from repro.experiments.setup import PaperSetupConfig, build_paper_context
 from repro.metasearch.metasearcher import Metasearcher, MetasearcherConfig
@@ -54,17 +54,16 @@ from repro.types import Query
 __all__ = [
     "build_trained_testbed",
     "BenchServeConfig",
-    "BenchServeReport",
     "run_bench_serve",
+    "serve_gates",
     "format_bench_serve",
-    "BENCH_SERVE_SCHEMA_VERSION",
     "BenchServeSnapshotConfig",
     "run_bench_serve_snapshot",
+    "snapshot_gates",
     "format_bench_serve_snapshot",
-    "validate_bench_serve_snapshot",
     "BenchTrainConfig",
-    "BenchTrainReport",
     "run_bench_train",
+    "train_gates",
     "format_bench_train",
 ]
 
@@ -143,36 +142,6 @@ class BenchServeConfig:
             raise ConfigurationError("pool_workers must be >= 0")
 
 
-@dataclass(frozen=True)
-class BenchServeReport:
-    """What the benchmark measured."""
-
-    databases: int
-    queries: int
-    unique_queries: int
-    workers: int
-    batch_size: int
-    serial_s: float
-    concurrent_s: float
-    identical_selections: bool
-    serial_selections: list[tuple[str, ...]]
-    concurrent_selections: list[tuple[str, ...]]
-    metrics: dict[str, object]
-    pool_workers: int = 0
-    # Per-tier latency stats from the concurrent leg's span file
-    # (``None`` unless the run traced); see repro.obs.tier_breakdown.
-    trace_breakdown: dict[str, dict] | None = None
-    trace_path: str | None = None
-    trace_spans: int = 0
-
-    @property
-    def speedup(self) -> float:
-        """Serial wall-clock over concurrent wall-clock."""
-        if self.concurrent_s <= 0:
-            return float("inf")
-        return self.serial_s / self.concurrent_s
-
-
 def _build_stream(
     test_queries: list[Query], config: BenchServeConfig
 ) -> list[Query]:
@@ -228,8 +197,9 @@ def _replay(
 
 def run_bench_serve(
     config: BenchServeConfig | None = None,
-) -> BenchServeReport:
-    """Run the serial-vs-concurrent serving benchmark."""
+) -> dict[str, object]:
+    """Run the serial-vs-concurrent serving benchmark; returns the
+    ``bench/v1`` document."""
     config = config or BenchServeConfig()
     if config.metasearcher is None:
         context, metasearcher = build_trained_testbed(
@@ -284,38 +254,58 @@ def run_bench_serve(
             concurrent_service, stream, config
         )
         metrics = concurrent_service.snapshot()
-    trace_breakdown = None
-    trace_spans = 0
+    trace = None
     if trace_sink is not None:
         trace_sink.close()
-        trace_spans = trace_sink.emitted
-        trace_breakdown = tier_breakdown(load_spans(config.trace_path))
-
-    serial_selections = [answer.selected for answer in serial_answers]
-    concurrent_selections = [
-        answer.selected for answer in concurrent_answers
-    ]
-    return BenchServeReport(
-        databases=len(context.mediator),
-        queries=config.queries,
-        unique_queries=min(
+        trace = {
+            "path": config.trace_path,
+            "spans": trace_sink.emitted,
+            "breakdown": tier_breakdown(load_spans(config.trace_path)),
+        }
+    results = {
+        "databases": len(context.mediator),
+        "unique_queries": min(
             config.unique_queries, len(context.test_queries)
         ),
-        workers=config.workers,
-        batch_size=config.batch_size,
-        serial_s=serial_s,
-        concurrent_s=concurrent_s,
-        identical_selections=(
-            serial_selections == concurrent_selections
-        ),
-        serial_selections=serial_selections,
-        concurrent_selections=concurrent_selections,
-        metrics=metrics,
-        pool_workers=config.pool_workers,
-        trace_breakdown=trace_breakdown,
-        trace_path=config.trace_path,
-        trace_spans=trace_spans,
+        "serial_s": round(serial_s, 6),
+        "concurrent_s": round(concurrent_s, 6),
+        "speedup": round(serial_s / concurrent_s, 3),
+        "identical_selections": [a.selected for a in serial_answers]
+        == [a.selected for a in concurrent_answers],
+        "metrics": metrics,
+        "trace": trace,
+    }
+    return bench.report(
+        "bench-serve",
+        {
+            "scale": config.scale,
+            "seed": config.seed,
+            "queries": config.queries,
+            "k": config.k,
+            "certainty": config.certainty,
+            "batch_size": config.batch_size,
+            "workers": config.workers,
+            "pool_workers": config.pool_workers,
+            "mean_latency_ms": config.mean_latency_ms,
+            "error_rate": config.error_rate,
+            "timeout_ms": config.timeout_ms,
+            "max_retries": config.max_retries,
+        },
+        results,
+        serve_gates(results),
     )
+
+
+def serve_gates(results: dict[str, object]) -> list[dict[str, object]]:
+    """The serial and concurrent legs must select identically."""
+    return [
+        bench.gate(
+            "identical_selections",
+            results.get("identical_selections"),
+            True,
+            "==",
+        )
+    ]
 
 
 def _stage_summary(metrics: dict, name: str) -> str | None:
@@ -330,47 +320,44 @@ def _stage_summary(metrics: dict, name: str) -> str | None:
     return f"{name:<21}: {p50:.2f} ms median ({p95:.2f} ms p95)"
 
 
-def format_bench_serve(report: BenchServeReport) -> str:
+def format_bench_serve(document: dict[str, object]) -> str:
     """Human-readable benchmark summary (metrics stay JSON)."""
+    config, results = document["config"], document["results"]
     lines = [
-        f"databases            : {report.databases}",
-        f"queries              : {report.queries} "
-        f"({report.unique_queries} unique)",
-        f"batch size           : {report.batch_size}",
-        f"serial (1 worker)    : {report.serial_s:.2f} s",
-        f"concurrent ({report.workers:>2} wkrs) : "
-        f"{report.concurrent_s:.2f} s",
+        f"databases            : {results['databases']}",
+        f"queries              : {config['queries']} "
+        f"({results['unique_queries']} unique)",
+        f"batch size           : {config['batch_size']}",
+        f"serial (1 worker)    : {results['serial_s']:.2f} s",
+        f"concurrent ({config['workers']:>2} wkrs) : "
+        f"{results['concurrent_s']:.2f} s",
         f"selection pool       : "
         + (
-            f"{report.pool_workers} worker processes"
-            if report.pool_workers
+            f"{config['pool_workers']} worker processes"
+            if config["pool_workers"]
             else "off (in-process)"
         ),
-        f"speedup              : {report.speedup:.2f}x",
-        f"identical selections : {report.identical_selections}",
+        f"speedup              : {results['speedup']:.2f}x",
+        f"identical selections : {results['identical_selections']}",
     ]
     for stage in ("stage_analyze_ms", "stage_apro_ms", "stage_pool_ms"):
-        line = _stage_summary(report.metrics, stage)
+        line = _stage_summary(results["metrics"], stage)
         if line is not None:
             lines.append(line)
-    if report.trace_breakdown is not None:
+    trace = results["trace"]
+    if trace is not None:
         lines += [
             "",
-            f"per-tier latency breakdown ({report.trace_spans} spans "
-            f"-> {report.trace_path}):",
-            format_tier_breakdown(report.trace_breakdown),
+            f"per-tier latency breakdown ({trace['spans']} spans "
+            f"-> {trace['path']}):",
+            format_tier_breakdown(trace["breakdown"]),
         ]
     lines += [
         "",
         "metrics:",
-        json.dumps(report.metrics, indent=2, sort_keys=True),
+        json.dumps(results["metrics"], indent=2, sort_keys=True),
     ]
     return "\n".join(lines)
-
-
-#: Version of the committed ``BENCH_serve.json`` document. Bump on any
-#: key change so trajectory tooling can refuse mixed-schema diffs.
-BENCH_SERVE_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -471,11 +458,6 @@ def _replay_concurrent(
     return answers, latencies, wall_s  # type: ignore[return-value]
 
 
-def _latency_percentile(ordered: list[float], pct: float) -> float:
-    rank = max(1, round(pct / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
 def _identical_answers(
     answers: list[ServedAnswer], baseline: list[ServedAnswer]
 ) -> bool:
@@ -489,9 +471,9 @@ def _identical_answers(
 
 def run_bench_serve_snapshot(
     config: BenchServeSnapshotConfig | None = None,
-) -> dict:
+) -> dict[str, object]:
     """Measure the in-process-vs-pool serving grid; returns the
-    ``BENCH_serve.json`` document (stable schema, JSON-able)."""
+    ``bench/v1`` document committed as ``BENCH_serve.json``."""
     config = config or BenchServeSnapshotConfig()
     metasearcher = config.metasearcher
     context = config.context
@@ -530,7 +512,6 @@ def run_bench_serve_snapshot(
                 )
                 if baseline is None:
                     baseline = answers
-                ordered = sorted(latencies)
                 grid.append(
                     {
                         "mode": "pool" if pool_workers else "thread",
@@ -538,45 +519,28 @@ def run_bench_serve_snapshot(
                         "concurrency": concurrency,
                         "queries": len(stream),
                         "wall_s": round(wall_s, 6),
-                        "qps": round(len(stream) / wall_s, 3)
-                        if wall_s > 0
-                        else None,
-                        "latency_ms": {
-                            "p50": round(
-                                _latency_percentile(ordered, 50.0), 3
-                            ),
-                            "p95": round(
-                                _latency_percentile(ordered, 95.0), 3
-                            ),
-                        },
+                        "qps": round(len(stream) / wall_s, 3),
+                        "latency": bench.latency_summary(latencies),
                         "identical_to_baseline": _identical_answers(
                             answers, baseline
                         ),
                     }
                 )
 
-    cpu_count = os.cpu_count() or 1
-    top_concurrency = max(config.concurrency)
-
-    def _qps(mode_workers: int) -> float | None:
-        for cell in grid:
-            if (
-                cell["pool_workers"] == mode_workers
-                and cell["concurrency"] == top_concurrency
-            ):
-                return cell["qps"]
-        return None
-
-    thread_qps, pool4_qps = _qps(0), _qps(4)
-    applicable = (
-        cpu_count >= 4
-        and thread_qps is not None
-        and pool4_qps is not None
-    )
-    return {
-        "schema_version": BENCH_SERVE_SCHEMA_VERSION,
-        "benchmark": "bench-serve",
-        "config": {
+    top = {
+        cell["pool_workers"]: cell["qps"]
+        for cell in grid
+        if cell["concurrency"] == max(config.concurrency)
+    }
+    results = {
+        "grid": grid,
+        "pool4_vs_thread_speedup": (
+            round(top[4] / top[0], 3) if {0, 4} <= set(top) else None
+        ),
+    }
+    return bench.report(
+        "bench-serve-snapshot",
+        {
             "scale": config.scale,
             "seed": config.seed,
             "queries": config.queries,
@@ -590,105 +554,62 @@ def run_bench_serve_snapshot(
             "cache_enabled": False,
             "fault_injection": False,
         },
-        "machine": {
-            "cpu_count": cpu_count,
-            "platform": platform.system(),
-            "python": platform.python_version(),
-        },
-        "grid": grid,
-        "derived": {
-            # The >= 2.5x pool-of-4 criterion only means anything with
-            # >= 4 cores to scale onto; on smaller machines the speedup
-            # is recorded as measured but not judged.
-            "pool4_vs_thread_speedup": (
-                round(pool4_qps / thread_qps, 3)
-                if thread_qps and pool4_qps
-                else None
-            ),
-            "target_speedup": 2.5,
-            "scaling_check_applicable": applicable,
-            "meets_target": (
-                bool(pool4_qps / thread_qps >= 2.5)
-                if applicable
-                else None
-            ),
-        },
-    }
-
-
-def validate_bench_serve_snapshot(document: dict) -> list[str]:
-    """Schema and correctness failures of a snapshot document.
-
-    Used by ``bench-serve --snapshot --check`` (CI smoke): validates the
-    stable schema and that every grid cell returned answers identical to
-    the serial in-process baseline. Throughput numbers are recorded, not
-    judged — perf gating on shared CI hardware is noise.
-    """
-    failures: list[str] = []
-    if document.get("schema_version") != BENCH_SERVE_SCHEMA_VERSION:
-        failures.append(
-            f"schema_version must be {BENCH_SERVE_SCHEMA_VERSION}, "
-            f"got {document.get('schema_version')!r}"
-        )
-    for key in ("benchmark", "config", "machine", "grid", "derived"):
-        if key not in document:
-            failures.append(f"missing top-level key {key!r}")
-    grid = document.get("grid") or []
-    if not grid:
-        failures.append("grid is empty")
-    required = (
-        "mode",
-        "pool_workers",
-        "concurrency",
-        "queries",
-        "wall_s",
-        "qps",
-        "latency_ms",
-        "identical_to_baseline",
+        results,
+        snapshot_gates(results),
     )
-    for i, cell in enumerate(grid):
-        for key in required:
-            if key not in cell:
-                failures.append(f"grid[{i}] missing key {key!r}")
-        if not cell.get("identical_to_baseline", False):
-            failures.append(
-                f"grid[{i}] (mode={cell.get('mode')}, "
-                f"pool_workers={cell.get('pool_workers')}, "
-                f"concurrency={cell.get('concurrency')}) answers "
-                f"differ from the serial in-process baseline"
+
+
+def snapshot_gates(results: dict[str, object]) -> list[dict[str, object]]:
+    """The verdicts of one serving snapshot.
+
+    Every grid cell must answer identically to the serial in-process
+    baseline, on any host. A pool of 4 must reach 2.5x the thread
+    tier's QPS at the top concurrency — a scaling claim only a host
+    with 4 cores can judge, and only when the grid has both legs.
+    """
+    grid = results["grid"]
+    gates = [
+        bench.gate(
+            "grid.cells_differing_from_baseline",
+            sum(not cell["identical_to_baseline"] for cell in grid),
+            0,
+            "==",
+        )
+    ]
+    if results["pool4_vs_thread_speedup"] is not None:
+        gates.append(
+            bench.gate(
+                "pool4_vs_thread_qps",
+                results["pool4_vs_thread_speedup"],
+                2.5,
+                ">=",
+                min_cores=4,
             )
-    return failures
+        )
+    return gates
 
 
-def format_bench_serve_snapshot(document: dict) -> str:
+def format_bench_serve_snapshot(document: dict[str, object]) -> str:
     """Human-readable table of the snapshot grid."""
-    machine = document.get("machine", {})
+    environment, results = document["environment"], document["results"]
     lines = [
-        f"machine              : {machine.get('cpu_count')} cores, "
-        f"{machine.get('platform')} / python {machine.get('python')}",
+        f"machine              : {environment['cpu_count']} cores, "
+        f"{environment['platform']} / python {environment['python']}",
         f"{'mode':<8} {'pool':>4} {'conc':>4} {'wall s':>8} "
         f"{'qps':>8} {'p50 ms':>8} {'p95 ms':>8}  identical",
     ]
-    for cell in document.get("grid", []):
-        latency = cell.get("latency_ms", {})
+    for cell in results["grid"]:
         lines.append(
             f"{cell['mode']:<8} {cell['pool_workers']:>4} "
             f"{cell['concurrency']:>4} {cell['wall_s']:>8.2f} "
-            f"{(cell['qps'] or 0):>8.2f} {latency.get('p50', 0):>8.2f} "
-            f"{latency.get('p95', 0):>8.2f}  "
+            f"{cell['qps']:>8.2f} {cell['latency']['p50_ms']:>8.2f} "
+            f"{cell['latency']['p95_ms']:>8.2f}  "
             f"{cell['identical_to_baseline']}"
         )
-    derived = document.get("derived", {})
-    speedup = derived.get("pool4_vs_thread_speedup")
+    speedup = results["pool4_vs_thread_speedup"]
     lines.append(
         "pool4 vs thread      : "
-        + (f"{speedup:.2f}x" if speedup is not None else "n/a")
-        + (
-            ""
-            if derived.get("scaling_check_applicable")
-            else "  (scaling not judged: fewer than 4 cores "
-            "or no pool-4 leg)"
-        )
+        + (f"{speedup:.2f}x" if speedup is not None else "n/a (no pool-4 leg)")
     )
     return "\n".join(lines)
 
@@ -722,28 +643,6 @@ class BenchTrainConfig:
             raise ConfigurationError("train_queries must be >= 1")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-
-
-@dataclass(frozen=True)
-class BenchTrainReport:
-    """What the training benchmark measured."""
-
-    databases: int
-    train_queries: int
-    workers: int
-    serial_s: float
-    parallel_s: float
-    identical_state: bool
-    serial_probes: int
-    parallel_probes: int
-    metrics: dict[str, object]
-
-    @property
-    def speedup(self) -> float:
-        """Serial wall-clock over parallel wall-clock."""
-        if self.parallel_s <= 0:
-            return float("inf")
-        return self.serial_s / self.parallel_s
 
 
 def _train_once(
@@ -783,8 +682,9 @@ def _train_once(
 
 def run_bench_train(
     config: BenchTrainConfig | None = None,
-) -> BenchTrainReport:
-    """Run the serial-vs-parallel ED-training benchmark."""
+) -> dict[str, object]:
+    """Run the serial-vs-parallel ED-training benchmark; returns the
+    ``bench/v1`` document."""
     config = config or BenchTrainConfig()
     context = config.context
     if context is None:
@@ -802,41 +702,64 @@ def run_bench_train(
     parallel_state, parallel_s, parallel_metrics = _train_once(
         context, config, workers=config.workers
     )
-    return BenchTrainReport(
-        databases=len(context.mediator),
-        train_queries=min(
+    results = {
+        "databases": len(context.mediator),
+        "train_queries": min(
             config.train_queries, len(context.train_queries)
         ),
-        workers=config.workers,
-        serial_s=serial_s,
-        parallel_s=parallel_s,
-        identical_state=(
-            json.dumps(serial_state, sort_keys=True)
-            == json.dumps(parallel_state, sort_keys=True)
-        ),
-        serial_probes=int(
-            serial_metrics["counters"]["probes_issued"]
-        ),
-        parallel_probes=int(
+        "serial_s": round(serial_s, 6),
+        "parallel_s": round(parallel_s, 6),
+        "speedup": round(serial_s / parallel_s, 3),
+        "identical_state": json.dumps(serial_state, sort_keys=True)
+        == json.dumps(parallel_state, sort_keys=True),
+        "serial_probes": int(serial_metrics["counters"]["probes_issued"]),
+        "parallel_probes": int(
             parallel_metrics["counters"]["probes_issued"]
         ),
-        metrics=parallel_metrics,
+        "metrics": parallel_metrics,
+    }
+    return bench.report(
+        "bench-train",
+        {
+            "scale": config.scale,
+            "seed": config.seed,
+            "train_queries": config.train_queries,
+            "workers": config.workers,
+            "samples_per_type": config.samples_per_type,
+            "mean_latency_ms": config.mean_latency_ms,
+            "error_rate": config.error_rate,
+            "timeout_ms": config.timeout_ms,
+            "max_retries": config.max_retries,
+        },
+        results,
+        train_gates(results),
     )
 
 
-def format_bench_train(report: BenchTrainReport) -> str:
+def train_gates(results: dict[str, object]) -> list[dict[str, object]]:
+    """Serial and parallel training must yield byte-identical models
+    (the speedup is recorded, not gated)."""
+    return [
+        bench.gate(
+            "identical_state", results.get("identical_state"), True, "=="
+        )
+    ]
+
+
+def format_bench_train(document: dict[str, object]) -> str:
     """Human-readable training-benchmark summary (metrics stay JSON)."""
+    config, results = document["config"], document["results"]
     lines = [
-        f"databases            : {report.databases}",
-        f"training queries     : {report.train_queries}",
-        f"serial (1 worker)    : {report.serial_s:.2f} s "
-        f"({report.serial_probes} probes)",
-        f"parallel ({report.workers:>2} wkrs)   : "
-        f"{report.parallel_s:.2f} s ({report.parallel_probes} probes)",
-        f"speedup              : {report.speedup:.2f}x",
-        f"identical state      : {report.identical_state}",
+        f"databases            : {results['databases']}",
+        f"training queries     : {results['train_queries']}",
+        f"serial (1 worker)    : {results['serial_s']:.2f} s "
+        f"({results['serial_probes']} probes)",
+        f"parallel ({config['workers']:>2} wkrs)   : "
+        f"{results['parallel_s']:.2f} s ({results['parallel_probes']} probes)",
+        f"speedup              : {results['speedup']:.2f}x",
+        f"identical state      : {results['identical_state']}",
         "",
         "metrics:",
-        json.dumps(report.metrics, indent=2, sort_keys=True),
+        json.dumps(results["metrics"], indent=2, sort_keys=True),
     ]
     return "\n".join(lines)

@@ -14,7 +14,7 @@ Covers the PR's acceptance criteria:
   boundary) loses zero requests and double-answers none;
 * the selection cache keys entries by model fingerprint (satellite
   regression) and the adapt instruments are always pre-registered;
-* the ``bench-drift`` corpus machinery and document validation.
+* the ``bench-drift`` corpus machinery and its gates.
 """
 
 import threading
@@ -710,54 +710,49 @@ class TestBenchDrift:
         assert streams[0] != streams[1] != streams[2]
 
     def test_validate_flags_broken_documents(self):
-        from repro.adapt.bench import validate_bench_drift
+        from repro.adapt.bench import drift_gates
 
-        assert validate_bench_drift({}) != []
+        def failures(results):
+            return [
+                entry["name"]
+                for entry in drift_gates(results)
+                if entry["meets_target"] is False
+            ]
 
-        def leg(lost=0, swaps=1, fp_final="b"):
+        assert failures({}) != []
+
+        def leg(lost=0, swaps=1, fp_final="b", flagged=1):
             return {
                 "phases": {
                     p: {"queries": 1, "answered": 1 - lost}
                     for p in ("pre", "post_early", "post_late")
                 },
                 "fingerprints": {"initial": "a", "final": fp_final},
-                "drift": {"swaps": swaps},
+                "drift": {"swaps": swaps, "flagged": flagged},
                 "lost_requests": lost,
             }
 
         good = {
-            "schema_version": 1,
-            "benchmark": "bench-drift",
-            "config": {},
             "phases": ["pre", "post_early", "post_late"],
             "runs": {
                 "adapted": leg(),
-                "frozen": leg(swaps=0, fp_final="a"),
+                "frozen": leg(swaps=0, fp_final="a", flagged=0),
             },
-            "derived": {
-                "drift_detected": True,
-                "swaps": 1,
-                "model_changed": True,
-                "post_late_quality_delta": 0.1,
-                "post_late_calibration_delta": 0.05,
-                "adaptation_recovers": True,
-            },
+            "post_late": {"quality_delta": 0.1, "calibration_delta": 0.05},
         }
-        assert validate_bench_drift(good) == []
+        assert failures(good) == []
         lossy = {**good, "runs": {**good["runs"], "adapted": leg(lost=1)}}
-        assert any("lost" in f for f in validate_bench_drift(lossy))
+        assert any("lost" in f for f in failures(lossy))
         frozen_swapped = {
             **good,
             "runs": {**good["runs"], "frozen": leg(swaps=2, fp_final="c")},
         }
-        assert len(validate_bench_drift(frozen_swapped)) >= 2
+        assert len(failures(frozen_swapped)) >= 2
         no_recovery = {
             **good,
-            "derived": {**good["derived"], "adaptation_recovers": False},
+            "post_late": {"quality_delta": 0.1, "calibration_delta": -0.01},
         }
-        assert any(
-            "recovery" in f for f in validate_bench_drift(no_recovery)
-        )
+        assert any("recovery" in f for f in failures(no_recovery))
 
     def test_config_validation(self):
         from repro.adapt.bench import BenchDriftConfig

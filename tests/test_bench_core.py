@@ -1,4 +1,4 @@
-"""bench-core/v3: report schema, the backend-vs-oracle gate and the
+"""bench-core: the bench/v1 report, the backend-vs-oracle gate and the
 paired python/numpy ratio gate."""
 
 from __future__ import annotations
@@ -8,15 +8,22 @@ import json
 
 import pytest
 
+from repro import bench
 from repro.exceptions import ReproError
 from repro.experiments.bench_core import (
-    BENCH_CORE_SCHEMA,
+    FAMILY,
     BenchCoreConfig,
-    check_bench_core,
-    read_bench_core,
+    core_gates,
     run_bench_core,
-    validate_bench_core,
 )
+
+
+def failed(gates):
+    return [entry["name"] for entry in gates if entry["meets_target"] is False]
+
+
+def verdict(gates, name):
+    return next(e["meets_target"] for e in gates if e["name"] == name)
 
 
 @pytest.fixture(scope="module")
@@ -28,41 +35,44 @@ def report():
     )
 
 
-def test_report_is_valid_v3(report):
-    validate_bench_core(report)
-    assert report["schema"] == "bench-core/v3"
+def test_report_is_bench_v1(report):
+    assert report["schema"] == "bench/v1"
+    assert report["family"] == FAMILY
     for name in ("usefulness_sweep", "apro_run"):
-        entry = report["scenarios"][name]
+        entry = report["results"]["scenarios"][name]
         assert entry["repeat_order"] == ["python", "numpy"]
-        assert entry["speedup_median"] > 0
-    assert report["agreement"]["backend_matches_python"] is True
-    assert check_bench_core(report, None) == ([], [])
+        assert entry["speedup"] > 0
+    assert report["results"]["agreement"]["backend_matches_python"] is True
+    # Without a reference only the agreement gate is judged.
+    assert failed(report["gates"]) == []
+    assert verdict(report["gates"], "backend_matches_python") is True
+    assert verdict(report["gates"], "apro_run.speedup") is None
 
 
 def test_agreement_failure_gates_everywhere(report):
-    broken = copy.deepcopy(report)
+    broken = copy.deepcopy(report["results"])
     broken["agreement"]["backend_matches_python"] = False
-    failures, _warnings = check_bench_core(broken, None)
-    assert failures == ["agreement flag backend_matches_python is false"]
+    gates = core_gates(broken, report["config"])
+    assert failed(gates) == ["backend_matches_python"]
 
 
 def test_ratio_drop_gates_only_on_matching_config(report):
-    slower = copy.deepcopy(report)
+    slower = copy.deepcopy(report["results"])
     entry = slower["scenarios"]["apro_run"]
-    entry["speedup_median"] = entry["speedup_median"] / 2.0
-    failures, _warnings = check_bench_core(slower, report)
-    assert [f for f in failures if "apro_run/speedup_median" in f]
+    entry["speedup"] = entry["speedup"] / 2.0
+    gates = core_gates(slower, report["config"], report)
+    assert "apro_run.speedup" in failed(gates)
     other_config = copy.deepcopy(report)
     other_config["config"]["scale"] = 0.5
-    failures, warnings = check_bench_core(slower, other_config)
-    assert not [f for f in failures if "speedup_median" in f]
-    assert [w for w in warnings if "apro_run/speedup_median" in w]
+    gates = core_gates(slower, report["config"], other_config)
+    assert "apro_run.speedup" not in failed(gates)
+    assert verdict(gates, "apro_run.speedup") is None
 
 
-def test_reader_accepts_only_v3(tmp_path, report):
+def test_reader_accepts_only_bench_v1_core_reports(tmp_path, report):
     path = tmp_path / "bench.json"
     path.write_text(json.dumps(report))
-    assert read_bench_core(str(path))["schema"] == BENCH_CORE_SCHEMA
-    path.write_text(json.dumps({**report, "schema": "bench-core/v2"}))
+    assert bench.read(str(path), FAMILY)["family"] == FAMILY
+    path.write_text(json.dumps({**report, "schema": "bench-core/v3"}))
     with pytest.raises(ReproError, match="unsupported schema"):
-        read_bench_core(str(path))
+        bench.read(str(path), FAMILY)

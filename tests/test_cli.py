@@ -231,3 +231,48 @@ class TestServeCommands:
 
         snapshot = json.loads(metrics_path.read_text())
         assert "probes_issued" in snapshot["counters"]
+
+    @pytest.mark.parametrize(
+        ("command", "runner", "gates", "key"),
+        [
+            (
+                [
+                    "bench-train", "--queries", "6", "--workers", "2",
+                    "--samples-per-type", "2", "--latency-ms", "1",
+                    "--timeout-ms", "60",
+                ],
+                "run_bench_train",
+                "train_gates",
+                "identical_state",
+            ),
+            (
+                [
+                    "bench-serve", "--queries", "4", "--unique", "3",
+                    "--latency-ms", "1", "--timeout-ms", "60",
+                    "--workers", "2", "--batch", "2", "--error-rate", "0",
+                ],
+                "run_bench_serve",
+                "serve_gates",
+                "identical_selections",
+            ),
+        ],
+        ids=["bench-train", "bench-serve"],
+    )
+    def test_identity_mismatch_exits_3(
+        self, monkeypatch, capsys, command, runner, gates, key
+    ):
+        from repro.service import bench as service_bench
+
+        measure = getattr(service_bench, runner)
+
+        def mismatched(config):
+            document = measure(config)
+            document["results"][key] = False
+            document["gates"] = getattr(service_bench, gates)(
+                document["results"]
+            )
+            return document
+
+        monkeypatch.setattr(service_bench, runner, mismatched)
+        assert main(SMALL + command) == 3
+        assert f"gate {key} failed" in capsys.readouterr().err
