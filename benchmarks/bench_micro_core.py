@@ -2,15 +2,18 @@
 
 These are the per-query costs a deployment cares about: conjunctive
 match counting inside a database, RD construction, expected-correctness
-computation, full RD-based selection, and one APro run.
+computation, full RD-based selection, and one APro run — plus the
+exact-pruning certificate at federated scale.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.policies import GreedyUsefulnessPolicy
 from repro.core.probing import APro
+from repro.core.pruning import prunable_mask
 from repro.core.topk import CorrectnessMetric, TopKComputer
 
 
@@ -26,6 +29,18 @@ def test_engine_match_count(benchmark, paper_context, sample_query):
 
 def test_build_rds(benchmark, paper_pipeline, sample_query):
     benchmark(paper_pipeline.rd_selector.build_rds, sample_query)
+
+
+def test_prunable_mask_federation(benchmark):
+    """The pruning certificate at federation shape: 1024 databases,
+    ~967 of them certain-zero impulses tied at ``(0, 0)``, k=1."""
+    rng = np.random.default_rng(7)
+    mins = np.zeros(1024)
+    maxs = np.zeros(1024)
+    informative = rng.choice(1024, size=57, replace=False)
+    mins[informative] = rng.integers(0, 20, 57)
+    maxs[informative] = mins[informative] + rng.integers(1, 40, 57)
+    benchmark(prunable_mask, mins, maxs, 1)
 
 
 def test_topk_best_set_k1(benchmark, paper_pipeline, sample_query):

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Protocol, runtime_checkable
 
+import numpy as np
+
 from repro.core.backend import ArrayBackend
 from repro.core.deadline import Deadline
 from repro.core.policies import GreedyUsefulnessPolicy, ProbePolicy
@@ -105,9 +107,9 @@ class ProbeSession:
     the certainty actually achieved.
 
     ``pruned_databases`` counts the databases the run excluded from the
-    belief machinery — provably-out candidates under bound pruning
-    (``APro(prune=True)``), plus anything outside an explicit ``keep``
-    restriction. ``0`` when the run covered every database.
+    belief machinery — settled, provably-out databases under bound
+    pruning (``APro(prune=True)``), plus anything outside an explicit
+    ``keep`` restriction. ``0`` when the run covered every database.
     """
 
     query: Query
@@ -190,14 +192,15 @@ class APro:
         certainty deltas ≤1e-9.
     prune:
         Run the belief machinery over bound-pruned survivors only (see
-        :mod:`repro.core.pruning`): databases provably unable to enter
-        the top-k are dropped before the :class:`TopKComputer` is
-        built, and the certificate is re-checked after every probe (an
-        out-of-support observation can weaken it, in which case the
-        computer is rebuilt over the re-expanded survivor set). Same
-        contract as the backends: identical selections and probe
-        orders, certainty deltas ≤1e-9. ``False`` (default) runs over
-        every database.
+        :mod:`repro.core.pruning`): settled databases (impulses)
+        provably unable to enter the top-k are dropped before the
+        :class:`TopKComputer` is built, and the certificate is
+        re-checked after every out-of-support observation (one can
+        weaken it, in which case the computer is rebuilt over the
+        re-expanded survivor set; an in-support observation only
+        narrows bounds). Same contract as the backends: identical
+        selections and probe orders, certainty deltas ≤1e-9.
+        ``False`` (default) runs over every database.
     """
 
     def __init__(
@@ -342,28 +345,6 @@ class APro:
                 for local, g in enumerate(sub)
                 if g not in probed and not rds[g].is_impulse
             ]
-            if not candidates and bounds is not None:
-                # Every survivor is probed but the threshold is not
-                # met: the unpruned run would now probe the pruned
-                # remainder (each probe certainty-neutral in-model, but
-                # the paper's loop does issue them). Re-expand so the
-                # trajectories stay identical.
-                residual = [
-                    g
-                    for g in bounds[0]
-                    if g not in local_of
-                    and g not in probed
-                    and not rds[g].is_impulse
-                ]
-                if residual:
-                    sub = sorted(set(sub) | set(residual))
-                    local_of = {g: p for p, g in enumerate(sub)}
-                    computer = self._restricted_computer(rds, sub, k)
-                    candidates = [
-                        local
-                        for local, g in enumerate(sub)
-                        if g not in probed and not rds[g].is_impulse
-                    ]
             if not candidates:
                 break
             budget = len(candidates)
@@ -433,18 +414,24 @@ class APro:
         """(survivor indices, mutable bound state) for this run.
 
         Without pruning the survivors are the whole universe: every
-        database, or the ``keep`` list when one is given. The bound
-        state is ``(universe, position, mins, maxs)``, carried only when
-        pruning is on so the certificate can be re-checked after each
-        probe.
+        database, or the ``keep`` list when one is given. With pruning
+        a database is dropped only when it is both certainly out of the
+        top-k and settled — an impulse (a certain zero, a trusted
+        estimate), which no policy can pick. Every database with two or
+        more atoms (``min < max``) stays, so each policy sweeps exactly
+        the candidate list of the unpruned run and probe orders cannot
+        depend on how a policy breaks ties. The bound state is
+        ``(universe, position, mins, maxs)``, carried only when pruning
+        is on so the certificate can be re-checked after an
+        out-of-support probe.
         """
         universe = list(range(len(rds))) if pool is None else pool
         if not self._prune:
             return universe, None
         mins, maxs = support_bounds([rds[g] for g in universe])
         position = {g: p for p, g in enumerate(universe)}
-        mask = prunable_mask(mins, maxs, k)
-        survivors = [g for g, dead in zip(universe, mask) if not dead]
+        kept = ~prunable_mask(mins, maxs, k) | (mins < maxs)
+        survivors = [universe[p] for p in np.flatnonzero(kept)]
         survivors = _pad_survivors(survivors, universe, position, mins, k)
         return survivors, (universe, position, mins, maxs)
 
@@ -480,16 +467,24 @@ class APro:
 
         The survivor set only ever grows: shrinking mid-run would
         discard incremental state for no answer benefit (keeping a
-        database that *became* prunable is always sound).
+        database that *became* prunable is always sound). An
+        observation inside the database's prior ``[min, max]`` only
+        narrows its bounds — its worst case rises, its best case
+        falls — so no certain-beat relation weakens, the survivors
+        already cover every database the new bounds cannot exclude,
+        and the certificate is not re-run.
         """
         universe, position, mins, maxs = bounds
         p = position.get(database)
         if p is None:  # probed outside the universe (defensive)
             return sub, False
+        in_support = mins[p] <= observed <= maxs[p]
         mins[p] = observed
         maxs[p] = observed
+        if in_support:
+            return sub, False
         mask = prunable_mask(mins, maxs, k)
-        fresh = {g for g, dead in zip(universe, mask) if not dead}
+        fresh = {universe[q] for q in np.flatnonzero(~mask)}
         fresh.update(sub)
         merged = _pad_survivors(
             sorted(fresh), universe, position, mins, k

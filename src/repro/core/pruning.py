@@ -23,19 +23,24 @@ Write ``best(i) = (max support(RD_i), -i)`` and ``worst(j) =
 then *every* atom of database ``j`` outranks *every* atom of database
 ``i`` — database ``j`` beats ``i`` with certainty, under every
 realization and every future probe outcome consistent with the current
-belief state (probing only collapses an RD onto one of the hypotheses
-already priced into these bounds; out-of-support observations are why
-the certificate is re-checked after every probe, see
-:meth:`repro.core.probing.APro.run`).
+belief state. An observation inside the probed database's prior
+``[min, max]`` only narrows its bounds — its worst case can only rise
+and its best case only fall — so no certain-beat relation weakens and
+the survivor set cannot grow; an out-of-support observation can weaken
+the certificate, which is why APro re-checks it after such a probe
+(:meth:`repro.core.probing.APro.run`).
 
 Therefore, if at least ``k`` databases certainly beat database ``i``,
 then ``i`` is in no top-k set with positive probability: its top-k
-membership marginal is zero, no best set contains it, and the greedy
-usefulness of probing it can never exceed a survivor's. Pruning it
-cannot change the selection, the probe order, or the certainty beyond
-the repo's standard floating-point contract (certainty deltas ≤ 1e-9;
-in practice the residual is ~1e-15, the probability-normalization ulp —
-see docs/PERFORMANCE.md "Selection at scale").
+membership marginal is zero and no best set contains it. Probing it
+cannot raise the certainty either, but a policy may still pick it when
+no probe can (the greedy tie rule takes the earliest candidate), so
+APro drops such a database only once it is settled — an impulse no
+policy can pick. Pruning then cannot change the selection, the probe
+order, or the certainty beyond the repo's standard floating-point
+contract (certainty deltas ≤ 1e-9; in practice the residual is
+~1e-15, the probability-normalization ulp — see docs/PERFORMANCE.md
+"Selection at scale").
 
 Floor guarantee: the ``k`` databases with the largest ``worst(·)`` keys
 are never prunable — for such a database ``i``, any certain better
@@ -43,6 +48,13 @@ are never prunable — for such a database ``i``, any certain better
 ``k`` databases have ``worst(j) > worst(i)`` by construction. Hence
 ``len(survivors) >= min(k, n)`` always, and the restricted computer is
 well-formed.
+
+The test itself is one threshold: at least ``k`` databases certainly
+beat ``i`` exactly when the ``k``-th largest ``worst(·)`` key outranks
+``best(i)``, so :func:`prunable_mask` finds that key with one
+``np.partition`` and compares every ``best(·)`` against it — O(n) array
+work, exact float comparisons, no per-database loop however many
+bounds tie.
 """
 
 from __future__ import annotations
@@ -59,12 +71,17 @@ def support_bounds(rds: Sequence) -> tuple[np.ndarray, np.ndarray]:
 
     Distribution atoms are stored value-ascending (a
     :class:`~repro.stats.distribution.DiscreteDistribution` invariant),
-    so the bounds are the first and last atoms — O(1) per database, no
-    probability mass touched.
+    so the bounds are the first and last atoms: each RD's values are
+    read once and both ends are gathered from one concatenated array —
+    no probability mass touched.
     """
-    mins = np.array([float(rd.values[0]) for rd in rds], dtype=np.float64)
-    maxs = np.array([float(rd.values[-1]) for rd in rds], dtype=np.float64)
-    return mins, maxs
+    values = [rd.values for rd in rds]
+    if not values:
+        return np.empty(0), np.empty(0)
+    lengths = np.fromiter(map(len, values), dtype=np.intp, count=len(values))
+    ends = np.cumsum(lengths)
+    atoms = np.concatenate(values)
+    return atoms[ends - lengths], atoms[ends - 1]
 
 
 def prunable_mask(
@@ -76,28 +93,25 @@ def prunable_mask(
     certainly beat it, i.e. ``(mins[j], -j) > (maxs[i], -i)``
     lexicographically — strictly-higher worst case, or an equal worst
     case from an earlier mediation index (the atom order's tie rule).
-    Vectorized as a sort + two binary searches; the tie correction only
-    loops over databases whose best case collides with some worst case.
+    Equivalently, iff the ``k``-th largest worst-case key
+    ``(value, -last)`` outranks ``(maxs[i], -i)``: ``value`` is the
+    ``k``-th largest of *mins* and ``last`` the mediation index that
+    key falls on among the databases whose worst case equals
+    ``value``. One partition and three comparisons over the arrays;
+    ties — every certain-zero RD sits at ``(0, 0)`` — cost nothing
+    extra.
     """
     n = len(mins)
     if n == 0 or k >= n:
         return np.zeros(n, dtype=bool)
-    order = np.argsort(mins, kind="stable")
-    sorted_mins = mins[order]
-    right = np.searchsorted(sorted_mins, maxs, side="right")
-    left = np.searchsorted(sorted_mins, maxs, side="left")
-    beaten_by = (n - right).astype(np.int64)
-    for i in np.nonzero(right > left)[0]:
-        # Databases j with mins[j] == maxs[i]: they certainly beat i
-        # only from an earlier mediation index (j < i).
-        ties = order[left[i] : right[i]]
-        beaten_by[i] += int(np.count_nonzero(ties < i))
-    return beaten_by >= k
+    value = np.partition(mins, n - k)[n - k]
+    above = np.count_nonzero(mins > value)
+    last = np.flatnonzero(mins == value)[k - above - 1]
+    return (maxs < value) | ((maxs == value) & (np.arange(n) > last))
 
 
 def survivor_indices(
     mins: np.ndarray, maxs: np.ndarray, k: int
 ) -> list[int]:
     """Ascending indices of the databases the bounds cannot exclude."""
-    mask = prunable_mask(mins, maxs, k)
-    return [int(i) for i in np.nonzero(~mask)[0]]
+    return np.flatnonzero(~prunable_mask(mins, maxs, k)).tolist()

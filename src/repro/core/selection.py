@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
-from repro.core.backend import ArrayBackend, get_backend
+from repro.core.backend import ArrayBackend
 from repro.core.query_types import QueryTypeClassifier
 from repro.core.relevancy import RelevancyDistribution, derive_rd, derive_rds
 from repro.core.topk import CorrectnessMetric, TopKComputer
@@ -147,44 +147,35 @@ class RDBasedSelector:
     ) -> list[RelevancyDistribution]:
         """RDs of every database, in mediation order.
 
-        On a vectorized backend the ED→RD derivations of all databases
-        run through one batched :func:`~repro.core.relevancy.derive_rds`
-        kernel; the per-database short-circuits (certain zero, no usable
-        ED) are applied identically first, so the result matches the
+        The per-database short-circuits of :meth:`build_rd` (certain
+        zero, no usable ED) run first; the remaining ED→RD derivations
+        go through one :func:`~repro.core.relevancy.derive_rds` call —
+        one batched kernel on a vectorized backend, the per-database
+        route on the ``python`` oracle — so the result matches the
         :meth:`build_rd` loop bitwise on every backend.
 
+        Every certain-zero slot holds one shared ``impulse(0.0)``:
+        distributions are immutable and APro replaces slots rather than
+        changing them, and at federated scale most databases are
+        certain zeros for any one query.
+
         ``indices`` restricts construction to those mediation indices:
-        the other slots are filled with one shared zero impulse so the
-        list keeps its length-n index math, but no summary lookup, ED
+        the other slots get the same shared zero impulse so the list
+        keeps its length-n index math, but no summary lookup, ED
         lookup, or derivation runs for them. This is what makes a hard
         candidate cut (``APro(... keep=...)``, the prefilter tier)
         sublinear per query — the caller guarantees the placeholder
         slots are never consulted.
         """
-        resolved = get_backend(backend)
         wanted = None if indices is None else {int(i) for i in indices}
-        if not resolved.vectorized:
-            if wanted is None:
-                return [
-                    self.build_rd(db.name, query) for db in self._mediator
-                ]
-            zero = DiscreteDistribution.impulse(0.0)
-            return [
-                self.build_rd(db.name, query) if idx in wanted else zero
-                for idx, db in enumerate(self._mediator)
-            ]
-        rds: list[RelevancyDistribution | None] = [None] * len(self._mediator)
+        zero = DiscreteDistribution.impulse(0.0)
+        rds: list[RelevancyDistribution] = [zero] * len(self._mediator)
         pending: list[tuple[int, float, object]] = []
-        skipped = (
-            None if wanted is None else DiscreteDistribution.impulse(0.0)
-        )
         for idx, db in enumerate(self._mediator):
             if wanted is not None and idx not in wanted:
-                rds[idx] = skipped
                 continue
             summary = self._summaries[db.name]
             if self._is_certain_zero(summary, query):
-                rds[idx] = DiscreteDistribution.impulse(0.0)
                 continue
             estimate = self._estimator.estimate(summary, query)
             query_type = self._classifier.classify(query, estimate)
@@ -195,16 +186,15 @@ class RDBasedSelector:
                 )
                 continue
             pending.append((idx, estimate, ed))
-        if pending:
-            derived = derive_rds(
-                [estimate for _idx, estimate, _ed in pending],
-                [ed for _idx, _estimate, ed in pending],
-                definition=self._definition,
-                estimate_floor=self._error_model.estimate_floor,
-                backend=resolved,
-            )
-            for (idx, _estimate, _ed), rd in zip(pending, derived):
-                rds[idx] = rd
+        derived = derive_rds(
+            [estimate for _idx, estimate, _ed in pending],
+            [ed for _idx, _estimate, ed in pending],
+            definition=self._definition,
+            estimate_floor=self._error_model.estimate_floor,
+            backend=backend,
+        )
+        for (idx, _estimate, _ed), rd in zip(pending, derived):
+            rds[idx] = rd
         return rds
 
     def _point_value(self, estimate: float) -> float:

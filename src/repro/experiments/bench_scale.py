@@ -38,10 +38,12 @@ several times faster) while topm — which skips RD construction for
 dropped candidates outright — delivers the sublinear growth.
 
 :func:`scale_gates` judges a run: identity and quality gates are
-deterministic and judged everywhere; the wall-clock gates (sublinear
-topm growth across the size span, exact-mode speedup at the largest
-size) carry ``min_cores=4`` and stay unjudged on smaller hosts — a
-committed report is honest about the machine it ran on.
+deterministic and the exact-mode speedup at the largest size is a
+paired ratio (each round times both variants on the same query), so
+all of them are judged everywhere; sublinear topm growth across the
+size span compares independent medians, carries ``min_cores=4`` and
+stays unjudged on smaller hosts — a committed report is honest about
+the machine it ran on.
 """
 
 from __future__ import annotations
@@ -408,9 +410,10 @@ def scale_gates(
 
     Per size, exact mode must reproduce the unpruned selections, probe
     orders and certainties (to ``CERTAINTY_TOLERANCE``) and topm recall
-    must clear ``min_topm_recall`` — judged on any host. The wall-clock
-    gates (topm growth below the size span, exact speedup at the
-    largest size) need 4 cores.
+    must clear ``min_topm_recall``; exact mode's speedup at the largest
+    size is a paired unpruned/exact ratio on one host — all judged on
+    any host. Only topm growth below the size span, a comparison of
+    independent wall-clock medians, needs 4 cores.
     """
     gates: list[dict[str, object]] = []
     for entry in results["sizes"]:
@@ -455,7 +458,6 @@ def scale_gates(
             results["sizes"][-1]["speedup_exact"],
             config["min_speedup"],
             ">=",
-            min_cores=4,
         ),
     ]
 

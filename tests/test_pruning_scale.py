@@ -10,15 +10,20 @@ level (``prunable_mask`` vs brute force) and end-to-end through
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.policies import CostAwareGreedyPolicy
+from repro.core.policies import (
+    CostAwareGreedyPolicy,
+    GreedyUsefulnessPolicy,
+    RandomPolicy,
+)
 from repro.core.pruning import prunable_mask, support_bounds, survivor_indices
-from repro.core.probing import APro
+from repro.core.probing import APro, _pad_survivors
 from repro.exceptions import ConfigurationError
 from repro.corpus.generator import DatabaseSpec, DocumentGenerator
 from repro.hiddenweb.database import RelevancyDefinition
@@ -30,6 +35,7 @@ from repro.metasearch.metasearcher import (
     MetasearcherConfig,
 )
 from repro.metasearch.prefilter import PrefilterTier
+from repro.stats.distribution import DiscreteDistribution as D
 from repro.types import Query, ScoredDocument, SearchResult
 
 
@@ -65,9 +71,40 @@ def _bounds(draw):
     return mins, maxs, k
 
 
+@st.composite
+def _tie_heavy_bounds(draw):
+    """Small-integer bounds, mostly ``(0, 0)`` certain-zero impulses.
+
+    The federation's shape: nearly every best case collides with some
+    worst case, so the certificate's tie rule decides most databases.
+    """
+    n = draw(st.integers(min_value=1, max_value=64))
+    mins = np.zeros(n)
+    maxs = np.zeros(n)
+    for i in range(n):
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            low = draw(st.integers(min_value=0, max_value=4))
+            mins[i] = low
+            maxs[i] = low + draw(st.integers(min_value=0, max_value=3))
+    k = draw(st.integers(min_value=1, max_value=n + 1))
+    return mins, maxs, k
+
+
+def _federation_bounds(n=1024, informative=57, seed=7):
+    """A fixed federation-shaped case: ~967 of 1024 at ``(0, 0)``, k=1."""
+    rng = np.random.default_rng(seed)
+    mins = np.zeros(n)
+    maxs = np.zeros(n)
+    chosen = rng.choice(n, size=informative, replace=False)
+    mins[chosen] = rng.integers(0, 20, informative)
+    maxs[chosen] = mins[chosen] + rng.integers(0, 40, informative)
+    return mins, maxs, 1
+
+
 class TestBounds:
     @settings(max_examples=200, deadline=None)
-    @given(_bounds())
+    @given(st.one_of(_bounds(), _tie_heavy_bounds()))
+    @example(_federation_bounds())
     def test_mask_matches_brute_force(self, case):
         mins, maxs, k = case
         assert np.array_equal(
@@ -90,14 +127,37 @@ class TestBounds:
         maxs = np.array([5.0, 5.0])
         assert list(prunable_mask(mins, maxs, 1)) == [False, True]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_bounds(), _tie_heavy_bounds()), st.data())
+    def test_in_support_observation_keeps_survivors(self, case, data):
+        # The invariant APro's recheck skips the certificate on: an
+        # observation inside a database's prior [min, max] narrows its
+        # bounds, so every prunable database stays prunable.
+        mins, maxs, k = case
+        p = data.draw(st.integers(min_value=0, max_value=len(mins) - 1))
+        observed = data.draw(
+            st.floats(min_value=float(mins[p]), max_value=float(maxs[p]))
+        )
+        before = survivor_indices(mins, maxs, k)
+        universe = list(range(len(mins)))
+        position = {g: g for g in universe}
+        sub = _pad_survivors(before, universe, position, mins, k)
+        # The recheck writes the observation into mins/maxs in place.
+        assert APro._recheck_certificate(
+            (universe, position, mins, maxs), sub, k, p, observed
+        ) == (sub, False)
+        assert set(survivor_indices(mins, maxs, k)) <= set(before)
+
     def test_support_bounds_reads_atom_extremes(self, trained_pipeline):
         selector = trained_pipeline["selector"]
         query = trained_pipeline["test_queries"][0]
         rds = selector.build_rds(query)
         mins, maxs = support_bounds(rds)
         for i, rd in enumerate(rds):
-            assert mins[i] == pytest.approx(min(rd.values))
-            assert maxs[i] == pytest.approx(max(rd.values))
+            assert mins[i] == min(rd.values)
+            assert maxs[i] == max(rd.values)
+        empty = support_bounds([])
+        assert [len(bound) for bound in empty] == [0, 0]
 
 
 def _random_testbed(rng, registry, background, analyzer, n_databases=8):
@@ -232,6 +292,132 @@ class TestExactModeIdentity:
             assert abs(
                 a.final.expected_correctness - b.final.expected_correctness
             ) <= 1e-9
+
+
+class _StubSelector:
+    """Hand-built RDs behind the selector interface APro consumes."""
+
+    def __init__(self, supports):
+        self.rds = [
+            D.from_pairs((value, 1.0) for value in support)
+            for support in supports
+        ]
+        self.mediator = [
+            SimpleNamespace(name=f"db{i}") for i in range(len(supports))
+        ]
+        self.definition = RelevancyDefinition.DOCUMENT_FREQUENCY
+
+    def build_rds(self, query, backend=None, indices=None):
+        return list(self.rds)
+
+
+class _ScriptedProber:
+    """Answers every probe from a fixed per-database truth."""
+
+    def __init__(self, truth):
+        self.truth = truth
+
+    def probe_batch(self, query, indices):
+        return [self.truth[i] for i in indices]
+
+
+_POLICIES = {
+    "greedy": GreedyUsefulnessPolicy,
+    "cost-aware": lambda: CostAwareGreedyPolicy([1.0, 2.0, 3.0]),
+    "random": lambda: RandomPolicy(seed=3),
+}
+
+
+class TestPrunedRunsMatchUnpruned:
+    """Hand-built cases where pruning must re-expand or keep a row.
+
+    Each compares ``prune=True`` against ``prune=False``: the same
+    records, the same trajectory names, certainties within 1e-9.
+    """
+
+    QUERY = Query(terms=("q",))
+
+    def _assert_same_session(
+        self, selector, prober, backend, policy=GreedyUsefulnessPolicy, **run
+    ):
+        base, pruned = (
+            APro(
+                selector,
+                policy=policy(),
+                prober=prober,
+                backend=backend,
+                prune=prune,
+            ).run(self.QUERY, **run)
+            for prune in (False, True)
+        )
+        assert [(r.index, r.observed) for r in base.records] == [
+            (r.index, r.observed) for r in pruned.records
+        ]
+        assert [point.names for point in base.trajectory] == [
+            point.names for point in pruned.trajectory
+        ]
+        for a, b in zip(base.trajectory, pruned.trajectory):
+            assert abs(a.expected_correctness - b.expected_correctness) <= (
+                1e-9
+            )
+        return pruned
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_out_of_support_observation_unprunes(
+        self, backend, monkeypatch
+    ):
+        # k=1: db2 is settled at 5, below db0's worst case (6) and
+        # nobody else's, so it starts pruned. db0 is probed first and
+        # reports 2, below its prior min: nothing certainly beats db2
+        # any more, and it must come back.
+        selector = _StubSelector([(6, 12), (3, 10), (5,)])
+        prober = _ScriptedProber([2.0, 10.0, 5.0])
+        start = APro(selector, prober=prober, prune=True).run(
+            self.QUERY, k=1, threshold=0.9, max_probes=0
+        )
+        assert start.pruned_databases == 1
+        expansions = []
+        recheck = APro._recheck_certificate
+
+        def spy(*args):
+            result = recheck(*args)
+            expansions.append(result[1])
+            return result
+
+        monkeypatch.setattr(APro, "_recheck_certificate", staticmethod(spy))
+        pruned = self._assert_same_session(
+            selector, prober, backend, k=1, threshold=0.9
+        )
+        assert expansions[0] is True
+        assert pruned.records[0].index == 0
+        assert pruned.pruned_databases == 0
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("policy", sorted(_POLICIES))
+    @pytest.mark.parametrize(
+        "run",
+        [
+            {"k": 1, "threshold": 1.0},
+            {"k": 1, "threshold": 0.5, "force_probes": 3},
+        ],
+        ids=["threshold-1", "force-probes"],
+    )
+    def test_policies_see_the_unpruned_candidates(
+        self, backend, policy, run
+    ):
+        # k=1: the certificate rules db0 (best case 4) out, but it is
+        # still unsettled. No single probe raises the certainty, so the
+        # greedy policies fall back on their tie rules — the earliest
+        # candidate (greedy) or the cheapest (cost-aware), db0 both
+        # times — and the random policy draws from the candidate list,
+        # so a run that dropped db0 would probe differently.
+        selector = _StubSelector([(1, 4), (5, 10), (6, 12)])
+        prober = _ScriptedProber([4.0, 10.0, 12.0])
+        assert survivor_indices(*support_bounds(selector.rds), 1) == [1, 2]
+        pruned = self._assert_same_session(
+            selector, prober, backend, _POLICIES[policy], **run
+        )
+        assert pruned.pruned_databases == 0
 
 
 class TestPrefilterTier:
