@@ -96,3 +96,24 @@ def test_usefulness_sweep_k1(benchmark, paper_pipeline, sample_query):
             )
 
     benchmark(sweep)
+
+
+def test_usefulness_sweep_k3(benchmark, paper_pipeline, sample_query):
+    """One greedy round at k = 3: absolute usefulness of every database.
+
+    Over the paper testbed's 20 databases k = 3 takes the hill climb
+    (C(20, 3) > 400), so this times the batched answer-set search the
+    sweep's first ``best_set`` miss runs for every hypothetical probe.
+    A fresh computer per call, as APro pays after each observation.
+    """
+    rds = paper_pipeline.rd_selector.build_rds(sample_query)
+    policy = GreedyUsefulnessPolicy()
+
+    def sweep():
+        computer = TopKComputer(rds, 3)
+        for database in range(len(rds)):
+            policy.usefulness(
+                computer, database, CorrectnessMetric.ABSOLUTE
+            )
+
+    benchmark(sweep)

@@ -25,7 +25,9 @@ for every support atom v. All entry points accept an ``override=(i, t)``
 pair (database i collapsed onto its atom t) and reuse the precomputed
 rank structure; :meth:`TopKComputer.conditional_best_scores` evaluates
 every atom of a candidate database in one vectorized pass via a
-leave-one-out dynamic program (see docs/PERFORMANCE.md).
+leave-one-out dynamic program, and for the absolute metric with k > 1
+one batched hill climb answers every atom of every database at once
+(see docs/PERFORMANCE.md).
 
 Observed probing. :meth:`TopKComputer.collapse` turns an observation
 into a new computer *incrementally*: the atom ordering, outrank
@@ -36,9 +38,11 @@ run costs one rank-structure build instead of ``1 + num_probes`` builds.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,6 +154,9 @@ class TopKComputer:
         self._batch_all: np.ndarray | None = None
         self._scores_memo: dict[tuple[int, CorrectnessMetric], np.ndarray] = {}
         self._sweep_memo: dict[tuple[CorrectnessMetric, float], np.ndarray] = {}
+        # Set once the batched hill climb has filled _best_set_memo for
+        # every hypothetical probe (see _batch_climbs).
+        self._climbs_batched = False
 
     # -- construction of the rank structure ---------------------------------
 
@@ -644,12 +651,13 @@ class TopKComputer:
         the j-th triple of :meth:`atoms_of` — what greedy usefulness
         averages. For the partial metric and for k = 1 every atom is
         evaluated in one vectorized pass over the shared leave-one-out
-        DP; for the absolute metric with k > 1 the answer-set search
-        runs per atom (each search still reuses the batched marginals
-        and the override-row cache). Atoms with probability below
-        *min_prob* are skipped in the per-atom path and their entries
-        are 0.0 — callers that skip negligible mass pass their own
-        threshold.
+        DP; for the absolute metric with k > 1 each atom is read through
+        :meth:`best_set`, whose first hill-climb miss on a vectorized
+        backend answers every atom of every uncertain database in one
+        batched pass, so the later reads here are memo hits. Atoms with
+        probability below *min_prob* are skipped in the per-atom path
+        and their entries are 0.0 — callers that skip negligible mass
+        pass their own threshold.
         """
         if not 0 <= database < self._n:
             raise SelectionError(f"database {database} out of range")
@@ -730,8 +738,11 @@ class TopKComputer:
         correctness, with atoms of probability below *negligible*
         contributing their probability alone. Returns ``None`` when no
         whole-sweep path exists — on a non-vectorized backend, or for
-        the absolute metric with 1 < k < n (per-atom answer-set search) —
-        in which case callers fall back to the per-database route.
+        the absolute metric with 1 < k < n — in which case callers fall
+        back to the per-database route. For the latter that route is
+        already batched: :meth:`conditional_best_scores` reads each atom
+        through :meth:`best_set`, whose first miss fills the memo for
+        every atom at once.
         Zero-mass atoms of collapsed databases contribute exactly 0
         either way, so the sweep matches the per-database accumulation
         float for float.
@@ -876,6 +887,13 @@ class TopKComputer:
         of expectation). For the absolute metric every C(n, k) set is
         enumerated when feasible; otherwise a marginal-seeded
         hill-climbing swap search is used (see DESIGN.md).
+
+        On a vectorized backend the first hill-climb miss with an
+        override runs the climb of *every* hypothetical probe a greedy
+        round can ask for in one array pass (:meth:`_batch_climbs`) and
+        answers from the memo it fills; the sets are the sequential
+        climb's, the values agree within 1e-12. The ``python`` backend
+        keeps the sequential climb per call as the oracle.
         """
         if self._k == self._n:
             return tuple(range(self._n)), 1.0
@@ -883,6 +901,19 @@ class TopKComputer:
         cached = self._best_set_memo.get(memo_key)
         if cached is not None:
             return cached
+        if (
+            override is not None
+            and metric is CorrectnessMetric.ABSOLUTE
+            and self._k > 1
+            and not self._climbs_batched
+            and self._backend.vectorized
+            and comb(self._n, self._k) > self._exact_set_limit
+        ):
+            self._validate_override(override)
+            self._batch_climbs()
+            cached = self._best_set_memo.get(memo_key)
+            if cached is not None:
+                return cached
         marginals = self.marginals(override)
         ranked = sorted(range(self._n), key=lambda i: (-marginals[i], i))
         if metric is CorrectnessMetric.PARTIAL or self._k == 1:
@@ -933,8 +964,252 @@ class TopKComputer:
                     break
         return tuple(sorted(current)), current_value
 
+    #: Element budget of one chunk of batched climbs. A lane occupies
+    #: (databases + partner sets × other pool databases) × pool-atom
+    #: width elements: the outrank gather for the product over non-pool
+    #: databases plus the per-subset fold; chunking bounds peak memory.
+    _CLIMB_BATCH_LIMIT = 131_072
+
+    def _batch_climbs(self) -> None:
+        """Fill the best-set memo for every hypothetical probe at once.
+
+        A *lane* is one override (i, t0) the greedy sweep can ask for:
+        every atom with 0 < P < 1, i.e. every atom of every database
+        that is not an impulse. :meth:`_best_absolute_hillclimb` only
+        ever visits k-subsets of a lane's top-(k + swap_width) databases
+        by marginal (the seed set plus its swap pool), so each lane's
+        ``pool`` is ranked by its row of the override marginals (stable
+        on (−marginal, index), exactly the climb's ``ranked``), all
+        C(k + w, k) pool subsets are scored in one array pass
+        (:meth:`_climb_table`) and :func:`_replay_climbs` re-runs the
+        first-improvement climb over that table. Lanes are scored in
+        chunks under :attr:`_CLIMB_BATCH_LIMIT`; a lane's values do not
+        depend on the chunking. The marginals memo is filled alongside,
+        as the per-call climb would, so collapse's memo migration sees
+        the same state.
+        """
+        self._climbs_batched = True
+        probs = self._atom_probs
+        lane_atoms = np.flatnonzero((probs > 0.0) & (probs < 1.0))
+        if not len(lane_atoms):
+            return
+        lane_dbs = self._atom_dbs[lane_atoms]
+        rows = []
+        for i in np.unique(lane_dbs).tolist():
+            batch = self._override_marginals_all(i)
+            rows.append(
+                batch[lane_atoms[lane_dbs == i] - int(self._db_atom_start[i])]
+            )
+        marginals = np.concatenate(rows)
+        k = self._k
+        size = min(self._n, k + self._swap_width)
+        pool = np.argsort(-marginals, axis=1, kind="stable")[:, :size]
+        subsets = _pool_subsets(size, k)
+        spans = self._db_atom_stop - self._db_atom_start
+        width = int(spans[pool].sum(axis=1).max())
+        per_lane = width * (self._n + subsets.mates.size)
+        step = max(1, self._CLIMB_BATCH_LIMIT // per_lane)
+        table = np.concatenate(
+            [
+                self._climb_table(
+                    lane_atoms[lo : lo + step],
+                    lane_dbs[lo : lo + step],
+                    pool[lo : lo + step],
+                    subsets,
+                    width,
+                )
+                for lo in range(0, len(lane_atoms), step)
+            ]
+        )
+        chosen, values = _replay_climbs(table, pool, k, subsets.binom)
+        metric = CorrectnessMetric.ABSOLUTE
+        for i, t0, best, value, row in zip(
+            lane_dbs.tolist(), lane_atoms.tolist(), chosen, values, marginals
+        ):
+            self._best_set_memo.setdefault((metric, (i, t0)), (best, value))
+            self._marginals_memo.setdefault((i, t0), row)
+
+    def _climb_table(
+        self,
+        atoms: np.ndarray,
+        dbs: np.ndarray,
+        pool: np.ndarray,
+        subsets: _PoolSubsets,
+        width: int,
+    ) -> np.ndarray:
+        """P[S = DB_topk | override] for every pool subset S of every lane.
+
+        Row l is lane (dbs[l], atoms[l]); column c is the pool subset of
+        colex rank c. Each lane lays its pool databases' atom spans out
+        in rank order, zero-padded to *width*. An atom of pool database
+        d contributes to every subset holding d: its (overridden) mass,
+        times the product of L (ranks below it) over the non-pool
+        databases — taken once per lane, not per subset — times, for
+        each choice of the k − 1 other members among the pool, G over
+        those members and L over the remaining pool databases. These
+        are the terms :meth:`prob_set_is_topk` sums (an atom's own
+        database drops out), multiplied and added in another order.
+        """
+        lanes, size = pool.shape
+        lane = np.arange(lanes)[:, None]
+        counts = (self._db_atom_stop - self._db_atom_start)[pool]
+        ends = np.cumsum(counts, axis=1)
+        position = np.arange(width)
+        slot = (position[None, :, None] >= ends[:, None, :]).sum(axis=2)
+        padded = slot == size
+        slot[padded] = size - 1
+        atom = (
+            self._db_atom_start[pool[lane, slot]]
+            + position
+            - (ends - counts)[lane, slot]
+        )
+        atom[padded] = 0
+        # The lane's overridden database is an impulse at atom t0.
+        ranks = self._atom_ranks
+        rank0 = ranks[atoms][:, None]
+        atom_ranks = ranks[atom]
+        overridden = self._atom_dbs[atom] == dbs[:, None]
+        g_over = np.where(overridden, 0.0, rank0 > atom_ranks)
+        l_over = (rank0 < atom_ranks).astype(np.float64)
+        mass = np.where(
+            overridden, atom == atoms[:, None], self._atom_probs[atom]
+        )
+        mass[padded] = 0.0
+        outside = self._less[:, atom]
+        outside[dbs, lane[:, 0]] = l_over
+        outside[pool, lane] = 1.0
+        base = mass * outside.prod(axis=0)
+        # The other pool databases of each atom, (lanes, size - 1, width).
+        other = pool[lane[:, :, None], subsets.others[slot]].transpose(0, 2, 1)
+        inside = self._greater[other, atom[:, None, :]]
+        below = self._less[other, atom[:, None, :]]
+        is_lane = other == dbs[:, None, None]
+        inside = np.where(is_lane, g_over[:, None, :], inside)
+        below = np.where(is_lane, l_over[:, None, :], below)
+        mates = subsets.mates
+        terms = np.repeat(base[:, None, :], len(mates), axis=1)
+        for r in range(size - 1):
+            terms *= np.where(
+                mates[None, :, r, None],
+                inside[:, None, r, :],
+                below[:, None, r, :],
+            )
+        column = subsets.column[slot].transpose(0, 2, 1)
+        bins = lane[:, :, None] * subsets.count + column
+        table = np.bincount(
+            bins.ravel(),
+            weights=terms.ravel(),
+            minlength=lanes * subsets.count,
+        )
+        return np.clip(table.reshape(lanes, subsets.count), 0.0, 1.0)
+
     def __repr__(self) -> str:
         return (
             f"TopKComputer(n={self._n}, k={self._k}, "
             f"atoms={self._num_atoms})"
         )
+
+
+class _PoolSubsets(NamedTuple):
+    """Index tables for scoring every k-subset of ``range(size)``.
+
+    Subsets are numbered by colex rank: sorted positions
+    p_1 < … < p_k have rank Σ_j C(p_j, j) = Σ_j ``binom[p_j, j]``
+    (:func:`_colex_rank`), so the seed set {0, …, k−1} is rank 0.
+    ``others[s]`` lists the positions other than s in ascending order;
+    ``mates[q]`` is the q-th choice of k − 1 of them (a mask over
+    ``others[s]``), and ``column[s, q]`` the rank of s plus that choice.
+    """
+
+    count: int
+    binom: np.ndarray
+    others: np.ndarray
+    mates: np.ndarray
+    column: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _pool_subsets(size: int, k: int) -> _PoolSubsets:
+    """The :class:`_PoolSubsets` tables for k-subsets of ``range(size)``."""
+    binom = np.array(
+        [[comb(p, j) for j in range(k + 1)] for p in range(size)],
+        dtype=np.intp,
+    )
+    others = np.array(
+        [[p for p in range(size) if p != s] for s in range(size)],
+        dtype=np.intp,
+    ).reshape(size, size - 1)
+    choices = list(combinations(range(size - 1), k - 1))
+    mates = np.zeros((len(choices), size - 1), dtype=bool)
+    for q, choice in enumerate(choices):
+        mates[q, list(choice)] = True
+    # held[s, q]: position s plus the q-th choice among the others.
+    held = np.zeros((size, len(choices), size), dtype=bool)
+    own = np.arange(size)
+    choice = np.arange(len(choices))[:, None]
+    held[own[:, None, None], choice, others[:, None]] = mates
+    held[own, :, own] = True
+    column = _colex_rank(held, binom)
+    # Shared by every computer through the cache: never written.
+    for table in (binom, others, mates, column):
+        table.flags.writeable = False
+    return _PoolSubsets(comb(size, k), binom, others, mates, column)
+
+
+def _colex_rank(sets: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Colex rank of each k-subset mask along the last axis."""
+    order = np.cumsum(sets, axis=-1)
+    return (binom[np.arange(len(binom)), order] * sets).sum(axis=-1)
+
+
+def _replay_climbs(
+    table: np.ndarray, pool: np.ndarray, k: int, binom: np.ndarray
+) -> tuple[list[tuple[int, ...]], list[float]]:
+    """:meth:`TopKComputer._best_absolute_hillclimb` over a subset table.
+
+    ``table[l, c]`` is lane l's value for its colex-rank-c pool subset
+    and ``pool[l]`` its databases in rank order. Every lane starts at
+    pool positions 0..k−1 and, one pass per loop iteration for all
+    lanes at once, tries removing each member in ascending database
+    index against each swap candidate (positions k.. in rank order,
+    skipping current members), accepting the first trial whose value
+    exceeds the current one by more than 1e-12 — the sequential climb's
+    visiting order and acceptance rule. Returns each lane's sorted set
+    and value as Python objects.
+    """
+    lanes, size = pool.shape
+    width = size - k
+    current = np.zeros((lanes, size), dtype=bool)
+    current[:, :k] = True
+    value = table[:, 0].copy()
+    slots = np.arange(k, size)
+    active = np.arange(lanes)
+    while len(active):
+        held = current[active]
+        count = len(active)
+        # Member positions by ascending database index.
+        key = np.where(held, pool[active], np.iinfo(pool.dtype).max)
+        leaving = np.argsort(key, axis=1, kind="stable")[:, :k]
+        trial = np.broadcast_to(
+            held[:, None, None, :], (count, k, width, size)
+        ).copy()
+        a = np.arange(count)[:, None, None]
+        m = np.arange(k)[None, :, None]
+        c = np.arange(width)[None, None, :]
+        trial[a, m, c, leaving[:, :, None]] = False
+        trial[a, m, c, slots[None, None, :]] = True
+        open_slot = ~held[:, slots][:, None, :]
+        rank = np.where(open_slot, _colex_rank(trial, binom), 0)
+        trial_value = table[active[:, None, None], rank]
+        floor = (value[active] + 1e-12)[:, None, None]
+        better = open_slot & (trial_value > floor)
+        flat = better.reshape(count, k * width)
+        hit = flat.any(axis=1)
+        member, candidate = np.divmod(flat.argmax(axis=1)[hit], width)
+        moved = active[hit]
+        current[moved, leaving[hit, member]] = False
+        current[moved, slots[candidate]] = True
+        value[moved] = trial_value[hit, member, candidate]
+        active = moved
+    chosen = np.sort(pool[current].reshape(lanes, k), axis=1)
+    return [tuple(row) for row in chosen.tolist()], value.tolist()

@@ -6,7 +6,9 @@ certainty deltas within 1e-9. The property sweep here drives both
 backends through randomized belief states — ragged supports, one-atom
 (impulse) RDs, every k from 1 to n, in-support and out-of-support
 collapses — and asserts marginals, override batches, collapse results
-and best sets agree. RD construction is held to the stricter bitwise
+and best sets agree; a second sweep over 8–24 databases holds the
+numpy backend's batched answer-set hill climb to the oracle's per-call
+climb. RD construction is held to the stricter bitwise
 standard: the batched builder must reproduce ``derive_rd`` exactly.
 """
 
@@ -207,21 +209,75 @@ def test_backends_agree_after_out_of_support_collapse_chain():
             _assert_same_belief(oracle, tensor, metric, (database, observed))
 
 
+def _assert_climbs_agree(oracle, tensor, databases, trial):
+    """Every atom override of *databases*: same set, values within 1e-12.
+
+    The tensor side answers from the batched climb (one array pass at
+    its first miss), the oracle from the per-call sequential climb.
+    """
+    for database in databases:
+        for atom, _value, _prob in tensor.atoms_of(database):
+            override = (database, atom)
+            set_o, score_o = oracle.best_set(
+                CorrectnessMetric.ABSOLUTE, override=override
+            )
+            set_t, score_t = tensor.best_set(
+                CorrectnessMetric.ABSOLUTE, override=override
+            )
+            assert set_o == set_t, (trial, override)
+            assert abs(score_o - score_t) <= 1e-12, (trial, override)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_backends_agree_on_hill_climb(seed):
+    # n >= 8 with exact_set_limit=0 always takes the hill climb, which
+    # the numpy backend batches over every lane and the oracle runs per
+    # call; the n <= 6 sweep above only ever enumerates exhaustively.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 25))
+    k = int(rng.integers(2, 5))
+    rds = _random_rds(rng, n)
+    with use_backend("python"):
+        oracle = TopKComputer(rds, k, exact_set_limit=0)
+    tensor = TopKComputer(rds, k, exact_set_limit=0, backend="numpy")
+    uncertain = [i for i, rd in enumerate(rds) if not rd.is_impulse]
+    if len(uncertain) < 4:
+        return
+    picked = sorted(
+        int(i) for i in rng.choice(uncertain, size=4, replace=False)
+    )
+    _assert_climbs_agree(oracle, tensor, picked, (seed, "prior"))
+    # One in-support and one out-of-support observation, each followed
+    # by the same override checks on the collapsed computers.
+    in_support = float(rng.choice(rds[picked[0]].values))
+    oracle = oracle.collapse(picked[0], in_support)
+    tensor = tensor.collapse(picked[0], in_support)
+    _assert_climbs_agree(oracle, tensor, picked[1:], (seed, "in-support"))
+    outside = float(rds[picked[1]].values.max()) + 0.5
+    oracle = oracle.collapse(picked[1], outside)
+    tensor = tensor.collapse(picked[1], outside)
+    _assert_climbs_agree(oracle, tensor, picked[2:], (seed, "out-of-support"))
+    _assert_same_belief(oracle, tensor, CorrectnessMetric.ABSOLUTE, seed)
+
+
 def test_usefulness_sweep_matches_across_backends():
     from repro.core.policies import GreedyUsefulnessPolicy
 
-    rng = np.random.default_rng(7)
-    rds = _random_rds(rng, 6)
-    oracle, tensor = _computers(rds, 1)
     policy = GreedyUsefulnessPolicy()
-    for database in range(len(rds)):
-        u_oracle = policy.usefulness(
-            oracle, database, CorrectnessMetric.ABSOLUTE
-        )
-        u_tensor = policy.usefulness(
-            tensor, database, CorrectnessMetric.ABSOLUTE
-        )
-        assert u_oracle == pytest.approx(u_tensor, abs=1e-9)
+    # k = 3 over 16 databases takes the hill climb (C(16, 3) > 400).
+    for k, n in ((1, 6), (3, 16)):
+        rng = np.random.default_rng(7)
+        rds = _random_rds(rng, n)
+        oracle, tensor = _computers(rds, k)
+        for database in range(len(rds)):
+            u_oracle = policy.usefulness(
+                oracle, database, CorrectnessMetric.ABSOLUTE
+            )
+            u_tensor = policy.usefulness(
+                tensor, database, CorrectnessMetric.ABSOLUTE
+            )
+            assert u_oracle == pytest.approx(u_tensor, abs=1e-9), (k, database)
 
 
 class _FixedED:

@@ -6,7 +6,8 @@ The contract under test: a computer evolved through a chain of
 observations, out-of-support observations (midpoint rank insertion),
 and observed values duplicating another database's support atom.
 Also covers greedy usefulness against a brute-force reference built on
-joint enumeration, and memo migration across collapse.
+joint enumeration, memo migration across collapse, and the batched
+hill climb's chunking contract.
 """
 
 from itertools import combinations
@@ -174,6 +175,29 @@ class TestMemoMigration:
             1
         ] == pytest.approx(score_after, abs=ATOL)
 
+        # The same on a k = 3 hill-climb computer, where a vectorized
+        # backend answers every override from one batched climb.
+        rds = random_rds(np.random.default_rng(21), 9, impulse_prob=0.0)
+        computer = TopKComputer(rds, 3, exact_set_limit=0)
+        for database in (2, 6):
+            t0, value, _p = computer.atoms_of(database)[0]
+            best_override, score_override = computer.best_set(
+                CorrectnessMetric.ABSOLUTE, override=(database, t0)
+            )
+            collapsed = computer.collapse(database, value)
+            best_after, score_after = collapsed.best_set(
+                CorrectnessMetric.ABSOLUTE
+            )
+            assert best_after == best_override
+            assert score_after == pytest.approx(score_override, abs=1e-12)
+            current = list(rds)
+            current[database] = D.impulse(value)
+            best_fresh, score_fresh = TopKComputer(
+                current, 3, exact_set_limit=0
+            ).best_set(CorrectnessMetric.ABSOLUTE)
+            assert best_fresh == best_after
+            assert score_fresh == pytest.approx(score_after, abs=ATOL)
+
     def test_collapsed_computer_not_polluted_by_parent_overrides(self):
         """Memo entries for overrides of *other* databases must not leak
         into the collapsed computer's no-override answers."""
@@ -191,6 +215,96 @@ class TestMemoMigration:
         current = list(rds)
         current[1] = D.impulse(value)
         assert_agrees(collapsed, TopKComputer(current, 2), 4, 2)
+
+        # A k = 3 hill-climb computer: the sweep fills the memo for
+        # every override of every database at once.
+        rds = random_rds(rng, 9, impulse_prob=0.0)
+        computer = TopKComputer(rds, 3, exact_set_limit=0)
+        for database in range(9):
+            policy.usefulness(
+                computer, database, CorrectnessMetric.ABSOLUTE
+            )
+        for database, value in ((4, float(rds[4].values[-1])), (7, 99.5)):
+            collapsed = computer.collapse(database, value)
+            current = list(rds)
+            current[database] = D.impulse(value)
+            assert_agrees(
+                collapsed,
+                TopKComputer(current, 3, exact_set_limit=0),
+                9,
+                3,
+            )
+
+
+def lane_overrides(computer):
+    """Every override a greedy sweep can ask for: atoms with 0 < P < 1."""
+    return [
+        (database, atom)
+        for database in range(computer.num_databases)
+        for atom, _value, prob in computer.atoms_of(database)
+        if 0.0 < prob < 1.0
+    ]
+
+
+class TestBatchedClimbChunks:
+    """The batched hill climb answers the same for any lane chunking."""
+
+    def run(self, monkeypatch, rds, limit):
+        chunks = []
+        original = TopKComputer._climb_table
+
+        def spy(self, atoms, dbs, pool, subsets, width):
+            chunks.append((len(atoms), width, subsets.mates.size))
+            return original(self, atoms, dbs, pool, subsets, width)
+
+        monkeypatch.setattr(TopKComputer, "_climb_table", spy)
+        monkeypatch.setattr(TopKComputer, "_CLIMB_BATCH_LIMIT", limit)
+        computer = TopKComputer(rds, 3, exact_set_limit=0, backend="numpy")
+        answers = {
+            override: computer.best_set(
+                CorrectnessMetric.ABSOLUTE, override=override
+            )
+            for override in lane_overrides(computer)
+        }
+        return answers, chunks
+
+    def test_chunk_sizes_do_not_change_answers(self, monkeypatch):
+        rds = random_rds(np.random.default_rng(8), 14, impulse_prob=0.1)
+        whole, chunks = self.run(monkeypatch, rds, 10**12)
+        lanes = len(whole)
+        assert lanes > 14 and lanes % 7
+        assert [size for size, _w, _m in chunks] == [lanes]
+        _size, width, mates = chunks[0]
+        per_lane = width * (len(rds) + mates)
+        for chunk in (1, 7):
+            answers, chunks = self.run(monkeypatch, rds, chunk * per_lane)
+            sizes = [size for size, _w, _m in chunks]
+            assert sizes[:-1] == [chunk] * (len(sizes) - 1)
+            assert sum(sizes) == lanes
+            # Same sets and bitwise-same values.
+            assert answers == whole
+        oracle = TopKComputer(rds, 3, exact_set_limit=0, backend="python")
+        for override, (best, value) in whole.items():
+            best_o, value_o = oracle.best_set(
+                CorrectnessMetric.ABSOLUTE, override=override
+            )
+            assert best_o == best
+            assert abs(value_o - value) <= 1e-12
+
+    def test_non_lane_override_takes_sequential_climb(self):
+        rds = random_rds(np.random.default_rng(3), 10, impulse_prob=0.3)
+        impulse = next(i for i, rd in enumerate(rds) if rd.is_impulse)
+        computer = TopKComputer(rds, 3, exact_set_limit=0)
+        atom = computer.atoms_of(impulse)[0][0]
+        oracle = TopKComputer(rds, 3, exact_set_limit=0, backend="python")
+        override = (impulse, atom)
+        best, _value = computer.best_set(
+            CorrectnessMetric.ABSOLUTE, override=override
+        )
+        best_o, _value_o = oracle.best_set(
+            CorrectnessMetric.ABSOLUTE, override=override
+        )
+        assert best == best_o
 
 
 def brute_force_usefulness(rds, k, database, metric):
