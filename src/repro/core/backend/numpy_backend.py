@@ -2,8 +2,8 @@
 
 Subclasses the row-wise oracle and overrides exactly the kernels where a
 whole-matrix formulation wins; inherited kernels (the k > 1 DP recurrence
-step, the collapse column search) are already a handful of array ops per
-call. A compiled backend would subclass this the same way.
+step, the k > 1 leave-one-out combine) are already a handful of array
+ops per call. A compiled backend would subclass this the same way.
 
 Bitwise notes (why the equality contract holds tighter than 1e-9 in
 practice):
@@ -21,9 +21,9 @@ practice):
   order — the same sum ``DiscreteDistribution.from_pairs`` builds — so
   the RDs are bitwise identical to ``derive_rd``'s (``np.add.reduceat``
   would not be: it sums runs of 8+ atoms pairwise).
-* Only the k > 1 einsum combine reassociates sums (over at most k ≤ n
-  unit-bounded terms), which is where the ≤1e-9 tolerance actually
-  earns its keep.
+* No kernel reassociates a sum: the k > 1 leave-one-out combine is the
+  oracle's own k-unrolled loop (inherited), so every count's terms are
+  added in the oracle's order.
 """
 
 from __future__ import annotations
@@ -40,11 +40,6 @@ class NumpyBackend(PythonBackend):
 
     name = "numpy"
     vectorized = True
-
-    def __init__(self) -> None:
-        # Indicator tensors T[a, b, c] = [a + b == c], cached per k for
-        # the leave-one-out einsum combine.
-        self._combine_tensors: dict[int, np.ndarray] = {}
 
     def outrank_structures(self, probs, dbs, ranks, order, n):
         m = len(probs)
@@ -100,15 +95,7 @@ class NumpyBackend(PythonBackend):
     def loo_combine(self, pre, suf, k):
         if k == 1:
             return pre * suf
-        combine = self._combine_tensors.get(k)
-        if combine is None:
-            counts = np.arange(k)
-            combine = (
-                counts[:, None, None] + counts[None, :, None]
-                == counts[None, None, :]
-            ).astype(np.float64)
-            self._combine_tensors[k] = combine
-        return np.einsum("...a,...b,abc->...c", pre, suf, combine)
+        return super().loo_combine(pre, suf, k)
 
     def override_membership(self, dp_loo, g, k):
         if k == 1:

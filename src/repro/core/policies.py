@@ -121,31 +121,39 @@ class GreedyUsefulnessPolicy:
     ) -> int:
         if not candidates:
             raise ProbingError("no candidate databases to probe")
+        sweep = computer.usefulness_sweep(metric, self._NEGLIGIBLE)
+        if sweep is not None:
+            # One read of the cached sweep serves the whole round. No
+            # deadline cut-off: the sweep is already paid for, and APro
+            # checks the deadline again before probing the choice.
+            scored = zip(candidates, sweep[candidates].tolist())
+        else:
+            scored = self._scored(computer, candidates, metric, deadline)
         best_db = candidates[0]
         best_usefulness = -1.0
-        for database in candidates:
-            # The sweep is the expensive part of a round; under a
-            # wall-clock deadline, stop after the candidates evaluated
-            # so far (at least one) instead of finishing it. Without a
-            # deadline the sweep — and hence the probe order — is
-            # exactly the paper's.
-            if (
-                deadline is not None
-                and best_usefulness >= 0.0
-                and deadline.expired
-            ):
-                break
-            usefulness = self.usefulness(computer, database, metric)
+        for database, usefulness in scored:
             if usefulness > best_usefulness + 1e-12:
                 best_db, best_usefulness = database, usefulness
                 if best_usefulness >= 1.0:
                     # Usefulness is a probability, so no later candidate
                     # can clear the 1e-12 acceptance margin over 1.0 —
-                    # the sweep's outcome is already decided. Saves the
-                    # tail of the sweep on the non-vectorized fallback
-                    # paths without changing any choice.
+                    # the round's outcome is already decided.
                     break
         return best_db
+
+    def _scored(self, computer, candidates, metric, deadline):
+        """(candidate, usefulness) pairs, evaluated one at a time.
+
+        The per-candidate evaluations are the expensive part of a round
+        on the non-vectorized path; under a wall-clock deadline, stop
+        after the candidates evaluated so far (at least one) instead of
+        finishing them. Without a deadline the sweep — and hence the
+        probe order — is exactly the paper's.
+        """
+        for position, database in enumerate(candidates):
+            if position and deadline is not None and deadline.expired:
+                return
+            yield database, self.usefulness(computer, database, metric)
 
     def __repr__(self) -> str:
         return "GreedyUsefulnessPolicy()"

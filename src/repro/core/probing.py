@@ -172,7 +172,9 @@ class APro:
     selector:
         Provides RDs, the mediator and the relevancy definition. APro
         calls ``build_rds(query, backend=..., indices=...)`` with both
-        keywords.
+        keywords and, when pruning, ``nonzero(query)``: the ascending
+        mediation indices whose RD may differ from the impulse at zero
+        (every other slot of ``build_rds``'s list must be that impulse).
     policy:
         Probe-order strategy (defaults to the paper's greedy policy).
         APro always passes ``deadline=`` to ``choose`` (``None`` without
@@ -321,7 +323,8 @@ class APro:
         )
         # ``sub`` maps computer rows to mediation indices: every
         # database, the kept ones, or the bound-pruned survivors.
-        sub, bounds = self._survivor_map(rds, k, pool)
+        nonzero = self._selector.nonzero(query) if self._prune else None
+        sub, bounds = self._survivor_map(rds, k, pool, nonzero)
         computer = self._restricted_computer(rds, sub, k)
         best, score = computer.best_set(metric)
         self._record_point(session, mediator, 0, best, score, sub)
@@ -409,7 +412,7 @@ class APro:
         return session
 
     def _survivor_map(
-        self, rds, k: int, pool: list[int] | None
+        self, rds, k: int, pool: list[int] | None, nonzero
     ) -> tuple[list[int], tuple | None]:
         """(survivor indices, mutable bound state) for this run.
 
@@ -420,20 +423,32 @@ class APro:
         estimate), which no policy can pick. Every database with two or
         more atoms (``min < max``) stays, so each policy sweeps exactly
         the candidate list of the unpruned run and probe orders cannot
-        depend on how a policy breaks ties. The bound state is
-        ``(universe, position, mins, maxs)``, carried only when pruning
-        is on so the certificate can be re-checked after an
-        out-of-support probe.
+        depend on how a policy breaks ties.
+
+        The bounds are priced from the selector's *nonzero* candidates
+        alone: every other database is a certain zero whose RD is the
+        impulse at 0, so ``mins`` and ``maxs`` start zero-filled over
+        the universe and only the candidates' support ends are written
+        in — no per-database work spans the certain zeros. The bound
+        state is ``(universe, mins, maxs)`` (universe ascending, bounds
+        by universe position), carried only when pruning is on so the
+        certificate can be re-checked after an out-of-support probe.
         """
-        universe = list(range(len(rds))) if pool is None else pool
+        universe = np.arange(len(rds)) if pool is None else np.array(pool)
         if not self._prune:
-            return universe, None
-        mins, maxs = support_bounds([rds[g] for g in universe])
-        position = {g: p for p, g in enumerate(universe)}
+            return universe.tolist(), None
+        if pool is None:
+            candidates = nonzero
+        else:
+            candidates = np.flatnonzero(np.isin(universe, nonzero))
+        mins = np.zeros(len(universe))
+        maxs = np.zeros(len(universe))
+        mins[candidates], maxs[candidates] = support_bounds(
+            [rds[g] for g in universe[candidates].tolist()]
+        )
         kept = ~prunable_mask(mins, maxs, k) | (mins < maxs)
-        survivors = [universe[p] for p in np.flatnonzero(kept)]
-        survivors = _pad_survivors(survivors, universe, position, mins, k)
-        return survivors, (universe, position, mins, maxs)
+        survivors = _pad_survivors(np.flatnonzero(kept), mins, k)
+        return universe[survivors].tolist(), (universe, mins, maxs)
 
     def _restricted_computer(
         self, rds, sub: list[int], k: int
@@ -474,24 +489,21 @@ class APro:
         already cover every database the new bounds cannot exclude,
         and the certificate is not re-run.
         """
-        universe, position, mins, maxs = bounds
-        p = position.get(database)
-        if p is None:  # probed outside the universe (defensive)
-            return sub, False
+        universe, mins, maxs = bounds
+        p = int(np.searchsorted(universe, database))
+        if p == len(universe) or universe[p] != database:
+            return sub, False  # probed outside the universe (defensive)
         in_support = mins[p] <= observed <= maxs[p]
         mins[p] = observed
         maxs[p] = observed
         if in_support:
             return sub, False
-        mask = prunable_mask(mins, maxs, k)
-        fresh = {universe[q] for q in np.flatnonzero(~mask)}
-        fresh.update(sub)
-        merged = _pad_survivors(
-            sorted(fresh), universe, position, mins, k
-        )
+        kept = ~prunable_mask(mins, maxs, k)
+        kept[np.searchsorted(universe, sub)] = True
+        merged = _pad_survivors(np.flatnonzero(kept), mins, k)
         if len(merged) == len(sub):
             return sub, False
-        return merged, True
+        return universe[merged].tolist(), True
 
     @staticmethod
     def _record_point(session, mediator, probes, best, score, sub) -> None:
@@ -504,30 +516,24 @@ class APro:
         )
 
 
-def _pad_survivors(
-    survivors: list[int],
-    universe: list[int],
-    position: dict[int, int],
-    mins,
-    k: int,
-) -> list[int]:
+def _pad_survivors(kept: np.ndarray, mins, k: int) -> np.ndarray:
     """Keep at least ``k + 1`` candidates when more exist.
 
-    With exactly ``k`` survivors the restricted computer would take its
-    own ``k == n`` certainty shortcut (score exactly 1.0) where the
-    unpruned computer still computes the product of near-one
-    marginals; padding with the nearest-miss pruned databases (largest
-    worst-case bound, then earliest index) keeps both paths on the same
-    arithmetic. The padded databases carry ~zero top-k mass, so they
-    change nothing else.
+    *kept* holds ascending universe positions and *mins* the worst-case
+    bound of every position. With exactly ``k`` survivors the
+    restricted computer would take its own ``k == n`` certainty
+    shortcut (score exactly 1.0) where the unpruned computer still
+    computes the product of near-one marginals; padding with the
+    nearest-miss pruned databases (largest worst-case bound, then
+    earliest index — so certain zeros pad lowest index first) keeps
+    both paths on the same arithmetic. The padded databases carry
+    ~zero top-k mass, so they change nothing else.
     """
-    target = min(len(universe), k + 1)
-    if len(survivors) >= target:
-        return survivors
-    kept = set(survivors)
-    nearest = sorted(
-        (g for g in universe if g not in kept),
-        key=lambda g: (-float(mins[position[g]]), g),
-    )
-    kept.update(nearest[: target - len(kept)])
-    return sorted(kept)
+    target = min(len(mins), k + 1)
+    if len(kept) >= target:
+        return kept
+    pruned = np.ones(len(mins), dtype=bool)
+    pruned[kept] = False
+    rest = np.flatnonzero(pruned)
+    nearest = rest[np.lexsort((rest, -mins[rest]))[: target - len(kept)]]
+    return np.sort(np.concatenate((kept, nearest)))

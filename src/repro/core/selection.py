@@ -8,8 +8,11 @@ probing" method and the starting state of the adaptive-probing loop.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
+
+import numpy as np
 
 from repro.core.backend import ArrayBackend
 from repro.core.query_types import QueryTypeClassifier
@@ -22,6 +25,7 @@ from repro.hiddenweb.mediator import Mediator
 from repro.stats.distribution import DiscreteDistribution
 from repro.summaries.estimators import RelevancyEstimator
 from repro.summaries.summary import ContentSummary
+from repro.summaries.zero_index import CertainZeroIndex
 from repro.types import Query
 
 __all__ = ["SelectionResult", "RDBasedSelector"]
@@ -79,6 +83,22 @@ class RDBasedSelector:
         self._error_model = error_model
         self._classifier = classifier or QueryTypeClassifier()
         self._definition = definition
+        self._names = [db.name for db in mediator]
+        self._positions = {name: i for i, name in enumerate(self._names)}
+        self._zero_index = CertainZeroIndex(
+            [self._summaries[name] for name in self._names], definition
+        )
+
+    def with_error_model(self, error_model: ErrorModel) -> "RDBasedSelector":
+        """This selector over *error_model*, sharing everything else.
+
+        The mediator, summaries and certain-zero index do not depend on
+        the error model, so a model swap reuses them instead of
+        rebuilding the index.
+        """
+        clone = copy.copy(self)
+        clone._error_model = error_model
+        return clone
 
     @property
     def mediator(self) -> Mediator:
@@ -116,16 +136,26 @@ class RDBasedSelector:
         """r̂(db, q) for one database."""
         return self._estimator.estimate(self._summaries[database_name], query)
 
+    def nonzero(self, query: Query) -> np.ndarray:
+        """Ascending mediation indices whose r(db, q) is not provably 0.
+
+        An exact summary with a zero-df query term proves r = 0
+        (conjunctive semantics); every other database is a candidate
+        (see :class:`~repro.summaries.zero_index.CertainZeroIndex`).
+        Read-only.
+        """
+        return self._zero_index.nonzero(query)
+
     def build_rd(self, database_name: str, query: Query) -> RelevancyDistribution:
         """The relevancy distribution of one database for *query*.
 
-        Short-circuits: an exact summary with a zero-df query term proves
-        r = 0 (conjunctive semantics), yielding an impulse without any
-        ED. A database with no usable ED falls back to trusting the
-        estimate (impulse at r̂) — the behaviour of a plain estimator.
+        Short-circuits: a database :meth:`nonzero` excludes yields an
+        impulse at zero without any ED. A database with no usable ED
+        falls back to trusting the estimate (impulse at r̂) — the
+        behaviour of a plain estimator.
         """
         summary = self._summaries[database_name]
-        if self._is_certain_zero(summary, query):
+        if self._positions[database_name] not in self.nonzero(query):
             return DiscreteDistribution.impulse(0.0)
         estimate = self._estimator.estimate(summary, query)
         query_type = self._classifier.classify(query, estimate)
@@ -147,39 +177,35 @@ class RDBasedSelector:
     ) -> list[RelevancyDistribution]:
         """RDs of every database, in mediation order.
 
-        The per-database short-circuits of :meth:`build_rd` (certain
-        zero, no usable ED) run first; the remaining ED→RD derivations
-        go through one :func:`~repro.core.relevancy.derive_rds` call —
-        one batched kernel on a vectorized backend, the per-database
-        route on the ``python`` oracle — so the result matches the
-        :meth:`build_rd` loop bitwise on every backend.
+        Only the :meth:`nonzero` candidates are visited: every other
+        slot holds one shared ``impulse(0.0)`` (distributions are
+        immutable and APro replaces slots rather than changing them,
+        and at federated scale most databases are certain zeros for
+        any one query). The candidates' "no usable ED" short-circuit
+        runs first; the remaining ED→RD derivations go through one
+        :func:`~repro.core.relevancy.derive_rds` call — one batched
+        kernel on a vectorized backend, the per-database route on the
+        ``python`` oracle — so the result matches the :meth:`build_rd`
+        loop bitwise on every backend.
 
-        Every certain-zero slot holds one shared ``impulse(0.0)``:
-        distributions are immutable and APro replaces slots rather than
-        changing them, and at federated scale most databases are
-        certain zeros for any one query.
-
-        ``indices`` restricts construction to those mediation indices:
-        the other slots get the same shared zero impulse so the list
-        keeps its length-n index math, but no summary lookup, ED
-        lookup, or derivation runs for them. This is what makes a hard
+        ``indices`` restricts construction further to those mediation
+        indices: the other slots get the same shared zero impulse so the
+        list keeps its length-n index math. This is what makes a hard
         candidate cut (``APro(... keep=...)``, the prefilter tier)
         sublinear per query — the caller guarantees the placeholder
         slots are never consulted.
         """
-        wanted = None if indices is None else {int(i) for i in indices}
         zero = DiscreteDistribution.impulse(0.0)
-        rds: list[RelevancyDistribution] = [zero] * len(self._mediator)
+        rds: list[RelevancyDistribution] = [zero] * len(self._names)
+        visit = self.nonzero(query)
+        if indices is not None:
+            visit = np.intersect1d(visit, np.asarray(indices, dtype=np.intp))
         pending: list[tuple[int, float, object]] = []
-        for idx, db in enumerate(self._mediator):
-            if wanted is not None and idx not in wanted:
-                continue
-            summary = self._summaries[db.name]
-            if self._is_certain_zero(summary, query):
-                continue
-            estimate = self._estimator.estimate(summary, query)
+        for idx in visit.tolist():
+            name = self._names[idx]
+            estimate = self._estimator.estimate(self._summaries[name], query)
             query_type = self._classifier.classify(query, estimate)
-            ed = self._error_model.lookup(db.name, query_type)
+            ed = self._error_model.lookup(name, query_type)
             if ed is None:
                 rds[idx] = DiscreteDistribution.impulse(
                     self._point_value(estimate)
@@ -201,15 +227,6 @@ class RDBasedSelector:
         if self._definition is RelevancyDefinition.DOCUMENT_FREQUENCY:
             return float(max(0, round(estimate)))
         return min(1.0, max(0.0, estimate))
-
-    def _is_certain_zero(self, summary: ContentSummary, query: Query) -> bool:
-        if self._definition is not RelevancyDefinition.DOCUMENT_FREQUENCY:
-            return False
-        if not summary.is_exact:
-            return False
-        return any(
-            summary.document_frequency(term) == 0 for term in query.terms
-        )
 
     # -- selection ---------------------------------------------------------------
 

@@ -25,6 +25,7 @@ from repro.hiddenweb.database import RelevancyDefinition
 from repro.hiddenweb.mediator import Mediator
 from repro.summaries.estimators import RelevancyEstimator
 from repro.summaries.summary import ContentSummary
+from repro.summaries.zero_index import CertainZeroIndex
 from repro.types import Query
 
 __all__ = [
@@ -282,6 +283,9 @@ class EDTrainer:
         self._estimator = estimator
         self._classifier = classifier or QueryTypeClassifier()
         self._definition = definition
+        self._zero_index = CertainZeroIndex(
+            [self._summaries[db.name] for db in mediator], definition
+        )
         self._samples_per_type = samples_per_type
         self._edges = tuple(edges)
         self._estimate_floor = estimate_floor
@@ -320,26 +324,24 @@ class EDTrainer:
 
         Returned in mediator order — the order observations must be
         applied in for bit-identical training (see
-        :class:`PlannedProbe`). Databases whose relevancy is certain
-        from an exact summary, or whose (database, type) slice already
-        holds ``samples_per_type`` samples, are skipped.
+        :class:`PlannedProbe`). Only the databases whose relevancy an
+        exact summary cannot prove zero are visited (the certain-zero
+        index the query-time selector uses); of those, the ones whose
+        (database, type) slice already holds ``samples_per_type``
+        samples are skipped.
         """
         plan: list[PlannedProbe] = []
-        for index, database in enumerate(self._mediator):
-            summary = self._summaries[database.name]
-            if self._certain_zero(summary, query):
-                continue
-            estimate = self._estimator.estimate(summary, query)
+        for index in self._zero_index.nonzero(query).tolist():
+            name = self._mediator[index].name
+            estimate = self._estimator.estimate(self._summaries[name], query)
             query_type = self._classifier.classify(query, estimate)
             if (
                 self._samples_per_type is not None
-                and model.sample_count(database.name, query_type)
+                and model.sample_count(name, query_type)
                 >= self._samples_per_type
             ):
                 continue
-            plan.append(
-                PlannedProbe(index, database.name, estimate, query_type)
-            )
+            plan.append(PlannedProbe(index, name, estimate, query_type))
         return plan
 
     def apply_observation(
@@ -350,16 +352,6 @@ class EDTrainer:
             actual, planned.estimate, estimate_floor=self._estimate_floor
         )
         model.observe(planned.database_name, planned.query_type, error)
-
-    def _certain_zero(self, summary: ContentSummary, query: Query) -> bool:
-        """True when an exact summary proves r(db, q) = 0."""
-        if self._definition is not RelevancyDefinition.DOCUMENT_FREQUENCY:
-            return False
-        if not summary.is_exact:
-            return False
-        return any(
-            summary.document_frequency(term) == 0 for term in query.terms
-        )
 
     def __repr__(self) -> str:
         return (

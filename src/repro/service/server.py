@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, replace
 from repro.core.backend import default_backend_name, get_backend
 from repro.core.deadline import Deadline
 from repro.core.probing import APro
-from repro.core.selection import RDBasedSelector
 from repro.exceptions import ConfigurationError, ReproError
 from repro.metasearch.metasearcher import Metasearcher
 from repro.obs import (
@@ -636,16 +635,10 @@ class MetasearchService:
     def _swap_model(self, error_model) -> str:
         started = time.perf_counter()
         # The trained selector's non-model state (mediator, summaries,
-        # estimator, classifier, definition) is swap-invariant; only
-        # the error model moves.
-        old_selector = self._metasearcher.selector
-        new_selector = RDBasedSelector(
-            mediator=old_selector.mediator,
-            summaries=old_selector.summaries,
-            estimator=old_selector.estimator,
-            error_model=error_model,
-            classifier=old_selector.classifier,
-            definition=old_selector.definition,
+        # certain-zero index, estimator, classifier, definition) is
+        # swap-invariant; only the error model moves.
+        new_selector = self._metasearcher.selector.with_error_model(
+            error_model
         )
         prober = self._apro.prober
         self._apro = APro(

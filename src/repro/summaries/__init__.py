@@ -16,8 +16,10 @@ from repro.summaries.estimators import (
     TermIndependenceEstimator,
 )
 from repro.summaries.summary import ContentSummary
+from repro.summaries.zero_index import CertainZeroIndex
 
 __all__ = [
+    "CertainZeroIndex",
     "ContentSummary",
     "CoriEstimator",
     "ExactSummaryBuilder",

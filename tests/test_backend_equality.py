@@ -6,7 +6,7 @@ certainty deltas within 1e-9. The property sweep here drives both
 backends through randomized belief states — ragged supports, one-atom
 (impulse) RDs, every k from 1 to n, in-support and out-of-support
 collapses — and asserts marginals, override batches, collapse results
-and best sets agree; a second sweep over 8–24 databases holds the
+and best sets agree, bitwise for k > 1; a second sweep over 8–24 databases holds the
 numpy backend's batched answer-set hill climb to the oracle's per-call
 climb. RD construction is held to the stricter bitwise
 standard: the batched builder must reproduce ``derive_rd`` exactly.
@@ -133,9 +133,11 @@ def _computers(rds, k):
     return oracle, tensor
 
 
-def _assert_same_belief(oracle, tensor, metric, trial):
+def _assert_same_belief(oracle, tensor, metric, trial, bitwise=False):
     m_oracle = oracle.marginals()
     m_tensor = tensor.marginals()
+    if bitwise:
+        assert m_oracle.tobytes() == m_tensor.tobytes(), trial
     assert np.max(np.abs(m_oracle - m_tensor)) <= 1e-9, trial
     set_oracle, score_oracle = oracle.best_set(metric)
     set_tensor, score_tensor = tensor.best_set(metric)
@@ -156,7 +158,11 @@ def test_backends_agree_on_random_belief_states(seed):
     )
     rds = _random_rds(rng, n)
     oracle, tensor = _computers(rds, k)
-    _assert_same_belief(oracle, tensor, metric, seed)
+    # For k > 1 every kernel the tensor backend runs here adds in the
+    # oracle's order (the leave-one-out combine is the oracle's own
+    # loop), so marginals and override batches are bitwise equal.
+    bitwise = k > 1
+    _assert_same_belief(oracle, tensor, metric, seed, bitwise)
 
     # Override batch: every hypothetical outcome of one database, i.e.
     # exactly what a usefulness sweep evaluates.
@@ -167,6 +173,8 @@ def test_backends_agree_on_random_belief_states(seed):
         set_o, score_o = oracle.best_set(metric, override=override)
         set_t, score_t = tensor.best_set(metric, override=override)
         assert set_o == set_t, (seed, override)
+        if bitwise:
+            assert score_o == score_t, (seed, override)
         assert abs(score_o - score_t) <= 1e-9, (seed, override)
 
     # Collapse on an observation, in-support or not, then re-compare the
@@ -177,7 +185,7 @@ def test_backends_agree_on_random_belief_states(seed):
         observed = float(rng.random() * 400.0)
     oracle2 = oracle.collapse(database, observed)
     tensor2 = tensor.collapse(database, observed)
-    _assert_same_belief(oracle2, tensor2, metric, seed)
+    _assert_same_belief(oracle2, tensor2, metric, seed, bitwise)
     database2 = int(rng.integers(0, n))
     observed2 = float(rng.random() * 400.0)
     _assert_same_belief(
@@ -185,6 +193,7 @@ def test_backends_agree_on_random_belief_states(seed):
         tensor2.collapse(database2, observed2),
         metric,
         seed,
+        bitwise,
     )
 
 

@@ -1,6 +1,9 @@
 """Tests for the adaptive-probing loop (APro) and the probe policies."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.policies import (
     GreedyUsefulnessPolicy,
@@ -80,6 +83,66 @@ class TestPolicies:
         ):
             with pytest.raises(ProbingError):
                 policy.choose(computer, [], CorrectnessMetric.ABSOLUTE, 0.9)
+
+
+def _per_candidate_choice(policy, computer, candidates, metric):
+    """The greedy rule, one ``usefulness`` call per candidate."""
+    best_db, best = candidates[0], -1.0
+    for database in candidates:
+        usefulness = policy.usefulness(computer, database, metric)
+        if usefulness > best + 1e-12:
+            best_db, best = database, usefulness
+            if best >= 1.0:
+                break
+    return best_db
+
+
+class TestGreedySweepRead:
+    """``choose`` reads a vectorized sweep once; same choice as the loop."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_matches_the_per_candidate_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        rds = []
+        for _ in range(n):
+            size = int(rng.integers(1, 5))
+            values = np.sort(rng.choice(60, size, replace=False)).astype(float)
+            rds.append(D.from_pairs(zip(values, rng.random(size) + 0.05)))
+        # The sweep exists for k = 1 and for the partial metric.
+        k, metric = (
+            (1, CorrectnessMetric.ABSOLUTE)
+            if rng.random() < 0.5
+            else (int(rng.integers(1, n + 1)), CorrectnessMetric.PARTIAL)
+        )
+        computer = TopKComputer(rds, k, backend="numpy")
+        assert computer.usefulness_sweep(metric, 1e-9) is not None
+        candidates = sorted(
+            rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist()
+        )
+        policy = GreedyUsefulnessPolicy()
+        assert policy.choose(
+            computer, candidates, metric, 0.9
+        ) == _per_candidate_choice(policy, computer, candidates, metric)
+
+    def test_steps_below_the_margin_keep_the_first_improvement(self):
+        # Usefulness rising by 4e-13 per candidate: only the third step
+        # clears the 1e-12 margin over the first candidate, and the
+        # fourth does not clear it over the third, so the
+        # first-improvement rule and the argmax disagree.
+        rds = example_rds() + [D.impulse(3.0), D.impulse(4.0)]
+        computer = TopKComputer(rds, k=1, backend="numpy")
+        sweep = 0.5 + np.arange(5) * 4e-13
+        computer.usefulness_sweep = lambda metric, negligible=0.0: sweep
+        metric = CorrectnessMetric.ABSOLUTE
+        policy = GreedyUsefulnessPolicy()
+        candidates = [0, 1, 2, 3, 4]
+        chosen = policy.choose(computer, candidates, metric, 0.9)
+        assert chosen == _per_candidate_choice(
+            policy, computer, candidates, metric
+        )
+        assert (chosen, int(np.argmax(sweep))) == (3, 4)
 
 
 class TestExpectedProbesToThreshold:

@@ -139,12 +139,11 @@ class TestBounds:
             st.floats(min_value=float(mins[p]), max_value=float(maxs[p]))
         )
         before = survivor_indices(mins, maxs, k)
-        universe = list(range(len(mins)))
-        position = {g: g for g in universe}
-        sub = _pad_survivors(before, universe, position, mins, k)
+        universe = np.arange(len(mins))
+        sub = _pad_survivors(np.array(before, dtype=int), mins, k).tolist()
         # The recheck writes the observation into mins/maxs in place.
         assert APro._recheck_certificate(
-            (universe, position, mins, maxs), sub, k, p, observed
+            (universe, mins, maxs), sub, k, p, observed
         ) == (sub, False)
         assert set(survivor_indices(mins, maxs, k)) <= set(before)
 
@@ -309,6 +308,10 @@ class _StubSelector:
 
     def build_rds(self, query, backend=None, indices=None):
         return list(self.rds)
+
+    def nonzero(self, query):
+        # No summaries, so nothing is provably zero.
+        return np.arange(len(self.rds))
 
 
 class _ScriptedProber:
