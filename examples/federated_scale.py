@@ -1,10 +1,9 @@
-"""Selection at federated scale: exact pruning and the prefilter tier.
+"""Selection at federated scale: exact candidate pruning.
 
 The paper's testbed mediates 20 databases; this example grows a
 heterogeneous 128-database federation and answers the same queries
-three ways — the classic full-width RD/APro loop, bound-based exact
-pruning (identical answers, provably), and the opt-in top-M prefilter
-tier (bounded, *measured* quality delta) — then tabulates latency,
+two ways — the classic full-width RD/APro loop and bound-based exact
+pruning (identical answers, provably) — then tabulates latency,
 pruned counts, and agreement. The committed ``BENCH_scale.json``
 carries the gated version of this experiment at 64/256/1024 databases;
 see "Selection at scale" in docs/PERFORMANCE.md.
@@ -55,7 +54,7 @@ def main() -> None:
     train_queries = _topic_queries(config.n_train, shared, rng)
     queries = _topic_queries(n_queries, shared, rng)
 
-    print(f"Training once ({config.n_train} queries), cloning per mode...")
+    print(f"Training once ({config.n_train} queries), cloning for exact...")
     base = Metasearcher(
         mediator,
         MetasearcherConfig(
@@ -71,14 +70,6 @@ def main() -> None:
             MetasearcherConfig(
                 samples_per_type=config.samples_per_type,
                 prune_mode="exact",
-            ),
-        ),
-        "topm (M=24)": Metasearcher.from_trained(
-            base,
-            MetasearcherConfig(
-                samples_per_type=config.samples_per_type,
-                prune_mode="topm",
-                prefilter_top_m=24,
             ),
         ),
     }
@@ -120,9 +111,8 @@ def main() -> None:
     )
     print(
         "\nExact pruning is answer-identical by construction (the bench "
-        "gates it);\nthe prefilter tier trades a measured selection delta "
-        "for the biggest cut.\nModes are plain config — "
-        "REPRO_PREFILTER=exact|topm turns them on anywhere."
+        "gates it).\nIt is plain config — REPRO_PREFILTER=exact turns it "
+        "on anywhere."
     )
 
 

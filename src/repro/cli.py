@@ -38,9 +38,8 @@ Fourteen commands:
   paging, a cross-replica cache-tier hit, and a mid-burst replica
   kill, written to ``BENCH_cluster.json`` (see ``docs/CLUSTER.md``);
 * ``bench-scale`` — benchmark selection cost vs federated database
-  count: unpruned vs exact bound pruning vs the top-M prefilter tier,
-  with answer-identity proven for exact mode and the prefilter's
-  quality delta measured, written to ``BENCH_scale.json`` (see
+  count: unpruned vs exact bound pruning, with answer-identity proven
+  for exact mode, written to ``BENCH_scale.json`` (see
   ``docs/PERFORMANCE.md``);
 * ``bench-index`` — judge every committed ``BENCH_*.json`` from its
   host block and recorded gates.
@@ -738,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench-scale",
         help=(
             "benchmark selection cost vs federated database count: "
-            "unpruned vs exact pruning vs top-M prefilter"
+            "unpruned vs exact pruning"
         ),
     )
     bench_scale.add_argument(
@@ -765,12 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=60,
         help="training queries per size (default 60)",
-    )
-    bench_scale.add_argument(
-        "--top-m",
-        type=int,
-        default=32,
-        help="databases kept by the prefilter tier (default 32)",
     )
     bench_scale.add_argument(
         "--out",
@@ -1387,7 +1380,7 @@ def _cmd_bench_scale(args: argparse.Namespace) -> int:
     sizes = _parse_int_list(args.sizes, "--sizes")
     print(
         f"Benchmarking selection at scale (sizes={list(sizes)}, "
-        f"k={args.k}, t={args.certainty}, top_m={args.top_m})...",
+        f"k={args.k}, t={args.certainty})...",
         flush=True,
     )
     document = run_bench_scale(
@@ -1399,7 +1392,6 @@ def _cmd_bench_scale(args: argparse.Namespace) -> int:
             repeats=args.repeats,
             k=args.k,
             certainty=args.certainty,
-            top_m=args.top_m,
         )
     )
     print(format_bench_scale(document))

@@ -61,11 +61,6 @@ class ReplicaSpec:
     max_inflight: int = 8
     max_queue: int = 32
     host: str = "127.0.0.1"
-    # Candidate-pruning mode for the replica's metasearcher. ``None``
-    # inherits the child's REPRO_PREFILTER environment; an explicit
-    # "off"/"exact"/"topm" pins it regardless (exact pruning keeps the
-    # cross-replica identity contract — see repro.core.pruning).
-    prefilter: str | None = None
 
     def service_config(self) -> ServiceConfig:
         return _service_config(self)
@@ -110,10 +105,6 @@ async def _replica_serve(conn, spec: ReplicaSpec) -> None:
     # stack, which the parent-side router never needs.
     from repro.service.bench import build_trained_testbed
 
-    if spec.prefilter is not None:
-        # MetasearcherConfig resolves its prune mode from this knob;
-        # set before the testbed builds its metasearcher.
-        os.environ["REPRO_PREFILTER"] = spec.prefilter
     _, metasearcher = build_trained_testbed(
         scale=spec.scale,
         seed=spec.seed,

@@ -43,9 +43,9 @@ class ProbePolicy(Protocol):
     the deadline expires, returning the best candidate evaluated so
     far.
 
-    *candidates* are row indices of *computer*; when APro runs over a
-    subset of the mediator (pruning or ``keep``),
-    ``computer.databases[row]`` is the row's mediation index.
+    *candidates* are row indices of *computer*; when APro runs over
+    the bound-pruned survivors, ``computer.databases[row]`` is the
+    row's mediation index.
     """
 
     def choose(

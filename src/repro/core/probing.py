@@ -108,8 +108,8 @@ class ProbeSession:
 
     ``pruned_databases`` counts the databases the run excluded from the
     belief machinery — settled, provably-out databases under bound
-    pruning (``APro(prune=True)``), plus anything outside an explicit
-    ``keep`` restriction. ``0`` when the run covered every database.
+    pruning (``APro(prune=True)``). ``0`` when the run covered every
+    database.
     """
 
     query: Query
@@ -162,19 +162,19 @@ class APro:
     """Adaptive probing on top of an :class:`RDBasedSelector`.
 
     One loop serves every configuration: the belief machinery runs over
-    a list of candidate databases — all of them, the ``keep``
-    restriction, or the bound-pruned survivors — and every observation
-    is applied through :meth:`~repro.core.topk.TopKComputer.collapse`,
-    reusing the rank structure built once per query.
+    a list of candidate databases — all of them, or the bound-pruned
+    survivors — and every observation is applied through
+    :meth:`~repro.core.topk.TopKComputer.collapse`, reusing the rank
+    structure built once per query.
 
     Parameters
     ----------
     selector:
         Provides RDs, the mediator and the relevancy definition. APro
-        calls ``build_rds(query, backend=..., indices=...)`` with both
-        keywords and, when pruning, ``nonzero(query)``: the ascending
-        mediation indices whose RD may differ from the impulse at zero
-        (every other slot of ``build_rds``'s list must be that impulse).
+        calls ``build_rds(query, backend=...)`` and, when pruning,
+        ``nonzero(query)``: the ascending mediation indices whose RD
+        may differ from the impulse at zero (every other slot of
+        ``build_rds``'s list must be that impulse).
     policy:
         Probe-order strategy (defaults to the paper's greedy policy).
         APro always passes ``deadline=`` to ``choose`` (``None`` without
@@ -241,7 +241,6 @@ class APro:
         force_probes: int | None = None,
         batch_size: int = 1,
         deadline: Deadline | None = None,
-        keep: Sequence[int] | None = None,
     ) -> ProbeSession:
         """Execute APro for one query.
 
@@ -285,14 +284,6 @@ class APro:
             like ``max_probes=0``. Observations already in flight are
             still applied (they are paid for), so expiry granularity is
             one probe round.
-        keep:
-            Optional candidate restriction (mediation-order indices):
-            only these databases take part in the run — the prefilter
-            tier's top-M contract. Unlike bound pruning this *changes
-            answers* (bounded, measured delta — see
-            ``docs/PERFORMANCE.md``); when both are active, bound
-            pruning applies within the kept set and never re-expands
-            beyond it.
         """
         if not 0.0 <= threshold <= 1.0:
             raise ProbingError(f"threshold must be in [0, 1], got {threshold}")
@@ -303,28 +294,16 @@ class APro:
 
         mediator = self._selector.mediator
         n = len(mediator)
-        pool: list[int] | None = None
-        if keep is not None:
-            pool = sorted({int(i) for i in keep})
-            if not pool:
-                raise ProbingError("keep must name at least one database")
-            if pool[0] < 0 or pool[-1] >= n:
-                raise ProbingError(
-                    f"keep indices must be within [0, {n - 1}], got {pool}"
-                )
-        # A hard candidate cut skips RD construction for the excluded
-        # databases entirely (the loop below never consults their
-        # placeholder slots).
         rds: list[RelevancyDistribution] = self._selector.build_rds(
-            query, backend=self._backend, indices=pool
+            query, backend=self._backend
         )
         session = ProbeSession(
             query=query, k=k, metric=metric, threshold=threshold
         )
         # ``sub`` maps computer rows to mediation indices: every
-        # database, the kept ones, or the bound-pruned survivors.
+        # database, or the bound-pruned survivors.
         nonzero = self._selector.nonzero(query) if self._prune else None
-        sub, bounds = self._survivor_map(rds, k, pool, nonzero)
+        sub, bounds = self._survivor_map(rds, k, nonzero)
         computer = self._restricted_computer(rds, sub, k)
         best, score = computer.best_set(metric)
         self._record_point(session, mediator, 0, best, score, sub)
@@ -412,12 +391,11 @@ class APro:
         return session
 
     def _survivor_map(
-        self, rds, k: int, pool: list[int] | None, nonzero
+        self, rds, k: int, nonzero
     ) -> tuple[list[int], tuple | None]:
         """(survivor indices, mutable bound state) for this run.
 
-        Without pruning the survivors are the whole universe: every
-        database, or the ``keep`` list when one is given. With pruning
+        Without pruning the survivors are every database. With pruning
         a database is dropped only when it is both certainly out of the
         top-k and settled — an impulse (a certain zero, a trusted
         estimate), which no policy can pick. Every database with two or
@@ -427,28 +405,23 @@ class APro:
 
         The bounds are priced from the selector's *nonzero* candidates
         alone: every other database is a certain zero whose RD is the
-        impulse at 0, so ``mins`` and ``maxs`` start zero-filled over
-        the universe and only the candidates' support ends are written
-        in — no per-database work spans the certain zeros. The bound
-        state is ``(universe, mins, maxs)`` (universe ascending, bounds
-        by universe position), carried only when pruning is on so the
-        certificate can be re-checked after an out-of-support probe.
+        impulse at 0, so ``mins`` and ``maxs`` start zero-filled and
+        only the candidates' support ends are written in — no
+        per-database work spans the certain zeros. The bound state is
+        ``(mins, maxs)`` by mediation index, carried only when pruning
+        is on so the certificate can be re-checked after an
+        out-of-support probe.
         """
-        universe = np.arange(len(rds)) if pool is None else np.array(pool)
         if not self._prune:
-            return universe.tolist(), None
-        if pool is None:
-            candidates = nonzero
-        else:
-            candidates = np.flatnonzero(np.isin(universe, nonzero))
-        mins = np.zeros(len(universe))
-        maxs = np.zeros(len(universe))
-        mins[candidates], maxs[candidates] = support_bounds(
-            [rds[g] for g in universe[candidates].tolist()]
+            return list(range(len(rds))), None
+        mins = np.zeros(len(rds))
+        maxs = np.zeros(len(rds))
+        mins[nonzero], maxs[nonzero] = support_bounds(
+            [rds[g] for g in nonzero.tolist()]
         )
         kept = ~prunable_mask(mins, maxs, k) | (mins < maxs)
         survivors = _pad_survivors(np.flatnonzero(kept), mins, k)
-        return universe[survivors].tolist(), (universe, mins, maxs)
+        return survivors.tolist(), (mins, maxs)
 
     def _restricted_computer(
         self, rds, sub: list[int], k: int
@@ -489,21 +462,18 @@ class APro:
         already cover every database the new bounds cannot exclude,
         and the certificate is not re-run.
         """
-        universe, mins, maxs = bounds
-        p = int(np.searchsorted(universe, database))
-        if p == len(universe) or universe[p] != database:
-            return sub, False  # probed outside the universe (defensive)
-        in_support = mins[p] <= observed <= maxs[p]
-        mins[p] = observed
-        maxs[p] = observed
+        mins, maxs = bounds
+        in_support = mins[database] <= observed <= maxs[database]
+        mins[database] = observed
+        maxs[database] = observed
         if in_support:
             return sub, False
         kept = ~prunable_mask(mins, maxs, k)
-        kept[np.searchsorted(universe, sub)] = True
+        kept[sub] = True
         merged = _pad_survivors(np.flatnonzero(kept), mins, k)
         if len(merged) == len(sub):
             return sub, False
-        return universe[merged].tolist(), True
+        return merged.tolist(), True
 
     @staticmethod
     def _record_point(session, mediator, probes, best, score, sub) -> None:
@@ -519,8 +489,8 @@ class APro:
 def _pad_survivors(kept: np.ndarray, mins, k: int) -> np.ndarray:
     """Keep at least ``k + 1`` candidates when more exist.
 
-    *kept* holds ascending universe positions and *mins* the worst-case
-    bound of every position. With exactly ``k`` survivors the
+    *kept* holds ascending mediation indices and *mins* the worst-case
+    bound of every database. With exactly ``k`` survivors the
     restricted computer would take its own ``k == n`` certainty
     shortcut (score exactly 1.0) where the unpruned computer still
     computes the product of near-one marginals; padding with the

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -173,7 +173,6 @@ class RDBasedSelector:
         self,
         query: Query,
         backend: "str | ArrayBackend | None" = None,
-        indices: "Sequence[int] | None" = None,
     ) -> list[RelevancyDistribution]:
         """RDs of every database, in mediation order.
 
@@ -187,21 +186,11 @@ class RDBasedSelector:
         kernel on a vectorized backend, the per-database route on the
         ``python`` oracle — so the result matches the :meth:`build_rd`
         loop bitwise on every backend.
-
-        ``indices`` restricts construction further to those mediation
-        indices: the other slots get the same shared zero impulse so the
-        list keeps its length-n index math. This is what makes a hard
-        candidate cut (``APro(... keep=...)``, the prefilter tier)
-        sublinear per query — the caller guarantees the placeholder
-        slots are never consulted.
         """
         zero = DiscreteDistribution.impulse(0.0)
         rds: list[RelevancyDistribution] = [zero] * len(self._names)
-        visit = self.nonzero(query)
-        if indices is not None:
-            visit = np.intersect1d(visit, np.asarray(indices, dtype=np.intp))
         pending: list[tuple[int, float, object]] = []
-        for idx in visit.tolist():
+        for idx in self.nonzero(query).tolist():
             name = self._names[idx]
             estimate = self._estimator.estimate(self._summaries[name], query)
             query_type = self._classifier.classify(query, estimate)

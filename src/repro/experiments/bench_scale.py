@@ -3,15 +3,11 @@
 The paper's testbed has 20 databases; a federated deployment mediates
 hundreds to thousands. This benchmark grows a synthetic federation
 (64 → 256 → 1024 databases by default), trains one metasearcher per
-size, and times the same query workload through three selection paths:
+size, and times the same query workload through two selection paths:
 
 * ``unpruned`` — the classic full-width RD/APro loop;
 * ``exact`` — bound-based candidate pruning (:mod:`repro.core.pruning`),
-  answer-identical by construction and verified per size here;
-* ``topm`` — exact pruning plus the probe-trained prefilter tier
-  (:mod:`repro.metasearch.prefilter`), which changes answers; its
-  quality delta is *measured* as relevancy-mass recall against the
-  unpruned selection and gated, never silent.
+  answer-identical by construction and verified per size here.
 
 The federation is deliberately heterogeneous: each topic gets a couple
 of strong, focused databases and a long tail of small diffuse ones —
@@ -23,27 +19,17 @@ different questions:
 
 * **Natural runs** (threshold-driven, the product path) supply the
   identity evidence — exact mode must reproduce the unpruned
-  selections, probe trajectories, and certainties — and the topm
-  recall measurement.
+  selections, probe trajectories, and certainties.
 * **Fixed-budget runs** (``force_probes == max_probes``) supply the
   wall-clock numbers. Probe count per query is the workload's own
   hardness and grows with federation size (more near-ties need more
-  probes to certify); pinning the budget isolates what this PR
-  actually optimizes — the per-query selection machinery.
+  probes to certify); pinning the budget isolates the per-query
+  selection machinery.
 
-The sublinear gate is judged on the prefilter tier: exact mode must
-build every database's RD to prove its bounds, an Ω(n) floor with a
-tiny constant, so it delivers the speedup gate (identical answers,
-several times faster) while topm — which skips RD construction for
-dropped candidates outright — delivers the sublinear growth.
-
-:func:`scale_gates` judges a run: identity and quality gates are
-deterministic and the exact-mode speedup at the largest size is a
-paired ratio (each round times both variants on the same query), so
-all of them are judged everywhere; sublinear topm growth across the
-size span compares independent medians, carries ``min_cores=4`` and
-stays unjudged on smaller hosts — a committed report is honest about
-the machine it ran on.
+:func:`scale_gates` judges a run: the identity gates are deterministic
+and the exact-mode speedup at the largest size is a paired ratio (each
+round times both variants on the same query), so every gate is judged
+on any host.
 """
 
 from __future__ import annotations
@@ -80,8 +66,8 @@ CERTAINTY_TOLERANCE = 1e-9
 class BenchScaleConfig:
     """Knobs of the scale benchmark.
 
-    ``sizes`` must be ascending; the growth gate compares the first and
-    last entries. The remaining defaults are calibrated so the full
+    ``sizes`` must be ascending; the growth figures compare the first
+    and last entries. The remaining defaults are calibrated so the full
     default run finishes in a few minutes on one core.
     """
 
@@ -93,11 +79,9 @@ class BenchScaleConfig:
     repeats: int = 2
     k: int = 3
     certainty: float = 0.9
-    top_m: int = 32
     probe_budget: int = 8
     background_vocab_size: int = 1500
     min_speedup: float = 2.0
-    min_topm_recall: float = 0.7
 
     def __post_init__(self) -> None:
         if len(self.sizes) < 2 or any(
@@ -114,8 +98,8 @@ class BenchScaleConfig:
             )
         if self.queries < 1 or self.repeats < 1 or self.n_train < 1:
             raise ConfigurationError("counts must be >= 1")
-        if self.k < 1 or self.top_m < self.k:
-            raise ConfigurationError("need k >= 1 and top_m >= k")
+        if self.k < 1:
+            raise ConfigurationError("need k >= 1")
         if self.probe_budget < 1:
             raise ConfigurationError("probe_budget must be >= 1")
         if not 0.0 <= self.certainty <= 1.0:
@@ -225,27 +209,6 @@ def _identity(sessions_a, sessions_b) -> tuple[bool, bool, float]:
     return same_selections, same_orders, max_delta
 
 
-def _relevancy_recall(
-    mediator: Mediator, definition, queries, base_sessions, topm_sessions
-) -> float:
-    """Mean relevancy mass of topm selections relative to unpruned ones.
-
-    1.0 means the prefiltered path selected databases carrying as much
-    true relevancy for the query as the full path's choice — the honest
-    quality metric when selection *identities* may legitimately differ.
-    """
-    recalls: list[float] = []
-    for query, a, b in zip(queries, base_sessions, topm_sessions):
-        relevancy = {
-            database.name: database.probe_relevancy(query, definition)
-            for database in mediator
-        }
-        full = sum(relevancy[name] for name in a.final.names)
-        kept = sum(relevancy[name] for name in b.final.names)
-        recalls.append(kept / full if full > 0 else 1.0)
-    return float(np.mean(recalls)) if recalls else 1.0
-
-
 def run_bench_scale(
     config: BenchScaleConfig | None = None,
 ) -> dict[str, object]:
@@ -284,17 +247,9 @@ def run_bench_scale(
                     prune_mode="exact",
                 ),
             ),
-            "topm": Metasearcher.from_trained(
-                base,
-                MetasearcherConfig(
-                    samples_per_type=config.samples_per_type,
-                    prune_mode="topm",
-                    prefilter_top_m=config.top_m,
-                ),
-            ),
         }
         # Natural (threshold-driven) runs: the product path, used for
-        # the identity and quality evidence.
+        # the identity evidence.
         natural = {
             name: [
                 searcher.select(
@@ -306,13 +261,6 @@ def run_bench_scale(
         }
         same_sel, same_ord, max_delta = _identity(
             natural["unpruned"], natural["exact"]
-        )
-        recall = _relevancy_recall(
-            mediator,
-            base.config.definition,
-            eval_queries,
-            natural["unpruned"],
-            natural["topm"],
         )
         # Fixed-budget runs: per-query wall-clock with the probe count
         # pinned, the variants interleaved on each query, so the
@@ -356,14 +304,12 @@ def run_bench_scale(
                     2,
                 ),
                 "pruned_mean": {
-                    name: round(
-                        sum(s.pruned_databases for s in natural[name])
+                    "exact": round(
+                        sum(s.pruned_databases for s in natural["exact"])
                         / len(eval_queries),
                         1,
                     )
-                    for name in ("exact", "topm")
                 },
-                "topm_recall": round(recall, 4),
             }
         )
 
@@ -390,10 +336,8 @@ def run_bench_scale(
         "repeats": config.repeats,
         "k": config.k,
         "certainty": config.certainty,
-        "top_m": config.top_m,
         "probe_budget": config.probe_budget,
         "min_speedup": config.min_speedup,
-        "min_topm_recall": config.min_topm_recall,
     }
     return bench.report(
         "bench-scale",
@@ -409,11 +353,9 @@ def scale_gates(
     """The verdicts of one bench-scale run.
 
     Per size, exact mode must reproduce the unpruned selections, probe
-    orders and certainties (to ``CERTAINTY_TOLERANCE``) and topm recall
-    must clear ``min_topm_recall``; exact mode's speedup at the largest
-    size is a paired unpruned/exact ratio on one host — all judged on
-    any host. Only topm growth below the size span, a comparison of
-    independent wall-clock medians, needs 4 cores.
+    orders and certainties (to ``CERTAINTY_TOLERANCE``); exact mode's
+    speedup at the largest size is a paired unpruned/exact ratio on one
+    host — all judged on any host.
     """
     gates: list[dict[str, object]] = []
     for entry in results["sizes"]:
@@ -437,22 +379,8 @@ def scale_gates(
                 CERTAINTY_TOLERANCE,
                 "<=",
             ),
-            bench.gate(
-                f"{n}db.topm_recall",
-                entry["topm_recall"],
-                config["min_topm_recall"],
-                ">=",
-            ),
         ]
-    growth = results["growth"]
     return gates + [
-        bench.gate(
-            "topm.growth_over_span",
-            growth["p50_ratio_last_over_first"]["topm"],
-            growth["span"],
-            "<",
-            min_cores=4,
-        ),
         bench.gate(
             "exact.speedup_at_max_size",
             results["sizes"][-1]["speedup_exact"],
@@ -470,8 +398,7 @@ def format_bench_scale(document: dict[str, object]) -> str:
         f"  probe budget: {document['config']['probe_budget']} "
         f"probes/query (timing workload pinned across sizes)",
         "",
-        "  size   unpruned     exact        topm        speedup  "
-        "pruned(exact)  recall",
+        "   size     unpruned        exact  speedup  pruned(exact)",
     ]
     for entry in results["sizes"]:
         timing = entry["timing_ms"]
@@ -479,16 +406,13 @@ def format_bench_scale(document: dict[str, object]) -> str:
             f"  {entry['databases']:>5}"
             f"  {timing['unpruned']['p50_ms']:>9.1f}ms"
             f"  {timing['exact']['p50_ms']:>9.1f}ms"
-            f"  {timing['topm']['p50_ms']:>9.1f}ms"
             f"  {entry['speedup_exact']:>6.2f}x"
             f"  {entry['pruned_mean']['exact']:>9.1f}"
-            f"  {entry['topm_recall']:>9.3f}"
         )
     growth = results["growth"]
     ratios = growth["p50_ratio_last_over_first"]
     lines.append(
         f"  growth over {growth['span']}x span: unpruned "
-        f"{ratios['unpruned']}x, exact {ratios['exact']}x, "
-        f"topm {ratios['topm']}x"
+        f"{ratios['unpruned']}x, exact {ratios['exact']}x"
     )
     return "\n".join(lines)

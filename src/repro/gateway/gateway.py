@@ -77,6 +77,7 @@ from repro.gateway.protocol import (
 )
 from repro.obs import collecting_trace, current_trace_id, span, trace_active
 from repro.service.cache import SelectionCache
+from repro.service.pool import PoolUnavailableError
 from repro.service.server import MetasearchService, ServedAnswer
 
 __all__ = ["GatewayConfig", "MetasearchGateway"]
@@ -235,7 +236,13 @@ class MetasearchGateway:
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listen socket and start accepting connections."""
+        """Bind the listen socket and start accepting connections.
+
+        A service with a selection pool gets its workers spawned before
+        the socket binds, so the first request does not pay for the
+        spawn. A pool that cannot spawn does not stop the gateway: the
+        service already falls back to in-process selection.
+        """
         if self._server is not None:
             raise ReproError("gateway already started")
         self._draining = False
@@ -244,6 +251,12 @@ class MetasearchGateway:
             max_workers=self._config.max_inflight,
             thread_name_prefix="gateway-serve",
         )
+        selection_pool = self._service.pool
+        if selection_pool is not None:
+            with contextlib.suppress(PoolUnavailableError):
+                await asyncio.get_running_loop().run_in_executor(
+                    self._pool, selection_pool.ping
+                )
         self._server = await asyncio.start_server(
             self._handle_connection,
             host=self._config.host,

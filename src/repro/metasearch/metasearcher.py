@@ -45,8 +45,7 @@ __all__ = [
 #: Environment knob selecting the candidate-pruning mode when
 #: ``MetasearcherConfig.prune_mode`` is left unset. Empty/``"0"``/
 #: ``"off"`` disable pruning, ``"1"``/``"exact"`` enable the
-#: answer-identical bound pruning, ``"topm"`` additionally enables the
-#: probe-trained prefilter tier (answer-affecting, opt-in).
+#: answer-identical bound pruning.
 PREFILTER_ENV = "REPRO_PREFILTER"
 
 _PRUNE_MODE_ALIASES = {
@@ -55,7 +54,6 @@ _PRUNE_MODE_ALIASES = {
     "off": "off",
     "1": "exact",
     "exact": "exact",
-    "topm": "topm",
 }
 
 
@@ -102,19 +100,17 @@ class MetasearcherConfig:
         Queries between training checkpoints when :meth:`train` is
         given a ``checkpoint_path``.
     prune_mode:
-        Candidate-pruning mode in front of RD/APro — ``"off"``,
+        Candidate-pruning mode in front of RD/APro — ``"off"`` or
         ``"exact"`` (bound-based pruning, selections and probe orders
         identical to the unpruned path; see
-        :mod:`repro.core.pruning`), or ``"topm"`` (exact pruning plus
-        the probe-trained :class:`~repro.metasearch.prefilter.
-        PrefilterTier`, keeping only the top-M affine databases per
-        query — answers may change, the delta is measured by
-        ``bench-scale``). ``None`` (the default) reads the
+        :mod:`repro.core.pruning`). ``None`` (the default) reads the
         ``REPRO_PREFILTER`` environment variable, defaulting to
         ``"off"``.
     prefilter_top_m:
-        Databases the prefilter tier keeps per query in ``"topm"``
-        mode (clamped up to ``k`` at query time).
+        Inert: nothing reads or validates it. It sized a top-M
+        prefilter mode that has been removed; the field stays only
+        because the repository benchmark pins every config field, and
+        it goes at the next change to that benchmark.
     """
 
     DEFAULT_SEED_TERMS: tuple[str, ...] = (
@@ -147,14 +143,10 @@ class MetasearcherConfig:
                     f"use one of {sorted(set(_PRUNE_MODE_ALIASES.values()))}"
                 )
             object.__setattr__(self, "prune_mode", resolved)
-        elif self.prune_mode not in ("off", "exact", "topm"):
+        elif self.prune_mode not in ("off", "exact"):
             raise ConfigurationError(
-                f"prune_mode must be 'off', 'exact' or 'topm', "
+                f"prune_mode must be 'off' or 'exact', "
                 f"got {self.prune_mode!r}"
-            )
-        if self.prefilter_top_m < 1:
-            raise ConfigurationError(
-                f"prefilter_top_m must be >= 1, got {self.prefilter_top_m}"
             )
         if self.probe_batch_size < 1:
             raise ConfigurationError(
@@ -225,7 +217,6 @@ class Metasearcher:
         self._error_model: ErrorModel | None = None
         self._selector: RDBasedSelector | None = None
         self._apro: APro | None = None
-        self._prefilter = None  # PrefilterTier in "topm" mode
 
     # -- training ---------------------------------------------------------------
 
@@ -261,25 +252,15 @@ class Metasearcher:
         self._finish_setup()
 
     def _finish_setup(self) -> None:
-        """Build the APro runner (and prefilter tier) over the selector.
+        """Build the APro runner over the selector.
 
-        Shared by :meth:`train` and :meth:`load`: exact bound pruning is
-        an APro flag; the ``"topm"`` prefilter tier additionally probes
-        one anchor query per topic to learn database-topic affinities.
+        Shared by :meth:`train`, :meth:`load` and :meth:`from_trained`:
+        exact bound pruning is an APro flag.
         """
-        mode = self._config.prune_mode
-        if mode == "topm" and self._prefilter is None:
-            from repro.metasearch.prefilter import PrefilterTier
-
-            self._prefilter = PrefilterTier.train(
-                self._mediator,
-                self._config.definition,
-                analyzer=self._analyzer,
-            )
         self._apro = APro(
             self._selector,
             policy=self._policy,
-            prune=mode in ("exact", "topm"),
+            prune=self._config.prune_mode == "exact",
         )
 
     def _train_error_model(
@@ -466,28 +447,6 @@ class Metasearcher:
     # Backwards-compatible private alias.
     _as_query = analyze
 
-    @property
-    def prefilter(self):
-        """The trained prefilter tier (``None`` outside ``"topm"`` mode)."""
-        return self._prefilter
-
-    def prefilter_keep(
-        self, query: Query | str, k: int
-    ) -> tuple[int, ...] | None:
-        """Mediation indices the prefilter tier keeps for *query*.
-
-        ``None`` when the tier is inactive (prune mode ``"off"`` or
-        ``"exact"``) — i.e. when selection considers every database.
-        The keep set is at least ``max(prefilter_top_m, k)`` wide so a
-        top-k request is always satisfiable.
-        """
-        if self._prefilter is None:
-            return None
-        return self._prefilter.keep(
-            self._as_query(query),
-            top_m=max(self._config.prefilter_top_m, k),
-        )
-
     def select(
         self,
         query: Query | str,
@@ -508,9 +467,8 @@ class Metasearcher:
         """
         self._require_trained()
         assert self._apro is not None
-        analyzed = self._as_query(query)
         return self._apro.run(
-            analyzed,
+            self._as_query(query),
             k=k,
             threshold=certainty,
             metric=self._config.metric,
@@ -525,7 +483,6 @@ class Metasearcher:
                 if batch_size is None
                 else batch_size
             ),
-            keep=self.prefilter_keep(analyzed, k),
         )
 
     def select_without_probing(

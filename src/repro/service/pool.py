@@ -168,9 +168,8 @@ class PoolResult:
     probe_order: tuple[str, ...]
     deadline_expired: bool
     spans: tuple = ()
-    # Databases the worker's run excluded from the belief machinery
-    # (bound pruning and/or the prefilter keep set); 0 when pruning is
-    # off or nothing was prunable.
+    # Databases the worker's run excluded from the belief machinery by
+    # bound pruning; 0 when pruning is off or nothing was prunable.
     pruned: int = 0
 
 

@@ -416,7 +416,7 @@ class MetasearchService:
             policy=metasearcher.policy,
             prober=self._executor,
             backend=self._config.backend,
-            prune=metasearcher.config.prune_mode in ("exact", "topm"),
+            prune=metasearcher.config.prune_mode == "exact",
         )
         # The fingerprinted state blob is built whether or not the pool
         # is enabled: it names the model version in cache keys and is
@@ -481,17 +481,11 @@ class MetasearchService:
             # Tracing instruments, likewise always registered.
             "trace_spans_total",
             "trace_spans_dropped",
-            # Candidate-pruning instruments, registered for every prune
-            # mode so flipping REPRO_PREFILTER never changes the
-            # snapshot key-set.
-            "prefilter_requests_total",
-            "prefilter_dropped_total",
         ):
             self._metrics.counter(counter)
         self._metrics.gauge("pool_queue_depth")
         # Per-request count of databases excluded from the belief
-        # machinery (bound pruning + prefilter keep); all zeros with
-        # pruning off.
+        # machinery by bound pruning; all zeros with pruning off.
         self._metrics.histogram("pruned_databases")
         self._metrics.histogram("adapt_swap_ms", deterministic=False)
         self._metrics.histogram("query_probes")
@@ -646,8 +640,7 @@ class MetasearchService:
             policy=self._metasearcher.policy,
             prober=prober,
             backend=self._config.backend,
-            prune=self._metasearcher.config.prune_mode
-            in ("exact", "topm"),
+            prune=self._metasearcher.config.prune_mode == "exact",
         )
         if self._observations is not None and hasattr(prober, "retarget"):
             prober.retarget(new_selector)
@@ -884,14 +877,7 @@ class MetasearchService:
                 self._metrics.histogram(
                     "stage_pool_ms", deterministic=False
                 ).observe((time.perf_counter() - pool_started) * 1000.0)
-                return self._observe_pruning(result, k)
-        keep = None
-        if self._metasearcher.prefilter is not None:
-            # topm mode: the tier picks the candidate universe before
-            # any belief math runs. Workers compute the identical keep
-            # set from their fingerprinted blob state.
-            with span("prefilter.keep", backend=self._config.backend):
-                keep = self._metasearcher.prefilter_keep(analyzed, k)
+                return self._observe_pruning(result)
         session = self._apro.run(
             analyzed,
             k=k,
@@ -900,7 +886,6 @@ class MetasearchService:
             max_probes=searcher_config.max_probes,
             batch_size=self._batch_size(),
             deadline=deadline,
-            keep=keep,
         )
         return self._observe_pruning(
             PoolResult(
@@ -912,27 +897,14 @@ class MetasearchService:
                 ),
                 deadline_expired=session.deadline_expired,
                 pruned=session.pruned_databases,
-            ),
-            k,
+            )
         )
 
-    def _observe_pruning(self, result: PoolResult, k: int) -> PoolResult:
-        """Record the pruning instruments for one selection (both paths).
-
-        The prefilter counters are derived from configuration (the keep
-        width is a pure function of ``(top_m, k, n)``), so the pool and
-        in-process paths account identically.
-        """
+    def _observe_pruning(self, result: PoolResult) -> PoolResult:
+        """Record the pruning histogram for one selection (both paths)."""
         self._metrics.histogram("pruned_databases").observe(
             float(result.pruned)
         )
-        if self._metasearcher.config.prune_mode == "topm":
-            n = len(self._blob.database_names)
-            kept = min(
-                max(self._metasearcher.config.prefilter_top_m, k), n
-            )
-            self._metrics.counter("prefilter_requests_total").inc()
-            self._metrics.counter("prefilter_dropped_total").inc(n - kept)
         return result
 
     def serve_stream(
@@ -1027,13 +999,6 @@ class MetasearchService:
         # Always present so switching numeric backends never changes
         # the snapshot's top-level key-set.
         out["backend"] = self._config.backend
-        # Always present (even with pruning off) so flipping
-        # REPRO_PREFILTER never changes the snapshot's top-level
-        # key-set.
-        out["prefilter"] = {
-            "mode": self._metasearcher.config.prune_mode,
-            "top_m": self._metasearcher.config.prefilter_top_m,
-        }
         # Always present (even with tracing off) so enabling tracing
         # never changes the snapshot's top-level key-set.
         out["trace"] = {

@@ -157,14 +157,10 @@ class WorkerStateBlob:
     # contract pins them to the ``python`` oracle), so switching one
     # must not retire cache entries or mark worker state stale.
     backend: str | None = None
-    # Candidate-pruning mode ("off" | "exact" | "topm"). Exact bound
-    # pruning is answer-invariant like ``backend`` and therefore also
-    # excluded from the fingerprint; the ``topm`` prefilter tier's
-    # state *does* fingerprint (via ``_state_fingerprint``'s
-    # ``prefilter`` argument) because keeping top-M changes answers.
+    # Candidate-pruning mode ("off" | "exact"). Exact bound pruning is
+    # answer-invariant like ``backend`` and therefore also excluded
+    # from the fingerprint.
     prune_mode: str = "off"
-    prefilter_top_m: int = 16
-    prefilter_state: dict | None = None
 
 
 def _state_fingerprint(
@@ -176,7 +172,6 @@ def _state_fingerprint(
     definition_value: str,
     estimator: RelevancyEstimator,
     policy: ProbePolicy,
-    prefilter: dict | None = None,
 ) -> str:
     state = {
         "databases": list(database_names),
@@ -188,11 +183,6 @@ def _state_fingerprint(
         "estimator": repr(estimator),
         "policy": repr(policy),
     }
-    if prefilter is not None:
-        # Only an *answer-affecting* prefilter (topm mode) joins the
-        # hash; absent/exact-mode blobs keep their pre-prefilter
-        # fingerprints so cache entries survive an exact-pruning flip.
-        state["prefilter"] = prefilter
     canonical = json.dumps(state, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
@@ -216,14 +206,6 @@ def build_worker_blob(
         for name, summary in sorted(selector.summaries.items())
     }
     error_model_state = selector.error_model.state_dict()
-    config = metasearcher.config
-    prune_mode = getattr(config, "prune_mode", "off") or "off"
-    prefilter = getattr(metasearcher, "prefilter", None)
-    prefilter_state = (
-        prefilter.state()
-        if prune_mode == "topm" and prefilter is not None
-        else None
-    )
     fingerprint = _state_fingerprint(
         database_names,
         summaries,
@@ -233,7 +215,6 @@ def build_worker_blob(
         selector.definition.value,
         selector.estimator,
         metasearcher.policy,
-        prefilter=prefilter_state,
     )
     return WorkerStateBlob(
         database_names=database_names,
@@ -246,9 +227,7 @@ def build_worker_blob(
         policy=metasearcher.policy,
         fingerprint=fingerprint,
         backend=backend,
-        prune_mode=prune_mode,
-        prefilter_top_m=getattr(config, "prefilter_top_m", 16),
-        prefilter_state=prefilter_state,
+        prune_mode=metasearcher.config.prune_mode,
     )
 
 
@@ -272,9 +251,6 @@ def refresh_worker_blob(
         blob.definition_value,
         blob.estimator,
         blob.policy,
-        prefilter=(
-            blob.prefilter_state if blob.prune_mode == "topm" else None
-        ),
     )
     return replace(
         blob, error_model_state=error_model_state, fingerprint=fingerprint
@@ -333,40 +309,16 @@ def _rebuild_apro(blob: WorkerStateBlob, conn) -> APro:
         policy=blob.policy,
         prober=ConnProber(conn),
         backend=blob.backend,
-        prune=blob.prune_mode in ("exact", "topm"),
+        prune=blob.prune_mode == "exact",
     )
 
 
-def _rebuild_prefilter(blob: WorkerStateBlob):
-    """The worker-side prefilter tier (``None`` outside topm mode).
-
-    The tier's state is self-contained (analyzed terms + probed
-    affinities), so the worker scores queries without an analyzer or a
-    registry — and because the state is fingerprinted, the keep set the
-    worker computes is identical to the parent's.
-    """
-    if blob.prune_mode != "topm" or blob.prefilter_state is None:
-        return None
-    # Imported lazily: only topm-mode workers pay for it at spawn.
-    from repro.metasearch.prefilter import PrefilterTier
-
-    return PrefilterTier.from_state(blob.prefilter_state)
-
-
-def _run_request(
-    apro: APro, blob: WorkerStateBlob, request: dict, prefilter=None
-) -> dict:
+def _run_request(apro: APro, blob: WorkerStateBlob, request: dict) -> dict:
     crash_term = os.environ.get(CRASH_TERM_ENV)
     terms = tuple(request["terms"])
     if crash_term and crash_term in terms:
         os._exit(17)  # the fault tests' deterministic mid-request crash
     deadline_s = request.get("deadline_s")
-    keep = None
-    if prefilter is not None:
-        keep = prefilter.keep(
-            Query(terms),
-            top_m=max(blob.prefilter_top_m, request["k"]),
-        )
     # A traced request ships its trace position in the payload; the
     # worker-side spans collect locally (contextvars don't cross a
     # spawn) and travel back in the result for the parent to replay.
@@ -386,7 +338,6 @@ def _run_request(
                     if deadline_s is None
                     else Deadline.after(deadline_s)
                 ),
-                keep=keep,
             )
             if session.deadline_expired:
                 worker_span.set_outcome("degraded")
@@ -419,7 +370,6 @@ def worker_main(conn, blob: WorkerStateBlob) -> None:
     survive the swap).
     """
     apro = _rebuild_apro(blob, conn)
-    prefilter = _rebuild_prefilter(blob)
     try:
         while True:
             try:
@@ -435,7 +385,6 @@ def worker_main(conn, blob: WorkerStateBlob) -> None:
             if kind == "reload":
                 blob = message[1]
                 apro = _rebuild_apro(blob, conn)
-                prefilter = _rebuild_prefilter(blob)
                 conn.send(("reloaded", blob.fingerprint))
                 continue
             if kind == "run":
@@ -444,7 +393,7 @@ def worker_main(conn, blob: WorkerStateBlob) -> None:
                     conn.send(("stale", blob.fingerprint))
                     continue
                 try:
-                    result = _run_request(apro, blob, request, prefilter)
+                    result = _run_request(apro, blob, request)
                 except Exception as error:  # noqa: BLE001 - boundary
                     conn.send(
                         ("error", f"{type(error).__name__}: {error}")

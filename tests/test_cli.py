@@ -123,6 +123,17 @@ class TestServeCommands:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_removed_topm_prune_mode_is_a_clean_error(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_PREFILTER", "topm")
+        code = main([*SMALL, "demo", "--query", "heart disease"])
+        assert code == 2
+        assert (
+            "error: REPRO_PREFILTER='topm' is not a valid prune mode"
+            in capsys.readouterr().err
+        )
+
     def test_bench_serve_parser_defaults(self):
         args = build_parser().parse_args(["bench-serve"])
         assert args.command == "bench-serve"

@@ -22,6 +22,7 @@ from repro.gateway.protocol import (
     GatewayError,
     answer_payload,
 )
+from repro.service.pool import SelectionPool
 from repro.service.resilience import RetryPolicy
 from repro.service.server import MetasearchService, ServiceConfig
 
@@ -632,6 +633,49 @@ class TestShedding:
         assert counters["gateway_shed"] == outcomes["shed"]
         assert snapshot["gauges"]["gateway_inflight"]["value"] == 0.0
         assert snapshot["gauges"]["gateway_queue_depth"]["value"] == 0.0
+
+
+class TestPoolWarmup:
+    """``start()`` spawns the selection pool before the socket binds."""
+
+    CONFIG = dict(max_workers=2, batch_size=2, pool_workers=2)
+
+    def test_start_spawns_the_pool_workers(self, trained_metasearcher):
+        async def scenario():
+            config = ServiceConfig(**self.CONFIG)
+            with make_service(trained_metasearcher, config=config) as service:
+                async with await start_gateway(service):
+                    return service.pool.started, service.pool.worker_pids()
+
+        started, pids = run(scenario())
+        assert started
+        assert len(pids) == 2
+
+    def test_start_survives_a_pool_that_cannot_spawn(
+        self, trained_metasearcher, monkeypatch
+    ):
+        def refuse(pool):
+            raise OSError("no processes left")
+
+        monkeypatch.setattr(SelectionPool, "_spawn", refuse)
+
+        async def scenario():
+            config = ServiceConfig(**self.CONFIG)
+            with make_service(trained_metasearcher, config=config) as service:
+                gateway = await start_gateway(service)
+                async with gateway:
+                    client = await GatewayClient.connect(
+                        "127.0.0.1", gateway.port
+                    )
+                    try:
+                        result = await client.search("heart disease", k=2)
+                    finally:
+                        await client.close()
+                    return result, service.snapshot()
+
+        result, snapshot = run(scenario())
+        assert len(result["answer"]["selected"]) == 2
+        assert snapshot["counters"]["pool_fallback_total"] == 1
 
 
 class TestDrain:

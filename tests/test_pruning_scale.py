@@ -1,4 +1,4 @@
-"""Pruning soundness, the prefilter tier, RRF fusion, and the scale benches.
+"""Pruning soundness, prune-mode configuration, and RRF fusion.
 
 The load-bearing property here is the exact-mode contract: bound-based
 pruning must never change a selection, a probe order, or a certainty
@@ -9,7 +9,6 @@ level (``prunable_mask`` vs brute force) and end-to-end through
 
 from __future__ import annotations
 
-import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,7 +33,6 @@ from repro.metasearch.metasearcher import (
     Metasearcher,
     MetasearcherConfig,
 )
-from repro.metasearch.prefilter import PrefilterTier
 from repro.stats.distribution import DiscreteDistribution as D
 from repro.types import Query, ScoredDocument, SearchResult
 
@@ -139,11 +137,10 @@ class TestBounds:
             st.floats(min_value=float(mins[p]), max_value=float(maxs[p]))
         )
         before = survivor_indices(mins, maxs, k)
-        universe = np.arange(len(mins))
         sub = _pad_survivors(np.array(before, dtype=int), mins, k).tolist()
         # The recheck writes the observation into mins/maxs in place.
         assert APro._recheck_certificate(
-            (universe, mins, maxs), sub, k, p, observed
+            (mins, maxs), sub, k, p, observed
         ) == (sub, False)
         assert set(survivor_indices(mins, maxs, k)) <= set(before)
 
@@ -306,7 +303,7 @@ class _StubSelector:
         ]
         self.definition = RelevancyDefinition.DOCUMENT_FREQUENCY
 
-    def build_rds(self, query, backend=None, indices=None):
+    def build_rds(self, query, backend=None):
         return list(self.rds)
 
     def nonzero(self, query):
@@ -423,44 +420,6 @@ class TestPrunedRunsMatchUnpruned:
         assert pruned.pruned_databases == 0
 
 
-class TestPrefilterTier:
-    @pytest.fixture(scope="class")
-    def tier(self, tiny_mediator, analyzer, registry):
-        return PrefilterTier.train(
-            tiny_mediator,
-            RelevancyDefinition.DOCUMENT_FREQUENCY,
-            analyzer=analyzer,
-            registry=registry,
-        )
-
-    def test_keep_is_deterministic_and_ascending(self, tier, analyzer):
-        query = Query(terms=tuple(analyzer.analyze("cancer chemotherapy")))
-        kept = tier.keep(query, top_m=2)
-        assert kept == tier.keep(query, top_m=2)
-        assert list(kept) == sorted(set(kept))
-        assert len(kept) == 2
-
-    def test_keep_clamps_to_population(self, tier, analyzer):
-        query = Query(terms=tuple(analyzer.analyze("cancer")))
-        assert len(tier.keep(query, top_m=99)) == tier.num_databases
-
-    def test_unmatched_query_degrades_to_first_m(self, tier):
-        query = Query(terms=("zzzzunseen",))
-        assert tier.keep(query, top_m=2) == (0, 1)
-
-    def test_top_m_validation(self, tier):
-        with pytest.raises(ConfigurationError):
-            tier.keep(Query(terms=("cancer",)), top_m=0)
-
-    def test_state_round_trip(self, tier, analyzer):
-        clone = PrefilterTier.from_state(
-            json.loads(json.dumps(tier.state()))
-        )
-        query = Query(terms=tuple(analyzer.analyze("heart cholesterol")))
-        assert np.allclose(clone.scores(query), tier.scores(query))
-        assert clone.keep(query, top_m=3) == tier.keep(query, top_m=3)
-
-
 class TestPruneModeConfig:
     @pytest.mark.parametrize(
         ("raw", "resolved"),
@@ -470,7 +429,6 @@ class TestPruneModeConfig:
             ("off", "off"),
             ("1", "exact"),
             ("exact", "exact"),
-            ("topm", "topm"),
         ],
     )
     def test_env_aliases(self, monkeypatch, raw, resolved):
@@ -487,16 +445,21 @@ class TestPruneModeConfig:
             MetasearcherConfig()
 
     def test_explicit_mode_beats_env(self, monkeypatch):
-        monkeypatch.setenv(PREFILTER_ENV, "topm")
+        monkeypatch.setenv(PREFILTER_ENV, "exact")
         assert MetasearcherConfig(prune_mode="off").prune_mode == "off"
 
     def test_invalid_explicit_mode_raises(self):
         with pytest.raises(ConfigurationError):
             MetasearcherConfig(prune_mode="fuzzy")
 
-    def test_top_m_validated(self):
-        with pytest.raises(ConfigurationError):
-            MetasearcherConfig(prefilter_top_m=0)
+    def test_removed_topm_env_value_raises(self, monkeypatch):
+        monkeypatch.setenv(PREFILTER_ENV, "topm")
+        with pytest.raises(ConfigurationError, match="'topm'"):
+            MetasearcherConfig()
+
+    def test_removed_topm_mode_raises(self):
+        with pytest.raises(ConfigurationError, match="'topm'"):
+            MetasearcherConfig(prune_mode="topm")
 
 
 class TestFromTrained:
@@ -508,22 +471,6 @@ class TestFromTrained:
             a = trained_metasearcher.select(query, k=2, certainty=0.9)
             b = clone.select(query, k=2, certainty=0.9)
             assert a.final.names == b.final.names
-
-    def test_topm_clone_gets_a_prefilter(
-        self, trained_metasearcher, health_queries
-    ):
-        clone = Metasearcher.from_trained(
-            trained_metasearcher,
-            MetasearcherConfig(
-                samples_per_type=10,
-                prune_mode="topm",
-                prefilter_top_m=2,
-            ),
-        )
-        assert clone.prefilter is not None
-        assert trained_metasearcher.prefilter is None
-        session = clone.select(health_queries[54], k=1, certainty=0.9)
-        assert session.pruned_databases >= 2  # 4 dbs, keep 2 at most
 
     def test_untrained_source_rejected(self, tiny_mediator, analyzer):
         fresh = Metasearcher(

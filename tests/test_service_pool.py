@@ -31,7 +31,6 @@ from repro.service.pool import (
     SelectionPool,
     WorkerCrashedError,
 )
-from repro.metasearch.metasearcher import MetasearcherConfig
 from repro.service.resilience import RetryPolicy
 from repro.service.server import MetasearchService, ServiceConfig
 from repro.service.worker import CRASH_TERM_ENV, build_worker_blob
@@ -523,18 +522,12 @@ class TestPoolMetricKeySet:
     def test_prefilter_instruments_preregistered(
         self, trained_metasearcher
     ):
-        # Key-set regression: the pruning instruments and the prefilter
-        # snapshot section exist even with pruning off, so dashboards
-        # never see the key set change when a mode is enabled.
+        # Key-set regression: the pruning histogram exists even with
+        # pruning off, so dashboards never see the key set change when
+        # exact pruning is enabled.
         with make_service(trained_metasearcher) as service:
             snapshot = service.snapshot()
-        assert snapshot["counters"]["prefilter_requests_total"] == 0
-        assert snapshot["counters"]["prefilter_dropped_total"] == 0
         assert "pruned_databases" in snapshot["histograms"]
-        # The mode mirrors whatever REPRO_PREFILTER resolved to when the
-        # session fixture was built; the key set is what this test pins.
-        expected_mode = MetasearcherConfig().prune_mode
-        assert snapshot["prefilter"] == {"mode": expected_mode, "top_m": 16}
 
     def test_key_set_identical_with_and_without_pool(
         self, trained_metasearcher, health_queries

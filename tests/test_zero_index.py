@@ -142,7 +142,10 @@ def paper_testbed():
         PaperSetupConfig(scale=0.03, n_train=40, n_test=12)
     )
     parts = _pipeline(context.mediator, context.train_queries)
-    return context.mediator, context.test_queries, context.train_queries, parts
+    # No database holds the unseen term, so every RD is the zero impulse.
+    unknown = Query((context.test_queries[0].terms[0], "zzzzunseen"))
+    queries = context.test_queries + [unknown]
+    return context.mediator, queries, context.train_queries, parts
 
 
 @pytest.fixture(scope="module")
@@ -221,57 +224,40 @@ def test_plan_query_matches_a_brute_force_plan(testbed, request):
     assert full > 0
 
 
-def _reference_survivors(rds, k, pool):
-    """Bounds over every RD of the universe, the pre-index way."""
-    universe = list(range(len(rds))) if pool is None else pool
-    mins, maxs = support_bounds([rds[g] for g in universe])
+def _reference_survivors(rds, k):
+    """Bounds over every RD, the pre-index way."""
+    mins, maxs = support_bounds(rds)
     kept = ~prunable_mask(mins, maxs, k) | (mins < maxs)
-    survivors = [universe[p] for p in np.flatnonzero(kept)]
-    missing = min(len(universe), k + 1) - len(survivors)
+    survivors = np.flatnonzero(kept).tolist()
+    missing = min(len(rds), k + 1) - len(survivors)
     if missing > 0:
         nearest = sorted(
-            (p for p in range(len(universe)) if universe[p] not in survivors),
-            key=lambda p: (-float(mins[p]), universe[p]),
+            (g for g in range(len(rds)) if g not in survivors),
+            key=lambda g: (-float(mins[g]), g),
         )
-        padding = [universe[p] for p in nearest[:missing]]
-        survivors = sorted(survivors + padding)
+        survivors = sorted(survivors + nearest[:missing])
     return survivors, mins, maxs, missing > 0
 
 
 @pytest.mark.parametrize("testbed", TESTBEDS)
 def test_survivor_map_matches_bounds_over_every_rd(testbed, request):
-    mediator, queries, _train, (_s, _e, _t, selector) = (
+    _mediator, queries, _train, (_s, _e, _t, selector) = (
         request.getfixturevalue(testbed)
     )
     apro = APro(selector, prune=True)
-    rng = np.random.default_rng(16)
     padded = 0
     for query in queries:
         nonzero = selector.nonzero(query)
+        rds = selector.build_rds(query)
         for k in (1, 2, 3):
-            keep = rng.choice(len(mediator), 8, replace=False)
-            for pool in (None, sorted(keep.tolist())):
-                rds = selector.build_rds(query, indices=pool)
-                if pool is not None:
-                    # Slots outside the pool are never built.
-                    assert all(
-                        rd.values.tolist() == [0.0]
-                        for g, rd in enumerate(rds)
-                        if g not in pool
-                    )
-                sub, (universe, mins, maxs) = apro._survivor_map(
-                    rds, k, pool, nonzero
-                )
-                want, want_mins, want_maxs, was_padded = (
-                    _reference_survivors(rds, k, pool)
-                )
-                assert sub == want, (query, k, pool)
-                assert universe.tolist() == (
-                    list(range(len(rds))) if pool is None else pool
-                )
-                assert mins.tobytes() == want_mins.tobytes()
-                assert maxs.tobytes() == want_maxs.tobytes()
-                padded += was_padded
+            sub, (mins, maxs) = apro._survivor_map(rds, k, nonzero)
+            want, want_mins, want_maxs, was_padded = (
+                _reference_survivors(rds, k)
+            )
+            assert sub == want, (query, k)
+            assert mins.tobytes() == want_mins.tobytes()
+            assert maxs.tobytes() == want_maxs.tobytes()
+            padded += was_padded
     # The unseen-term query leaves too few survivors, so the padding
     # path runs.
     assert padded > 0
