@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.core.backend import default_backend_name
 from repro.exceptions import ConfigurationError, ReproError
+from repro.stats.rank import percentile
 
 __all__ = [
     "SCHEMA",
@@ -102,12 +103,6 @@ def environment() -> dict[str, object]:
         "blas": _blas(),
         "backend": default_backend_name(),
     }
-
-
-def percentile(ordered: list[float], pct: float) -> float:
-    """Nearest-rank *pct* percentile of an ascending, non-empty list."""
-    rank = max(1, round(pct / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 def latency_summary(samples_ms: list[float]) -> dict[str, object]:

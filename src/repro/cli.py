@@ -73,8 +73,41 @@ from repro.experiments.threshold_probes import probes_per_threshold
 __all__ = ["main", "build_parser"]
 
 
-def _add_adapt_arguments(sub: argparse.ArgumentParser) -> None:
-    """The online-adaptation knobs shared by ``serve`` and ``gateway``."""
+def _add_service_arguments(sub: argparse.ArgumentParser) -> None:
+    """The serving-layer knobs shared by ``serve`` and ``gateway``."""
+    sub.add_argument(
+        "--batch", type=int, default=4, help="probes per APro round"
+    )
+    sub.add_argument(
+        "--workers", type=int, default=8, help="probe thread-pool width"
+    )
+    sub.add_argument(
+        "--pool",
+        type=int,
+        default=None,
+        help=(
+            "selection-pool worker processes (0 = in-process; default "
+            "reads REPRO_POOL_WORKERS)"
+        ),
+    )
+    sub.add_argument(
+        "--cache-ttl",
+        type=float,
+        default=300.0,
+        help="selection-cache TTL in seconds (0 disables the cache)",
+    )
+    sub.add_argument(
+        "--latency-ms",
+        type=float,
+        default=0.0,
+        help="injected mean probe latency (0 = none)",
+    )
+    sub.add_argument(
+        "--error-rate",
+        type=float,
+        default=0.0,
+        help="injected probe failure probability",
+    )
     sub.add_argument(
         "--adapt",
         action="store_true",
@@ -189,45 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.8,
         help="required expected correctness",
     )
-    serve.add_argument(
-        "--batch", type=int, default=4, help="probes per APro round"
-    )
-    serve.add_argument(
-        "--workers", type=int, default=8, help="probe thread-pool width"
-    )
-    serve.add_argument(
-        "--pool",
-        type=int,
-        default=None,
-        help=(
-            "selection-pool worker processes (0 = in-process; default "
-            "reads REPRO_POOL_WORKERS)"
-        ),
-    )
-    serve.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=300.0,
-        help="selection-cache TTL in seconds (0 disables the cache)",
-    )
-    serve.add_argument(
-        "--latency-ms",
-        type=float,
-        default=0.0,
-        help="injected mean probe latency (0 = none)",
-    )
-    serve.add_argument(
-        "--error-rate",
-        type=float,
-        default=0.0,
-        help="injected probe failure probability",
-    )
+    _add_service_arguments(serve)
     serve.add_argument(
         "--metrics-out",
         default=None,
         help="write the metrics snapshot JSON to this path",
     )
-    _add_adapt_arguments(serve)
 
     bench = subparsers.add_parser(
         "bench-serve",
@@ -326,39 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument(
         "--port", type=int, default=7070, help="listen port (0 = ephemeral)"
     )
-    gateway.add_argument(
-        "--batch", type=int, default=4, help="probes per APro round"
-    )
-    gateway.add_argument(
-        "--workers", type=int, default=8, help="probe thread-pool width"
-    )
-    gateway.add_argument(
-        "--pool",
-        type=int,
-        default=None,
-        help=(
-            "selection-pool worker processes (0 = in-process; default "
-            "reads REPRO_POOL_WORKERS)"
-        ),
-    )
-    gateway.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=300.0,
-        help="selection-cache TTL in seconds (0 disables the cache)",
-    )
-    gateway.add_argument(
-        "--latency-ms",
-        type=float,
-        default=0.0,
-        help="injected mean probe latency (0 = none)",
-    )
-    gateway.add_argument(
-        "--error-rate",
-        type=float,
-        default=0.0,
-        help="injected probe failure probability",
-    )
+    _add_service_arguments(gateway)
     gateway.add_argument(
         "--max-inflight",
         type=int,
@@ -377,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="deadline applied to requests without their own (ms)",
     )
-    _add_adapt_arguments(gateway)
 
     bench_gateway = subparsers.add_parser(
         "bench-gateway",
@@ -861,25 +828,11 @@ def _read_queries(path: str | None) -> list[str]:
         return [line.strip() for line in handle if line.strip()]
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.metasearch.metasearcher import Metasearcher, MetasearcherConfig
+def _service(args: argparse.Namespace, searcher):
+    """The service ``serve`` and ``gateway`` run, from their shared flags."""
     from repro.service.faults import FaultInjector
     from repro.service.server import MetasearchService, ServiceConfig
 
-    queries = _read_queries(args.queries)
-    if not queries:
-        print("no queries to serve", file=sys.stderr)
-        return 1
-    context = _context(args)
-    searcher = Metasearcher(
-        context.mediator,
-        MetasearcherConfig(probe_batch_size=args.batch),
-        analyzer=context.analyzer,
-    )
-    print("Training (offline sampling)...", flush=True)
-    searcher.train(context.train_queries)
     injector = None
     if args.latency_ms > 0 or args.error_rate > 0:
         injector = FaultInjector(
@@ -900,9 +853,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         adapt_min_samples=args.adapt_min_samples,
         adapt_auto_swap=args.adapt_auto_swap,
     )
-    with MetasearchService(
-        searcher, config=config, injector=injector
-    ) as service:
+    return MetasearchService(searcher, config=config, injector=injector)
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    import json
+
+    from repro.metasearch.metasearcher import Metasearcher, MetasearcherConfig
+
+    queries = _read_queries(args.queries)
+    if not queries:
+        print("no queries to serve", file=sys.stderr)
+        return 1
+    context = _context(args)
+    searcher = Metasearcher(
+        context.mediator,
+        MetasearcherConfig(probe_batch_size=args.batch),
+        analyzer=context.analyzer,
+    )
+    print("Training (offline sampling)...", flush=True)
+    searcher.train(context.train_queries)
+    with _service(args, searcher) as service:
         for text in queries:
             answer = service.serve(text, k=args.k, certainty=args.certainty)
             hit = " (cache)" if answer.cache_hit else ""
@@ -928,8 +899,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
 
     from repro.gateway.gateway import GatewayConfig, MetasearchGateway
     from repro.service.bench import build_trained_testbed
-    from repro.service.faults import FaultInjector
-    from repro.service.server import MetasearchService, ServiceConfig
 
     print("Training (offline sampling)...", flush=True)
     _context_unused, searcher = build_trained_testbed(
@@ -939,30 +908,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         n_test=args.test_queries,
         batch_size=args.batch,
     )
-    injector = None
-    if args.latency_ms > 0 or args.error_rate > 0:
-        injector = FaultInjector(
-            seed=args.seed,
-            mean_latency_s=args.latency_ms / 1000.0,
-            error_rate=args.error_rate,
-        )
-    service = MetasearchService(
-        searcher,
-        config=ServiceConfig(
-            max_workers=args.workers,
-            batch_size=args.batch,
-            cache_ttl_s=args.cache_ttl if args.cache_ttl > 0 else None,
-            cache_enabled=args.cache_ttl > 0,
-            pool_workers=args.pool,
-            adapt=args.adapt,
-            adapt_window=args.adapt_window,
-            adapt_check_every=args.adapt_check_every,
-            adapt_significance=args.adapt_significance,
-            adapt_min_samples=args.adapt_min_samples,
-            adapt_auto_swap=args.adapt_auto_swap,
-        ),
-        injector=injector,
-    )
+    service = _service(args, searcher)
     gateway = MetasearchGateway(
         service,
         GatewayConfig(

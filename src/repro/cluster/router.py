@@ -8,12 +8,14 @@ certainty)`` fingerprint across the replica ring, so repeats of a
 request always land on the same replica and its coalescing and L1
 cache do their work.
 
-Lifecycle mirrors :class:`~repro.service.pool.SelectionPool`: health
-pings on a cadence, crash detection at the connection, and failed
-replicas removed from the ring with in-flight requests re-dispatched
-to their re-hashed owner **exactly once** — a search is deterministic
-and side-effect-free, so re-executing it is always safe, and each
-client request still gets exactly one response. Typed gateway errors
+Listener, connection loop, drain and error envelope are the gateway's
+own (:class:`~repro.gateway.frontend.FrontEnd`). Replica health mirrors
+:class:`~repro.service.pool.SelectionPool`: health pings on a cadence,
+crash detection at the connection, and failed replicas removed from the
+ring with in-flight requests re-dispatched to their re-hashed owner
+**exactly once** — a search is deterministic and side-effect-free, so
+re-executing it is always safe, and each client request still gets
+exactly one response. Typed gateway errors
 (``overloaded``, ``bad_request``...) are the replica's verdict and
 pass through untouched; only connection-class failures count against a
 replica.
@@ -40,15 +42,8 @@ from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError, ReproError
 from repro.gateway.client import GatewayClient
-from repro.gateway.protocol import (
-    ErrorCode,
-    GatewayError,
-    GatewayRequest,
-    encode,
-    error_payload,
-    ok_payload,
-    parse_request,
-)
+from repro.gateway.frontend import FrontEnd, check_transport_config
+from repro.gateway.protocol import ErrorCode, GatewayError, GatewayRequest
 from repro.obs import (
     RingBufferTraceSink,
     Tracer,
@@ -91,7 +86,7 @@ class RouterConfig:
     trace_buffer:
         Ring-buffer capacity in span records.
     max_line_bytes:
-        Framing guard on one request line.
+        Framing guard on one request line (>= 1024, as on the gateway).
     """
 
     host: str = "127.0.0.1"
@@ -131,10 +126,7 @@ class RouterConfig:
                 f"forward_timeout_s must be > 0 (or None), "
                 f"got {self.forward_timeout_s}"
             )
-        if self.drain_timeout_s < 0:
-            raise ConfigurationError(
-                f"drain_timeout_s must be >= 0, got {self.drain_timeout_s}"
-            )
+        check_transport_config(self)
         if self.trace_buffer < 1:
             raise ConfigurationError(
                 f"trace_buffer must be >= 1, got {self.trace_buffer}"
@@ -156,7 +148,7 @@ class _ReplicaLink:
         self.lock = asyncio.Lock()
 
 
-class ClusterRouter:
+class ClusterRouter(FrontEnd):
     """Shard `gateway/v1` requests across replicas; survive their deaths.
 
     Parameters
@@ -170,8 +162,13 @@ class ClusterRouter:
         Front-end tunables.
     """
 
+    _config: RouterConfig
+    _role = "router"
+    _requests_counter = "router_requests"
+    _library_error = ErrorCode.INTERNAL  # e.g. a malformed replica result
+
     def __init__(self, replicas, config: RouterConfig | None = None) -> None:
-        self._config = config or RouterConfig()
+        super().__init__(config or RouterConfig(), MetricsRegistry())
         self._links: dict[str, _ReplicaLink] = {}
         for replica in replicas:
             if "/" in replica.name:
@@ -191,7 +188,6 @@ class ClusterRouter:
         self._ring = ConsistentHashRing(
             self._links, points_per_node=self._config.points_per_node
         )
-        self._metrics = MetricsRegistry()
         for name in (
             "router_requests",
             "router_searches",
@@ -208,98 +204,35 @@ class ClusterRouter:
         if self._config.trace:
             self._trace_ring = RingBufferTraceSink(self._config.trace_buffer)
             self._tracer = Tracer(self._trace_ring)
-        self._server: asyncio.AbstractServer | None = None
         self._pinger: asyncio.Task | None = None
-        self._draining = False
-        self._tasks: set[asyncio.Task] = set()
-        self._connections: set[asyncio.StreamWriter] = set()
 
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
-        if self._server is not None:
-            raise ReproError("router already started")
-        self._draining = False
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=self._config.host,
-            port=self._config.port,
-            limit=self._config.max_line_bytes,
-        )
+        await super().start()
         if self._config.ping_interval_s > 0:
             self._pinger = asyncio.create_task(self._ping_loop())
-
-    @property
-    def port(self) -> int:
-        if self._server is None or not self._server.sockets:
-            raise ReproError("router is not listening")
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     @property
     def replicas_up(self) -> tuple[str, ...]:
         """Names currently in the ring."""
         return self._ring.nodes
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
     async def stop(self) -> None:
-        """Drain: refuse new requests, finish in-flight, close links."""
-        self._draining = True
+        """Drain: stop pinging, then :meth:`FrontEnd.stop`, then close
+        the replica links the in-flight requests were using."""
+        self._draining = True  # refuse while the pinger winds down too
         if self._pinger is not None:
             self._pinger.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._pinger
             self._pinger = None
-        server, self._server = self._server, None
-        if server is not None:
-            server.close()
-        drain_deadline = time.monotonic() + self._config.drain_timeout_s
-        while self._tasks:
-            remaining = drain_deadline - time.monotonic()
-            pending = set(self._tasks)
-            if remaining <= 0:
-                for task in pending:
-                    task.cancel()
-                await asyncio.gather(*pending, return_exceptions=True)
-                break
-            done, still_pending = await asyncio.wait(
-                pending, timeout=remaining
-            )
-            if still_pending:
-                for task in still_pending:
-                    task.cancel()
-                await asyncio.gather(*still_pending, return_exceptions=True)
-                break
-        for writer in list(self._connections):
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-        self._connections.clear()
-        if server is not None:
-            with contextlib.suppress(Exception):
-                await server.wait_closed()
+        await super().stop()
         for link in self._links.values():
             if link.client is not None:
                 with contextlib.suppress(Exception):
                     await link.client.close()
                 link.client = None
-
-    async def __aenter__(self) -> "ClusterRouter":
-        if self._server is None:
-            await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()
 
     def drain_replica(self, name: str) -> None:
         """Take one replica out of rotation without marking it dead.
@@ -371,129 +304,27 @@ class ClusterRouter:
                 )
             return link.client
 
-    # -- connection handling ---------------------------------------------------
+    # -- ops -------------------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        write_lock = asyncio.Lock()
-        connection_tasks: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._write(
-                        writer,
-                        write_lock,
-                        error_payload(
-                            None,
-                            ErrorCode.BAD_REQUEST,
-                            f"request line exceeds "
-                            f"{self._config.max_line_bytes} bytes",
-                        ),
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.create_task(
-                    self._process(line, writer, write_lock)
-                )
-                connection_tasks.add(task)
-                self._tasks.add(task)
-                task.add_done_callback(connection_tasks.discard)
-                task.add_done_callback(self._tasks.discard)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            if connection_tasks:
-                await asyncio.wait(connection_tasks)
-            self._connections.discard(writer)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-        payload: dict,
-    ) -> None:
-        try:
-            async with lock:
-                writer.write(encode(payload))
-                await writer.drain()
-        except (ConnectionError, RuntimeError):
-            pass
-
-    async def _process(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
-        self._metrics.counter("router_requests").inc()
-        request_id = None
-        try:
-            request = parse_request(line)
-            request_id = request.id
-            if request.op == "ping":
-                payload = ok_payload(
-                    request_id,
-                    {
-                        "pong": True,
-                        "draining": self._draining,
-                        "replicas": len(self._ring),
-                    },
-                )
-            elif request.op == "metrics":
-                payload = ok_payload(
-                    request_id, await self._aggregate("metrics")
-                )
-            elif request.op == "stats":
-                payload = ok_payload(
-                    request_id, await self._aggregate("stats")
-                )
-            elif request.op == "trace":
-                spans = (
-                    []
-                    if self._trace_ring is None
-                    else self._trace_ring.recent(request.limit)
-                )
-                payload = ok_payload(
-                    request_id,
-                    {"enabled": self._tracer is not None, "spans": spans},
-                )
-            elif request.op == "fetch":
-                payload = ok_payload(
-                    request_id, await self._route_fetch(request)
-                )
-            else:
-                payload = ok_payload(
-                    request_id, await self._route_search(request)
-                )
-        except asyncio.CancelledError:
-            raise
-        except GatewayError as error:
-            if request_id is None:
-                request_id = error.request_id  # parse failed past the id
-            payload = error_payload(
-                request_id, error.code, str(error), error.retry_after_ms
+    async def _dispatch(self, request: GatewayRequest) -> object:
+        if request.op == "ping":
+            return {
+                "pong": True,
+                "draining": self._draining,
+                "replicas": len(self._ring),
+            }
+        if request.op in ("metrics", "stats"):
+            return await self._aggregate(request.op)
+        if request.op == "trace":
+            spans = (
+                []
+                if self._trace_ring is None
+                else self._trace_ring.recent(request.limit)
             )
-        except ReproError as error:
-            payload = error_payload(
-                request_id, ErrorCode.INTERNAL, str(error)
-            )
-        except Exception as error:  # noqa: BLE001 - boundary
-            payload = error_payload(
-                request_id,
-                ErrorCode.INTERNAL,
-                f"{type(error).__name__}: {error}",
-            )
-        await self._write(writer, write_lock, payload)
+            return {"enabled": self._tracer is not None, "spans": spans}
+        if request.op == "fetch":
+            return await self._route_fetch(request)
+        return await self._route_search(request)
 
     # -- aggregation ops -------------------------------------------------------
 
@@ -669,10 +500,7 @@ class ClusterRouter:
         return result
 
     def __repr__(self) -> str:
-        state = "draining" if self._draining else (
-            "listening" if self._server is not None else "stopped"
-        )
         return (
-            f"ClusterRouter({state}, replicas={len(self._ring)}/"
+            f"ClusterRouter({self._state()}, replicas={len(self._ring)}/"
             f"{len(self._links)})"
         )

@@ -27,9 +27,10 @@ deployment puts in front of resource selection:
   answer returns *degraded*, never an exception; an already-expired
   deadline yields the pure no-probe RD selection (``max_probes=0``
   contract).
-* **Graceful drain** — :meth:`stop` stops accepting connections,
-  refuses new requests with ``shutting_down``, lets in-flight requests
-  finish, then releases the executor.
+* **Graceful drain** — the shared `gateway/v1` transport
+  (:class:`~repro.gateway.frontend.FrontEnd`) drains the connections;
+  ``gateway.admit`` refuses new requests with ``shutting_down``, and the
+  executor is released last.
 
 The backend stays the thread-pooled :class:`MetasearchService`: each
 admitted request runs ``serve`` through ``run_in_executor`` on a pool
@@ -64,16 +65,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.core.deadline import Deadline
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import ConfigurationError
+from repro.gateway.frontend import FrontEnd, check_transport_config
 from repro.gateway.protocol import (
     ErrorCode,
     GatewayError,
     GatewayRequest,
     answer_payload,
-    encode,
-    error_payload,
-    ok_payload,
-    parse_request,
 )
 from repro.obs import collecting_trace, current_trace_id, span, trace_active
 from repro.service.cache import SelectionCache
@@ -156,14 +154,7 @@ class GatewayConfig:
                 f"default_deadline_ms must be >= 0, "
                 f"got {self.default_deadline_ms}"
             )
-        if self.drain_timeout_s < 0:
-            raise ConfigurationError(
-                f"drain_timeout_s must be >= 0, got {self.drain_timeout_s}"
-            )
-        if self.max_line_bytes < 1024:
-            raise ConfigurationError(
-                f"max_line_bytes must be >= 1024, got {self.max_line_bytes}"
-            )
+        check_transport_config(self)
         if self.cursor_ttl_s is not None and self.cursor_ttl_s <= 0:
             raise ConfigurationError(
                 f"cursor_ttl_s must be > 0 (or None for no expiry), "
@@ -180,7 +171,7 @@ class GatewayConfig:
             )
 
 
-class MetasearchGateway:
+class MetasearchGateway(FrontEnd):
     """Deadline-aware, coalescing, load-shedding TCP gateway.
 
     Parameters
@@ -192,14 +183,20 @@ class MetasearchGateway:
         Front-end tunables.
     """
 
+    _config: GatewayConfig
+    _role = "gateway"
+    _requests_counter = "gateway_requests"
+    # Library-level rejections (e.g. a query that analyzes to no terms)
+    # are the client's fault, not the gateway's.
+    _library_error = ErrorCode.BAD_REQUEST
+
     def __init__(
         self,
         service: MetasearchService,
         config: GatewayConfig | None = None,
     ) -> None:
+        super().__init__(config or GatewayConfig(), service.metrics)
         self._service = service
-        self._config = config or GatewayConfig()
-        self._metrics = service.metrics
         # Pre-registered instruments: stable snapshot key-sets across
         # idle, loaded and degraded gateways.
         for name in (
@@ -223,29 +220,22 @@ class MetasearchGateway:
             ttl_s=self._config.cursor_ttl_s,
             max_entries=self._config.cursor_entries,
         )
-        self._server: asyncio.AbstractServer | None = None
         self._pool: ThreadPoolExecutor | None = None
         self._semaphore: asyncio.Semaphore | None = None
         self._admitted = 0
         self._inflight = 0
-        self._draining = False
-        self._tasks: set[asyncio.Task] = set()
-        self._connections: set[asyncio.StreamWriter] = set()
         self._calls_inflight: dict[tuple, asyncio.Future] = {}
 
     # -- lifecycle ------------------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind the listen socket and start accepting connections.
+    async def _prepare(self) -> None:
+        """Open the bridging thread pool; warm the selection pool.
 
         A service with a selection pool gets its workers spawned before
         the socket binds, so the first request does not pay for the
         spawn. A pool that cannot spawn does not stop the gateway: the
         service already falls back to in-process selection.
         """
-        if self._server is not None:
-            raise ReproError("gateway already started")
-        self._draining = False
         self._semaphore = asyncio.Semaphore(self._config.max_inflight)
         self._pool = ThreadPoolExecutor(
             max_workers=self._config.max_inflight,
@@ -257,24 +247,6 @@ class MetasearchGateway:
                 await asyncio.get_running_loop().run_in_executor(
                     self._pool, selection_pool.ping
                 )
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=self._config.host,
-            port=self._config.port,
-            limit=self._config.max_line_bytes,
-        )
-
-    @property
-    def port(self) -> int:
-        """The bound TCP port (raises before :meth:`start`)."""
-        if self._server is None or not self._server.sockets:
-            raise ReproError("gateway is not listening")
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def draining(self) -> bool:
-        """Whether :meth:`stop` has begun refusing new requests."""
-        return self._draining
 
     @property
     def inflight(self) -> int:
@@ -291,200 +263,45 @@ class MetasearchGateway:
         """Request tasks not yet finished (0 after a clean drain)."""
         return len(self._tasks)
 
-    async def serve_forever(self) -> None:
-        """Block serving requests until cancelled."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
     async def stop(self) -> None:
-        """Graceful drain: finish in-flight work, refuse the rest.
+        """Graceful drain, then release the executor.
 
-        Idempotent. New connections are refused first, then new
-        requests on existing connections (typed ``shutting_down``
-        responses); in-flight requests get ``drain_timeout_s`` to
-        finish before being cancelled.
+        Idempotent. The drain is :meth:`FrontEnd.stop`; the executor
+        shutdown then waits for backend threads still serving, including
+        one whose request task the drain timeout cancelled.
         """
-        self._draining = True
-        server, self._server = self._server, None
-        if server is not None:
-            # Stop accepting new connections. wait_closed() comes only
-            # after the per-connection writers are closed below: on
-            # newer Pythons it waits for connection handlers too, and
-            # those exit only once their client — or we — hang up.
-            server.close()
-        # Requests keep arriving on open connections while we drain (and
-        # are refused with `shutting_down`), so new tasks can appear
-        # after any one snapshot: keep waiting until the set is empty or
-        # the drain budget runs out.
-        drain_deadline = time.monotonic() + self._config.drain_timeout_s
-        while self._tasks:
-            remaining = drain_deadline - time.monotonic()
-            pending = set(self._tasks)
-            if remaining <= 0:
-                for task in pending:
-                    task.cancel()
-                await asyncio.gather(*pending, return_exceptions=True)
-                break
-            done, still_pending = await asyncio.wait(
-                pending, timeout=remaining
-            )
-            if still_pending:
-                for task in still_pending:
-                    task.cancel()
-                await asyncio.gather(*still_pending, return_exceptions=True)
-                break
-        for writer in list(self._connections):
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-        self._connections.clear()
-        if server is not None:
-            with contextlib.suppress(Exception):
-                await server.wait_closed()
+        await super().stop()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    async def __aenter__(self) -> "MetasearchGateway":
-        if self._server is None:
-            await self.start()
-        return self
+    # -- ops -------------------------------------------------------------------
 
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()
-
-    # -- connection handling ---------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        write_lock = asyncio.Lock()
-        connection_tasks: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._write(
-                        writer,
-                        write_lock,
-                        error_payload(
-                            None,
-                            ErrorCode.BAD_REQUEST,
-                            f"request line exceeds "
-                            f"{self._config.max_line_bytes} bytes",
-                        ),
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                # Pipelining: each request is its own task so one slow
-                # search does not block a ping behind it; responses are
-                # matched by id, not order.
-                task = asyncio.create_task(
-                    self._process(line, writer, write_lock)
-                )
-                connection_tasks.add(task)
-                self._tasks.add(task)
-                task.add_done_callback(connection_tasks.discard)
-                task.add_done_callback(self._tasks.discard)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            if connection_tasks:
-                # Let in-flight requests write their responses before the
-                # connection is torn down.
-                await asyncio.wait(connection_tasks)
-            self._connections.discard(writer)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-        payload: dict,
-    ) -> None:
-        try:
-            async with lock:
-                writer.write(encode(payload))
-                await writer.drain()
-        except (ConnectionError, RuntimeError):
-            pass  # client hung up; the answer dies with the connection
-
-    async def _process(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
-        self._metrics.counter("gateway_requests").inc()
-        request_id = None
-        try:
-            request = parse_request(line)
-            request_id = request.id
-            if request.op == "ping":
-                payload = ok_payload(
-                    request_id,
-                    {"pong": True, "draining": self._draining},
-                )
-            elif request.op == "metrics":
-                payload = ok_payload(request_id, self._service.snapshot())
-            elif request.op == "trace":
-                tracer = self._service.tracer
-                payload = ok_payload(
-                    request_id,
-                    {
-                        "enabled": tracer is not None,
-                        "spans": self._service.trace_spans(request.limit),
-                    },
-                )
-            elif request.op == "stats":
-                payload = ok_payload(request_id, self._stats())
-            elif request.op == "fetch":
-                payload = ok_payload(request_id, self._fetch(request))
-            elif request.trace is not None:
-                # A routed request (see repro.cluster): adopt the
-                # router's trace position, collect every span this
-                # request opens — gateway, service, pool, probes — and
-                # ship them back in the response, where the router
-                # replays them into its own tree. The same protocol the
-                # selection pool uses across its process boundary.
-                with collecting_trace(request.trace) as records:
-                    result = await self._traced_search(request)
-                result["served"]["spans"] = records
-                payload = ok_payload(request_id, result)
-            else:
-                result = await self._traced_search(request)
-                payload = ok_payload(request_id, result)
-        except asyncio.CancelledError:
-            raise
-        except GatewayError as error:
-            if request_id is None:
-                request_id = error.request_id  # parse failed past the id
-            payload = error_payload(
-                request_id, error.code, str(error), error.retry_after_ms
-            )
-        except ReproError as error:
-            # Library-level rejections (e.g. a query that analyzes to no
-            # terms) are the client's fault, not the gateway's.
-            payload = error_payload(
-                request_id, ErrorCode.BAD_REQUEST, str(error)
-            )
-        except Exception as error:  # noqa: BLE001 - boundary
-            payload = error_payload(
-                request_id,
-                ErrorCode.INTERNAL,
-                f"{type(error).__name__}: {error}",
-            )
-        await self._write(writer, write_lock, payload)
+    async def _dispatch(self, request: GatewayRequest) -> object:
+        if request.op == "ping":
+            return {"pong": True, "draining": self._draining}
+        if request.op == "metrics":
+            return self._service.snapshot()
+        if request.op == "trace":
+            return {
+                "enabled": self._service.tracer is not None,
+                "spans": self._service.trace_spans(request.limit),
+            }
+        if request.op == "stats":
+            return self._stats()
+        if request.op == "fetch":
+            return self._fetch(request)
+        if request.trace is None:
+            return await self._traced_search(request)
+        # A routed request (see repro.cluster): adopt the router's trace
+        # position, collect every span this request opens — gateway,
+        # service, pool, probes — and ship them back in the response,
+        # where the router replays them into its own tree. The same
+        # protocol the selection pool uses across its process boundary.
+        with collecting_trace(request.trace) as records:
+            result = await self._traced_search(request)
+        result["served"]["spans"] = records
+        return result
 
     # -- search path -----------------------------------------------------------
 
@@ -500,7 +317,7 @@ class MetasearchGateway:
         if tracer is None and not trace_active():
             return await self._search(request)
         # A routed request arrives with the router's trace adopted
-        # (collecting_trace in _process): open gateway.request as a
+        # (collecting_trace in _dispatch): open gateway.request as a
         # *child* of the router's span instead of minting a new root,
         # so one tree covers router -> replica gateway -> pool.
         context = (
@@ -803,10 +620,7 @@ class MetasearchGateway:
         )
 
     def __repr__(self) -> str:
-        state = "draining" if self._draining else (
-            "listening" if self._server is not None else "stopped"
-        )
         return (
-            f"MetasearchGateway({state}, inflight={self._inflight}, "
+            f"MetasearchGateway({self._state()}, inflight={self._inflight}, "
             f"queued={self.queued})"
         )

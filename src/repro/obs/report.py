@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from repro.stats.rank import percentile
+
 __all__ = ["tier_breakdown", "format_tier_breakdown", "load_spans"]
 
 
@@ -27,14 +29,6 @@ def load_spans(path: str) -> list[dict]:
             if line:
                 records.append(json.loads(line))
     return records
-
-
-def _percentile(ordered: list[float], q: float) -> float:
-    """Nearest-rank percentile on an already-sorted list."""
-    if not ordered:
-        return 0.0
-    rank = max(0, min(len(ordered) - 1, round(q * (len(ordered) - 1))))
-    return ordered[rank]
 
 
 def tier_breakdown(
@@ -66,8 +60,8 @@ def tier_breakdown(
             "count": len(walls),
             "total_ms": sum(walls),
             "mean_ms": sum(walls) / len(walls),
-            "p50_ms": _percentile(walls, 0.50),
-            "p95_ms": _percentile(walls, 0.95),
+            "p50_ms": percentile(walls, 50),
+            "p95_ms": percentile(walls, 95),
             "max_ms": walls[-1],
         }
     return dict(

@@ -24,6 +24,7 @@ import json
 import threading
 
 from repro.exceptions import ConfigurationError
+from repro.stats.rank import percentile
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
@@ -109,12 +110,6 @@ class Gauge:
         return f"Gauge({self.name!r}, value={self.value})"
 
 
-def _percentile(ordered: list[float], pct: float) -> float:
-    """Nearest-rank percentile of an already sorted, non-empty series."""
-    rank = max(1, round(pct / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
 class Histogram:
     """A thread-safe value series summarized on snapshot.
 
@@ -179,7 +174,7 @@ class Histogram:
             "max": ordered[-1],
         }
         for pct in _PERCENTILES:
-            window[f"p{pct:g}"] = _percentile(ordered, pct)
+            window[f"p{pct:g}"] = percentile(ordered, pct)
         return {
             "count": count,
             "sum": round(total, 9),

@@ -9,6 +9,8 @@ client must not be able to tell them apart.
 """
 
 import asyncio
+import contextlib
+import json
 import socket
 
 import pytest
@@ -33,7 +35,13 @@ from repro.gateway.client import (
     retry_backoff_s,
 )
 from repro.gateway.gateway import GatewayConfig, MetasearchGateway
-from repro.gateway.protocol import ErrorCode, GatewayError
+from repro.gateway.protocol import (
+    PROTOCOL_VERSION,
+    ErrorCode,
+    GatewayError,
+    encode,
+    ok_payload,
+)
 from repro.service.server import MetasearchService, ServiceConfig
 from repro.types import Query
 
@@ -338,7 +346,10 @@ def endpoint(request, trained_metasearcher):
     class Endpoint:
         kind = request.param
 
-        def __init__(self):
+        def __init__(self, **front_config):
+            # Fields GatewayConfig and RouterConfig share (for example
+            # drain_timeout_s), applied to whichever front end listens.
+            self._front_config = front_config
             self._router = None
             self._replicas = []
             self._gateway = None
@@ -348,16 +359,28 @@ def endpoint(request, trained_metasearcher):
             if self.kind == "direct":
                 self._service = make_service(trained_metasearcher)
                 self._gateway = MetasearchGateway(
-                    self._service, GatewayConfig()
+                    self._service, GatewayConfig(**self._front_config)
                 )
                 await self._gateway.start()
                 self.port = self._gateway.port
             else:
                 self._router, self._replicas = await start_cluster(
-                    trained_metasearcher, 1
+                    trained_metasearcher, 1, **self._front_config
                 )
                 self.port = self._router.port
             return self
+
+        @property
+        def front(self):
+            """The front end listening on :attr:`port`."""
+            return self._gateway if self.kind == "direct" else self._router
+
+        @property
+        def backend(self):
+            """The service that answers this endpoint's searches."""
+            if self.kind == "direct":
+                return self._service
+            return self._replicas[0].service
 
         async def __aexit__(self, *exc_info):
             if self.kind == "direct":
@@ -367,6 +390,25 @@ def endpoint(request, trained_metasearcher):
                 await stop_cluster(self._router, self._replicas)
 
     return Endpoint
+
+
+def probing_text(trained_metasearcher, health_queries):
+    """A query whose prior is uncertain, so serving it really probes."""
+    query = next(
+        q
+        for q in health_queries[40:]
+        if trained_metasearcher.select_without_probing(
+            q, k=2
+        ).expected_correctness
+        < 0.999
+    )
+    return " ".join(query.terms)
+
+
+async def wait_for_probe(slow, task):
+    """Yield until the backend is probing for *task* (or it finished)."""
+    while slow.calls == 0 and not task.done():
+        await asyncio.sleep(0.005)
 
 
 class TestClusterOfOneTransparency:
@@ -471,6 +513,135 @@ class TestClusterOfOneTransparency:
 
         assert run(scenario()) is ErrorCode.NOT_FOUND
 
+    def test_oversized_line_gets_one_error_then_eof(self, endpoint):
+        async def scenario():
+            async with endpoint() as ep:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", ep.port
+                )
+                try:
+                    writer.write(b"x" * (64 * 1024 + 64) + b"\n")
+                    await writer.drain()
+                    reply = await reader.readline()
+                    rest = await reader.read()
+                finally:
+                    writer.close()
+                    with contextlib.suppress(ConnectionError):
+                        await writer.wait_closed()
+                return json.loads(reply), rest
+
+        reply, rest = run(scenario())
+        assert reply["id"] is None
+        assert reply["ok"] is False
+        assert reply["error"] == {
+            "code": "bad_request",
+            "message": "request line exceeds 65536 bytes",
+        }
+        assert rest == b""
+
+    def test_ping_overtakes_a_slow_search(
+        self, endpoint, trained_metasearcher, health_queries
+    ):
+        from tests.test_gateway import slow_down
+
+        text = probing_text(trained_metasearcher, health_queries)
+
+        async def scenario():
+            async with endpoint() as ep:
+                slow_down(ep.backend, delay_s=0.2)
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", ep.port
+                )
+                try:
+                    for request in (
+                        {"op": "search", "id": 1, "query": text,
+                         "k": 2, "certainty": 1.0},
+                        {"op": "ping", "id": 2},
+                    ):
+                        writer.write(
+                            encode({"v": PROTOCOL_VERSION, **request})
+                        )
+                    await writer.drain()
+                    first = json.loads(await reader.readline())
+                    second = json.loads(await reader.readline())
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+                return first, second
+
+        first, second = run(scenario())
+        assert first["id"] == 2
+        assert first["result"]["pong"] is True
+        assert second["id"] == 1
+        assert second["ok"] is True
+        assert second["result"]["answer"]["selected"]
+
+    def test_drain_finishes_inflight_and_refuses_new(
+        self, endpoint, trained_metasearcher, health_queries
+    ):
+        from tests.test_gateway import slow_down
+
+        text = probing_text(trained_metasearcher, health_queries)
+
+        async def scenario():
+            async with endpoint() as ep:
+                slow = slow_down(ep.backend, delay_s=0.25)
+                client = await GatewayClient.connect("127.0.0.1", ep.port)
+                try:
+                    inflight = asyncio.create_task(
+                        client.search(text, k=2, certainty=1.0)
+                    )
+                    await wait_for_probe(slow, inflight)
+                    drain = asyncio.create_task(ep.front.stop())
+                    while not ep.front.draining:
+                        await asyncio.sleep(0)
+                    with pytest.raises(GatewayError) as excinfo:
+                        await client.search(text, k=1)
+                    result = await inflight
+                    await drain
+                finally:
+                    await client.close()
+                # Private on purpose: the router exposes no open_tasks.
+                return result, excinfo.value.code, len(ep.front._tasks)
+
+        result, refused, leaked = run(scenario())
+        assert result["answer"]["selected"]
+        assert refused is ErrorCode.SHUTTING_DOWN
+        assert leaked == 0
+
+    def test_drain_timeout_cancels_the_straggler(
+        self, endpoint, trained_metasearcher, health_queries
+    ):
+        from tests.test_gateway import slow_down
+
+        text = probing_text(trained_metasearcher, health_queries)
+
+        async def scenario():
+            async with endpoint(drain_timeout_s=0.05) as ep:
+                slow = slow_down(ep.backend, delay_s=0.3)
+                client = await GatewayClient.connect("127.0.0.1", ep.port)
+                try:
+                    inflight = asyncio.create_task(
+                        client.search(text, k=2, certainty=1.0)
+                    )
+                    await wait_for_probe(slow, inflight)
+                    stragglers = set(ep.front._tasks)
+                    await ep.front.stop()
+                    outcome = (await asyncio.gather(
+                        inflight, return_exceptions=True
+                    ))[0]
+                finally:
+                    await client.close()
+                return stragglers, outcome, len(ep.front._tasks)
+
+        stragglers, outcome, leaked = run(scenario())
+        assert stragglers
+        assert all(task.cancelled() for task in stragglers)
+        # No answer, typed or otherwise: the connection closed under it.
+        assert isinstance(outcome, (ReproError, ConnectionError))
+        assert not isinstance(outcome, GatewayError)
+        assert leaked == 0
+
 
 class TestRouterSemantics:
     def test_sharding_is_sticky_and_spreads(self, trained_metasearcher):
@@ -539,6 +710,44 @@ class TestRouterSemantics:
                 await stop_cluster(router, replicas)
 
         assert run(scenario()) is ErrorCode.BAD_REQUEST
+
+    def test_malformed_replica_result_is_internal(self):
+        async def answer_with_a_list(reader, writer):
+            while line := await reader.readline():
+                request = json.loads(line)
+                writer.write(encode(ok_payload(request.get("id"), [1, 2])))
+                await writer.drain()
+            writer.close()
+
+        class ListReplica:
+            name, host = "r0", "127.0.0.1"
+
+        async def scenario():
+            server = await asyncio.start_server(
+                answer_with_a_list, "127.0.0.1", 0
+            )
+            replica = ListReplica()
+            replica.port = server.sockets[0].getsockname()[1]
+            router = ClusterRouter(
+                [replica], RouterConfig(ping_interval_s=0)
+            )
+            await router.start()
+            try:
+                client = await GatewayClient.connect(
+                    "127.0.0.1", router.port
+                )
+                with pytest.raises(GatewayError) as excinfo:
+                    await client.search("breast cancer", k=2)
+                await client.close()
+            finally:
+                await router.stop()
+                server.close()
+                await server.wait_closed()
+            return excinfo.value
+
+        error = run(scenario())
+        assert error.code is ErrorCode.INTERNAL
+        assert str(error) == "malformed replica result: [1, 2]"
 
     def test_drain_and_restore_replica(self, trained_metasearcher):
         async def scenario():
@@ -632,6 +841,10 @@ class TestRouterSemantics:
             RouterConfig(points_per_node=0)
         with pytest.raises(ConfigurationError):
             RouterConfig(unhealthy_after=0)
+        with pytest.raises(ConfigurationError):
+            RouterConfig(ping_interval_s=0, max_line_bytes=0)
+        with pytest.raises(ConfigurationError):
+            RouterConfig(ping_interval_s=0, max_line_bytes=10)
         with pytest.raises(ConfigurationError):
             ClusterRouter([])
 

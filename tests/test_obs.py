@@ -282,6 +282,17 @@ class TestTierBreakdown:
         assert probes["p50_ms"] == pytest.approx(30.0)
         assert probes["max_ms"] == pytest.approx(50.0)
 
+    def test_percentiles_are_nearest_rank(self):
+        # The same rule as repro.bench.percentile and the metrics
+        # histograms: p50 of four spans is the second, not the third.
+        records = [
+            {"name": "service.serve", "wall_ms": wall}
+            for wall in (40.0, 10.0, 30.0, 20.0)
+        ]
+        stats = tier_breakdown(records)["service.serve"]
+        assert stats["p50_ms"] == 20.0
+        assert stats["p95_ms"] == 40.0
+
     def test_format_renders_every_tier(self):
         table = format_tier_breakdown(tier_breakdown(self.RECORDS))
         lines = table.split("\n")
