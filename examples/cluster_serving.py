@@ -17,10 +17,12 @@ demonstrates the cluster's behaviours from a single client:
 Run:  python examples/cluster_serving.py
 
 Environment knobs (used by CI to smoke-run at a tiny scale):
-REPRO_EXAMPLE_SCALE, REPRO_EXAMPLE_TRAIN, REPRO_EXAMPLE_TEST,
-REPRO_CLUSTER_REPLICAS (replica count, the same knob the `cluster`
-CLI command reads), REPRO_CACHE_TIER (point replicas at an
-externally-run cache tier instead of owning one).
+REPRO_EXAMPLE_SCALE, REPRO_EXAMPLE_TRAIN, REPRO_EXAMPLE_TEST, plus two
+of the library's knobs, read through `repro.knobs` exactly as the
+`cluster` CLI command reads them: REPRO_CLUSTER_REPLICAS (replica
+count, default 2) and REPRO_CACHE_TIER (point replicas at an
+externally-run cache tier instead of owning one). The knob table is
+"Environment knobs" in docs/API.md.
 
 See docs/CLUSTER.md for the topology and the protocols.
 """
@@ -30,15 +32,15 @@ from __future__ import annotations
 import asyncio
 import os
 
-from repro.cluster import CLUSTER_REPLICAS_ENV, LocalCluster, ReplicaSpec
+from repro import knobs
+from repro.cluster import LocalCluster, ReplicaSpec
 from repro.gateway.client import GatewayClient
-from repro.service.server import CACHE_TIER_ENV
 
 SCALE = float(os.environ.get("REPRO_EXAMPLE_SCALE", "0.05"))
 N_TRAIN = int(os.environ.get("REPRO_EXAMPLE_TRAIN", "120"))
 N_TEST = int(os.environ.get("REPRO_EXAMPLE_TEST", "20"))
-REPLICAS = int(os.environ.get(CLUSTER_REPLICAS_ENV, "") or 2)
-TIER_ADDRESS = os.environ.get(CACHE_TIER_ENV) or None
+REPLICAS = knobs.cluster_replicas()
+TIER_ADDRESS = knobs.cache_tier()
 
 QUERIES = [
     "breast cancer chemotherapy",

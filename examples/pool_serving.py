@@ -9,8 +9,11 @@ selections, same probe orders, same certainties.
 Run:  python examples/pool_serving.py
 
 Environment knobs (used by CI to smoke-run at a tiny scale):
-REPRO_EXAMPLE_SCALE, REPRO_EXAMPLE_TRAIN, REPRO_POOL_WORKERS
-(the pool size; the same knob `ServiceConfig` reads in production).
+REPRO_EXAMPLE_SCALE, REPRO_EXAMPLE_TRAIN, REPRO_POOL_WORKERS (the pool
+size). REPRO_POOL_WORKERS is the variable `ServiceConfig` reads, but
+this example defaults it to 2 where `ServiceConfig` defaults it to 0
+(no pool), and passes the value explicitly. The knob table is
+"Environment knobs" in docs/API.md.
 
 See "Execution tiers" in docs/PERFORMANCE.md for when the pool wins:
 threads overlap probe I/O, processes parallelize the CPU-bound

@@ -34,6 +34,7 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro import knobs
 from repro.core.backend import default_backend_name
 from repro.exceptions import ConfigurationError, ReproError
 from repro.stats.rank import percentile
@@ -93,7 +94,7 @@ def _blas() -> str:
 
 
 def environment() -> dict[str, object]:
-    """The host facts a measurement is only meaningful with."""
+    """The host facts and ``REPRO_*`` knobs a measurement depends on."""
     return {
         "cpu_count": _cpu_count(),
         "host_fingerprint": host_fingerprint(),
@@ -102,6 +103,7 @@ def environment() -> dict[str, object]:
         "numpy": np.__version__,
         "blas": _blas(),
         "backend": default_backend_name(),
+        "knobs": knobs.resolved(),
     }
 
 

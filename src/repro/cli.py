@@ -1080,18 +1080,11 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     import asyncio
-    import os
 
-    from repro.cluster import (
-        CLUSTER_REPLICAS_ENV,
-        LocalCluster,
-        ReplicaSpec,
-        RouterConfig,
-    )
+    from repro import knobs
+    from repro.cluster import LocalCluster, ReplicaSpec, RouterConfig
 
-    replicas = args.replicas
-    if replicas is None:
-        replicas = int(os.environ.get(CLUSTER_REPLICAS_ENV, "") or 2)
+    replicas = knobs.cluster_replicas() if args.replicas is None else args.replicas
     spec = ReplicaSpec(
         scale=args.scale,
         seed=args.seed,

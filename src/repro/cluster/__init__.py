@@ -33,7 +33,7 @@ from repro.cluster.cachetier import (
     encode_answer,
     parse_address,
 )
-from repro.cluster.cluster import CLUSTER_REPLICAS_ENV, LocalCluster
+from repro.cluster.cluster import LocalCluster
 from repro.cluster.replica import (
     InProcessReplica,
     ReplicaSpec,
@@ -44,7 +44,6 @@ from repro.cluster.router import ClusterRouter, RouterConfig
 
 __all__ = [
     "CACHE_PROTOCOL_VERSION",
-    "CLUSTER_REPLICAS_ENV",
     "BenchClusterConfig",
     "CacheTierClient",
     "CacheTierServer",

@@ -21,12 +21,7 @@ from repro.cluster.cachetier import CacheTierServer
 from repro.cluster.replica import ReplicaSpec, SubprocessReplica
 from repro.cluster.router import ClusterRouter, RouterConfig
 
-__all__ = ["LocalCluster", "CLUSTER_REPLICAS_ENV"]
-
-#: Env knob: default replica count for the ``cluster`` CLI command and
-#: anything else that builds a :class:`LocalCluster` without an
-#: explicit count: ``REPRO_CLUSTER_REPLICAS=4 python -m repro cluster``.
-CLUSTER_REPLICAS_ENV = "REPRO_CLUSTER_REPLICAS"
+__all__ = ["LocalCluster"]
 
 
 class LocalCluster:

@@ -63,7 +63,13 @@ class ReplicaSpec:
     host: str = "127.0.0.1"
 
     def service_config(self) -> ServiceConfig:
-        return _service_config(self)
+        # A ``None`` here reads its knob in the replica's process.
+        return ServiceConfig(
+            max_workers=self.max_workers,
+            pool_workers=self.pool_workers,
+            cache_tier=self.cache_tier,
+            trace=self.trace,
+        )
 
     def gateway_config(self) -> GatewayConfig:
         return GatewayConfig(
@@ -72,17 +78,6 @@ class ReplicaSpec:
             max_inflight=self.max_inflight,
             max_queue=self.max_queue,
         )
-
-
-def _service_config(spec: ReplicaSpec) -> ServiceConfig:
-    kwargs: dict = {
-        "max_workers": spec.max_workers,
-        "pool_workers": spec.pool_workers,
-        "trace": spec.trace,
-    }
-    if spec.cache_tier is not None:
-        kwargs["cache_tier"] = spec.cache_tier
-    return ServiceConfig(**kwargs)
 
 
 def _replica_main(conn, spec: ReplicaSpec) -> None:
@@ -113,7 +108,7 @@ async def _replica_serve(conn, spec: ReplicaSpec) -> None:
         batch_size=spec.batch_size,
         train_queries_cap=spec.train_queries_cap,
     )
-    service = MetasearchService(metasearcher, _service_config(spec))
+    service = MetasearchService(metasearcher, spec.service_config())
     gateway = MetasearchGateway(service, spec.gateway_config())
     await gateway.start()
     conn.send(("ready", gateway.port))

@@ -10,13 +10,10 @@ certainty is met.
 """
 
 from repro.core.backend import (
-    BACKEND_ENV,
     ArrayBackend,
     available_backends,
     default_backend_name,
     get_backend,
-    register_backend,
-    use_backend,
 )
 from repro.core.correctness import (
     GoldenStandard,
@@ -42,7 +39,6 @@ from repro.core.training import EDTrainer, ErrorModel
 __all__ = [
     "APro",
     "ArrayBackend",
-    "BACKEND_ENV",
     "CorrectnessMetric",
     "DEFAULT_ERROR_EDGES",
     "EDTrainer",
@@ -68,8 +64,6 @@ __all__ = [
     "derive_rds",
     "get_backend",
     "partial_correctness",
-    "register_backend",
     "relative_error",
     "true_topk",
-    "use_backend",
 ]

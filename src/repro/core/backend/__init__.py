@@ -1,32 +1,24 @@
-"""Pluggable numeric backends for the probabilistic top-k core.
+"""Numeric backends for the probabilistic top-k core.
 
 See :mod:`repro.core.backend.base` for the kernel contract and
-:mod:`repro.core.backend.registry` for selection (``REPRO_BACKEND``,
-``use_backend``) and the ``register_backend`` hook for compiled engines.
+:mod:`repro.core.backend.registry` for the two-entry table and how a
+backend is chosen (``backend=``, ``REPRO_BACKEND``).
 """
 
 from repro.core.backend.base import ArrayBackend
 from repro.core.backend.numpy_backend import NumpyBackend
 from repro.core.backend.python_backend import PythonBackend
 from repro.core.backend.registry import (
-    BACKEND_ENV,
     available_backends,
     default_backend_name,
     get_backend,
-    register_backend,
-    unregister_backend,
-    use_backend,
 )
 
 __all__ = [
     "ArrayBackend",
-    "BACKEND_ENV",
     "NumpyBackend",
     "PythonBackend",
     "available_backends",
     "default_backend_name",
     "get_backend",
-    "register_backend",
-    "unregister_backend",
-    "use_backend",
 ]

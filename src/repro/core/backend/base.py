@@ -17,10 +17,10 @@ Two implementations ship in-tree:
   tensor engine: one stacked array pass per kernel, no per-database
   Python iteration.
 
-The registry (:mod:`repro.core.backend.registry`) is the hook for a
-compiled backend later (Cython/C/ISPC): subclass :class:`ArrayBackend`
-(or the numpy backend, overriding only the kernels the compiled path
-accelerates) and :func:`~repro.core.backend.register_backend` it.
+A compiled backend later (Cython/C/ISPC) would subclass
+:class:`ArrayBackend` (or the numpy backend, overriding only the
+kernels the compiled path accelerates) and add one row to the table in
+:mod:`repro.core.backend.registry`.
 
 Equality contract
 -----------------

@@ -1,133 +1,53 @@
-"""Backend registry: name -> :class:`ArrayBackend` singleton.
+"""Backend registry: the fixed name -> :class:`ArrayBackend` table.
 
-Selection order for the default backend:
-
-1. an explicit ``use_backend(...)`` override (tests, benchmarks),
-2. the ``REPRO_BACKEND`` environment variable,
-3. ``"numpy"``.
-
-``register_backend`` is the public hook for out-of-tree engines (for
-example a compiled Cython/C path): register a factory under a new name
-and select it via ``REPRO_BACKEND`` — no core code changes required.
+Two backends ship, ``numpy`` (the default) and ``python`` (the oracle).
+A caller picks one with ``backend=``; otherwise the ``REPRO_BACKEND``
+knob (:mod:`repro.knobs`) does, falling back to ``numpy``. A compiled
+backend, when one is built, is one more row of ``_BACKENDS``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-from typing import Callable, Iterator
-
+from repro import knobs
 from repro.core.backend.base import ArrayBackend
+from repro.core.backend.numpy_backend import NumpyBackend
+from repro.core.backend.python_backend import PythonBackend
 from repro.exceptions import ConfigurationError
 
-__all__ = [
-    "BACKEND_ENV",
-    "available_backends",
-    "default_backend_name",
-    "get_backend",
-    "register_backend",
-    "use_backend",
-]
+__all__ = ["available_backends", "default_backend_name", "get_backend"]
 
-BACKEND_ENV = "REPRO_BACKEND"
-
-_REGISTRY: dict[str, Callable[[], ArrayBackend]] = {}
-_INSTANCES: dict[str, ArrayBackend] = {}
-_OVERRIDE: list[str] = []
-
-
-def register_backend(
-    name: str, factory: Callable[[], ArrayBackend], *, replace: bool = False
-) -> None:
-    """Register ``factory`` under ``name`` (lowercased).
-
-    ``factory`` is called at most once; the instance is cached. Pass
-    ``replace=True`` to override an existing registration (the cached
-    instance, if any, is dropped).
-    """
-
-    key = str(name).strip().lower()
-    if not key:
-        raise ConfigurationError("backend name must be non-empty")
-    if not replace and key in _REGISTRY:
-        raise ConfigurationError(f"backend {key!r} is already registered")
-    _REGISTRY[key] = factory
-    _INSTANCES.pop(key, None)
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a registration (primarily for tests of the hook itself)."""
-
-    key = str(name).strip().lower()
-    _REGISTRY.pop(key, None)
-    _INSTANCES.pop(key, None)
+_BACKENDS: dict[str, ArrayBackend] = {
+    backend.name: backend for backend in (NumpyBackend(), PythonBackend())
+}
 
 
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
+    """Backend names, sorted."""
 
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_BACKENDS))
 
 
 def default_backend_name() -> str:
-    """Resolve the active default backend name (override > env > numpy)."""
+    """The ``REPRO_BACKEND`` knob, falling back to ``numpy``."""
 
-    if _OVERRIDE:
-        return _OVERRIDE[-1]
-    raw = os.environ.get(BACKEND_ENV)
-    if raw is None or not raw.strip():
-        return "numpy"
-    key = raw.strip().lower()
-    if key not in _REGISTRY:
-        raise ConfigurationError(
-            f"{BACKEND_ENV}={raw!r} names an unknown backend; "
-            f"available: {', '.join(available_backends())}"
-        )
-    return key
+    return knobs.backend()
 
 
 def get_backend(spec: "str | ArrayBackend | None" = None) -> ArrayBackend:
     """Resolve ``spec`` to a backend instance.
 
-    ``None`` resolves the default (override > ``REPRO_BACKEND`` >
-    ``numpy``); a string is looked up in the registry; an
-    :class:`ArrayBackend` instance passes through unchanged.
+    ``None`` resolves the default (``REPRO_BACKEND`` > ``numpy``); a
+    string is looked up in the table; an :class:`ArrayBackend`
+    instance passes through unchanged.
     """
 
     if isinstance(spec, ArrayBackend):
         return spec
     name = default_backend_name() if spec is None else str(spec).strip().lower()
-    instance = _INSTANCES.get(name)
-    if instance is None:
-        factory = _REGISTRY.get(name)
-        if factory is None:
-            raise ConfigurationError(
-                f"unknown backend {name!r}; "
-                f"available: {', '.join(available_backends())}"
-            )
-        instance = factory()
-        _INSTANCES[name] = instance
-    return instance
-
-
-@contextlib.contextmanager
-def use_backend(name: str) -> Iterator[ArrayBackend]:
-    """Temporarily make ``name`` the default backend (re-entrant)."""
-
-    backend = get_backend(name)
-    _OVERRIDE.append(backend.name)
-    try:
-        yield backend
-    finally:
-        _OVERRIDE.pop()
-
-
-def _register_builtin_backends() -> None:
-    from repro.core.backend.numpy_backend import NumpyBackend
-    from repro.core.backend.python_backend import PythonBackend
-
-    register_backend("numpy", NumpyBackend, replace=True)
-    register_backend("python", PythonBackend, replace=True)
-
-
-_register_builtin_backends()
+    backend = _BACKENDS.get(name)
+    if backend is None:
+        raise ConfigurationError(
+            f"unknown backend {name!r}; "
+            f"available: {', '.join(available_backends())}"
+        )
+    return backend

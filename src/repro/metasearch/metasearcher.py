@@ -12,10 +12,10 @@ One object owning the whole pipeline of Fig. 1:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
+from repro import knobs
 from repro.core.policies import GreedyUsefulnessPolicy, ProbePolicy
 from repro.core.probing import APro, ProbeSession
 from repro.core.query_types import QueryTypeClassifier
@@ -35,26 +35,7 @@ from repro.summaries.summary import ContentSummary
 from repro.text.analyzer import Analyzer
 from repro.types import Query
 
-__all__ = [
-    "MetasearcherConfig",
-    "Metasearcher",
-    "MetasearchAnswer",
-    "PREFILTER_ENV",
-]
-
-#: Environment knob selecting the candidate-pruning mode when
-#: ``MetasearcherConfig.prune_mode`` is left unset. Empty/``"0"``/
-#: ``"off"`` disable pruning, ``"1"``/``"exact"`` enable the
-#: answer-identical bound pruning.
-PREFILTER_ENV = "REPRO_PREFILTER"
-
-_PRUNE_MODE_ALIASES = {
-    "": "off",
-    "0": "off",
-    "off": "off",
-    "1": "exact",
-    "exact": "exact",
-}
+__all__ = ["MetasearcherConfig", "Metasearcher", "MetasearchAnswer"]
 
 
 @dataclass(frozen=True)
@@ -104,8 +85,7 @@ class MetasearcherConfig:
         ``"exact"`` (bound-based pruning, selections and probe orders
         identical to the unpruned path; see
         :mod:`repro.core.pruning`). ``None`` (the default) reads the
-        ``REPRO_PREFILTER`` environment variable, defaulting to
-        ``"off"``.
+        ``REPRO_PREFILTER`` knob (:mod:`repro.knobs`), ``"off"`` if unset.
     prefilter_top_m:
         Inert: nothing reads or validates it. It sized a top-M
         prefilter mode that has been removed; the field stays only
@@ -135,14 +115,7 @@ class MetasearcherConfig:
 
     def __post_init__(self) -> None:
         if self.prune_mode is None:
-            raw = os.environ.get(PREFILTER_ENV, "").strip().lower()
-            resolved = _PRUNE_MODE_ALIASES.get(raw)
-            if resolved is None:
-                raise ConfigurationError(
-                    f"{PREFILTER_ENV}={raw!r} is not a valid prune mode; "
-                    f"use one of {sorted(set(_PRUNE_MODE_ALIASES.values()))}"
-                )
-            object.__setattr__(self, "prune_mode", resolved)
+            object.__setattr__(self, "prune_mode", knobs.prune_mode())
         elif self.prune_mode not in ("off", "exact"):
             raise ConfigurationError(
                 f"prune_mode must be 'off' or 'exact', "

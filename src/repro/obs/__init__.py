@@ -16,7 +16,6 @@ from repro.obs.sinks import (
     TraceSink,
 )
 from repro.obs.trace import (
-    TRACE_ENV,
     NullSpan,
     Span,
     Tracer,
@@ -29,7 +28,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "TRACE_ENV",
     "Span",
     "NullSpan",
     "Tracer",

@@ -38,7 +38,6 @@ from collections.abc import Iterator
 from contextvars import ContextVar
 
 __all__ = [
-    "TRACE_ENV",
     "Span",
     "NullSpan",
     "Tracer",
@@ -49,12 +48,6 @@ __all__ = [
     "collecting_trace",
     "replay_spans",
 ]
-
-#: Environment knob: ``1`` enables tracing with the in-memory ring
-#: buffer, ``stderr`` additionally logs every span to stderr, ``0`` /
-#: unset leaves tracing off. Read by ``ServiceConfig``.
-TRACE_ENV = "REPRO_TRACE"
-
 
 def _new_id() -> str:
     """A 16-hex identifier (64 random bits — plenty for correlation).

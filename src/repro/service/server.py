@@ -23,18 +23,17 @@ of metasearch. Result fusion stays on the caller's side.
 
 from __future__ import annotations
 
-import os
 import time
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
-from repro.core.backend import default_backend_name, get_backend
+from repro import knobs
+from repro.core.backend import get_backend
 from repro.core.deadline import Deadline
 from repro.core.probing import APro
 from repro.exceptions import ConfigurationError, ReproError
 from repro.metasearch.metasearcher import Metasearcher
 from repro.obs import (
-    TRACE_ENV,
     MultiTraceSink,
     RingBufferTraceSink,
     StderrTraceSink,
@@ -63,27 +62,14 @@ from repro.types import Query
 
 __all__ = ["ServiceConfig", "ServedAnswer", "MetasearchService"]
 
-#: Env knob: default number of selection-pool workers when
-#: ``ServiceConfig.pool_workers`` is left unset. Lets the whole test
-#: suite (and any deployment) opt into the multiprocess selection tier
-#: without touching call sites: ``REPRO_POOL_WORKERS=2 pytest ...``.
-POOL_WORKERS_ENV = "REPRO_POOL_WORKERS"
-
-#: Env knob: default for ``ServiceConfig.adapt`` when left unset. Any
-#: non-zero integer turns the online-adaptation loop on for every
-#: service constructed in the process: ``REPRO_ADAPT=1 pytest ...``.
-ADAPT_ENV = "REPRO_ADAPT"
-
-#: Env knob: default for ``ServiceConfig.cache_tier`` when left unset.
-#: A ``host:port`` address points every service constructed in the
-#: process at a shared cross-replica selection-cache tier (see
-#: :mod:`repro.cluster.cachetier`): ``REPRO_CACHE_TIER=127.0.0.1:7071``.
-CACHE_TIER_ENV = "REPRO_CACHE_TIER"
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tunables of the serving layer.
+
+    ``cache_tier``, ``pool_workers``, ``adapt``, ``trace`` and
+    ``backend`` default to ``None``, which construction fills from the
+    field's ``REPRO_*`` knob (:mod:`repro.knobs`).
 
     Parameters
     ----------
@@ -105,19 +91,16 @@ class ServiceConfig:
     cache_tier:
         ``host:port`` of a shared cross-replica selection-cache tier
         (:class:`repro.cluster.cachetier.CacheTierServer`); the local
-        cache becomes the L1 in front of it. ``None`` (the default)
-        reads the ``REPRO_CACHE_TIER`` env knob, falling back to no
-        tier. The tier is an optimization, never a dependency: every
-        failure degrades to a miss and is counted in
-        ``cache_tier_errors``.
+        cache becomes the L1 in front of it; no tier by default. The
+        tier is an optimization, never a dependency: every failure
+        degrades to a miss and is counted in ``cache_tier_errors``.
     cache_tier_timeout_s:
         Socket timeout on tier round trips (kept short so a sick tier
         cannot stall the serve path).
     pool_workers:
         Selection-pool width: number of worker *processes* running the
         CPU-bound selection stages (``0`` = in-process selection, the
-        historical behaviour). ``None`` (the default) reads the
-        ``REPRO_POOL_WORKERS`` env knob, falling back to ``0``.
+        default).
     pool_mode:
         Dispatch protocol. Only ``"query"`` (whole-query dispatch with
         a probe callback over the worker pipe) is implemented — the
@@ -138,9 +121,7 @@ class ServiceConfig:
         Enable the online-adaptation loop (:mod:`repro.adapt`): every
         served probe is recorded as a labeled sample, drift checks run
         on a cadence, and — with ``adapt_auto_swap`` — a refreshed
-        model is hot-swapped into the live service. ``None`` (the
-        default) reads the ``REPRO_ADAPT`` env knob, falling back to
-        off.
+        model is hot-swapped into the live service. Off by default.
     adapt_window:
         Serve-time samples retained per database.
     adapt_check_every:
@@ -156,9 +137,7 @@ class ServiceConfig:
         Enable request tracing (:mod:`repro.obs`): every request grows
         a span tree recorded in an in-memory ring buffer, readable via
         :meth:`MetasearchService.trace_spans` and the gateway's
-        ``trace`` op. ``None`` (the default) reads the ``REPRO_TRACE``
-        env knob (``1`` = on, ``stderr`` = on + NDJSON span log to
-        stderr), falling back to off.
+        ``trace`` op. Off by default.
     trace_stderr:
         Additionally log every span record to stderr as NDJSON.
     trace_buffer:
@@ -166,12 +145,11 @@ class ServiceConfig:
         it; evictions count in ``trace_spans_dropped``).
     backend:
         Numeric backend name for the probabilistic core (see
-        :mod:`repro.core.backend`). ``None`` (the default) resolves the
-        registry default — the ``REPRO_BACKEND`` env knob, falling back
-        to ``numpy``. Validated at construction: an unknown name fails
-        here, not on the first request. The resolved name reaches every
-        APro the service builds, including pool workers, and is
-        reported in :meth:`MetasearchService.snapshot`. Backends are
+        :mod:`repro.core.backend`); ``numpy`` by default. Validated at
+        construction: an unknown name fails here, not on the first
+        request. The resolved name reaches every APro the service
+        builds, including pool workers, and is reported in
+        :meth:`MetasearchService.snapshot`. Backends are
         answer-invariant (the equality contract pins them to the
         ``python`` oracle), so this knob trades speed, never results.
     """
@@ -226,8 +204,7 @@ class ServiceConfig:
                 f"cache_entries must be >= 1, got {self.cache_entries}"
             )
         if self.cache_tier is None:
-            raw = os.environ.get(CACHE_TIER_ENV, "").strip()
-            object.__setattr__(self, "cache_tier", raw or None)
+            object.__setattr__(self, "cache_tier", knobs.cache_tier())
         if self.cache_tier is not None:
             # Validate the address shape here, at construction; the
             # lazy import keeps repro.service free of a module-level
@@ -242,14 +219,7 @@ class ServiceConfig:
                 f"got {self.cache_tier_timeout_s}"
             )
         if self.pool_workers is None:
-            raw = os.environ.get(POOL_WORKERS_ENV, "").strip()
-            try:
-                resolved = int(raw) if raw else 0
-            except ValueError:
-                raise ConfigurationError(
-                    f"{POOL_WORKERS_ENV} must be an integer, got {raw!r}"
-                ) from None
-            object.__setattr__(self, "pool_workers", resolved)
+            object.__setattr__(self, "pool_workers", knobs.pool_workers())
         if self.pool_workers < 0:
             raise ConfigurationError(
                 f"pool_workers must be >= 0, got {self.pool_workers}"
@@ -277,14 +247,7 @@ class ServiceConfig:
                 f"pool_max_pending must be >= 1, got {self.pool_max_pending}"
             )
         if self.adapt is None:
-            raw = os.environ.get(ADAPT_ENV, "").strip()
-            try:
-                resolved = bool(int(raw)) if raw else False
-            except ValueError:
-                raise ConfigurationError(
-                    f"{ADAPT_ENV} must be an integer, got {raw!r}"
-                ) from None
-            object.__setattr__(self, "adapt", resolved)
+            object.__setattr__(self, "adapt", knobs.adapt())
         if self.adapt_window < 1:
             raise ConfigurationError(
                 f"adapt_window must be >= 1, got {self.adapt_window}"
@@ -305,28 +268,16 @@ class ServiceConfig:
                 f"got {self.adapt_min_samples}"
             )
         if self.trace is None:
-            raw = os.environ.get(TRACE_ENV, "").strip().lower()
-            if raw == "stderr":
-                object.__setattr__(self, "trace", True)
+            mode = knobs.trace()
+            object.__setattr__(self, "trace", mode != "off")
+            if mode == "stderr":
                 object.__setattr__(self, "trace_stderr", True)
-            else:
-                try:
-                    resolved = bool(int(raw)) if raw else False
-                except ValueError:
-                    raise ConfigurationError(
-                        f"{TRACE_ENV} must be an integer or 'stderr', "
-                        f"got {raw!r}"
-                    ) from None
-                object.__setattr__(self, "trace", resolved)
         if self.trace_buffer < 1:
             raise ConfigurationError(
                 f"trace_buffer must be >= 1, got {self.trace_buffer}"
             )
         if self.backend is None:
-            # Registry default: use_backend override > REPRO_BACKEND >
-            # numpy. Raises ConfigurationError when the env names an
-            # unregistered backend.
-            object.__setattr__(self, "backend", default_backend_name())
+            object.__setattr__(self, "backend", knobs.backend())
         else:
             # Resolve through the registry so an unknown name fails at
             # construction; store the canonical (lowercased) name.

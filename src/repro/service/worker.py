@@ -70,6 +70,7 @@ import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
+from repro import knobs
 from repro.core.deadline import Deadline
 from repro.core.policies import ProbePolicy
 from repro.core.probing import APro
@@ -90,13 +91,6 @@ __all__ = [
     "refresh_worker_blob",
     "worker_main",
 ]
-
-#: Env knob read at request time inside the worker: a query containing
-#: this term makes the worker die with ``os._exit`` mid-request. Only
-#: the fault tests set it; it exists because a worker in another process
-#: cannot be monkeypatched from the test.
-CRASH_TERM_ENV = "REPRO_POOL_CRASH_TERM"
-
 
 @dataclass(frozen=True)
 class _NamedStub:
@@ -314,7 +308,7 @@ def _rebuild_apro(blob: WorkerStateBlob, conn) -> APro:
 
 
 def _run_request(apro: APro, blob: WorkerStateBlob, request: dict) -> dict:
-    crash_term = os.environ.get(CRASH_TERM_ENV)
+    crash_term = knobs.pool_crash_term()
     terms = tuple(request["terms"])
     if crash_term and crash_term in terms:
         os._exit(17)  # the fault tests' deterministic mid-request crash

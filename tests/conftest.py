@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import knobs
 from repro.corpus.generator import DatabaseSpec, DocumentGenerator
 from repro.corpus.topics import default_topic_registry
 from repro.corpus.zipf import ZipfVocabulary
@@ -143,16 +144,16 @@ def sample_documents():
 
 @pytest.fixture(scope="module", params=["numpy", "python"])
 def numeric_backend(request):
-    """Run a module's tests under each registered numeric backend.
+    """Run a module's tests under each numeric backend.
 
     Opt in with ``pytestmark = pytest.mark.usefixtures("numeric_backend")``
     (the ``test_topk*`` modules do): every test then runs once with the
     tensor backend and once with the row-wise oracle, so a kernel bug
     that only one formulation has cannot hide behind the default.
     Module-scoped so hypothesis tests stay clear of the
-    function-scoped-fixture health check.
+    function-scoped-fixture health check. It sets ``REPRO_BACKEND``,
+    the knob CI sets for the ``python`` job.
     """
-    from repro.core import use_backend
-
-    with use_backend(request.param):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(knobs.BACKEND, request.param)
         yield request.param

@@ -19,17 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import use_backend
+from repro import knobs
 from repro.core.backend import (
-    BACKEND_ENV,
     ArrayBackend,
     NumpyBackend,
     PythonBackend,
     available_backends,
     default_backend_name,
     get_backend,
-    register_backend,
-    unregister_backend,
 )
 from repro.core.relevancy import derive_rd, derive_rds
 from repro.core.topk import CorrectnessMetric, TopKComputer
@@ -40,20 +37,20 @@ from repro.stats.distribution import DiscreteDistribution as D
 
 class TestRegistry:
     def test_builtin_backends_present(self):
-        assert {"numpy", "python"} <= set(available_backends())
+        assert available_backends() == ("numpy", "python")
 
     def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        monkeypatch.delenv(knobs.BACKEND, raising=False)
         assert default_backend_name() == "numpy"
         assert isinstance(get_backend(), NumpyBackend)
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
+        monkeypatch.setenv(knobs.BACKEND, "python")
         assert default_backend_name() == "python"
         assert isinstance(get_backend(), PythonBackend)
 
     def test_env_unknown_name_raises(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "cuda-imaginary")
+        monkeypatch.setenv(knobs.BACKEND, "cuda-imaginary")
         with pytest.raises(ConfigurationError, match="unknown backend"):
             default_backend_name()
 
@@ -61,49 +58,10 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="unknown backend"):
             get_backend("no-such-backend")
 
-    def test_use_backend_nests_and_restores(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        with use_backend("python"):
-            assert default_backend_name() == "python"
-            with use_backend("numpy"):
-                assert default_backend_name() == "numpy"
-            assert default_backend_name() == "python"
-        assert default_backend_name() == "numpy"
-
-    def test_use_backend_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        with use_backend("python"):
-            assert default_backend_name() == "python"
-
     def test_instance_passthrough_and_caching(self):
         instance = get_backend("python")
         assert get_backend(instance) is instance
         assert get_backend("python") is instance
-
-    def test_register_custom_backend(self):
-        class Tagged(PythonBackend):
-            name = "tagged"
-
-        try:
-            register_backend("tagged", Tagged)
-            assert "tagged" in available_backends()
-            assert isinstance(get_backend("tagged"), Tagged)
-            computer = TopKComputer(
-                [D.from_pairs([(1.0, 0.5), (2.0, 0.5)]), D.impulse(1.5)],
-                1,
-                backend="tagged",
-            )
-            assert computer.best_set(CorrectnessMetric.ABSOLUTE)
-        finally:
-            unregister_backend("tagged")
-        assert "tagged" not in available_backends()
-
-    def test_register_duplicate_requires_replace(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_backend("numpy", NumpyBackend)
-        # replace=True is how the builtins themselves are (re)installed.
-        register_backend("numpy", NumpyBackend, replace=True)
-        assert isinstance(get_backend("numpy"), NumpyBackend)
 
     def test_backend_is_abstract(self):
         with pytest.raises(TypeError):
@@ -127,8 +85,7 @@ def _random_rds(rng: np.random.Generator, n: int):
 
 
 def _computers(rds, k):
-    with use_backend("python"):
-        oracle = TopKComputer(rds, k)
+    oracle = TopKComputer(rds, k, backend="python")
     tensor = TopKComputer(rds, k, backend="numpy")
     return oracle, tensor
 
@@ -247,8 +204,7 @@ def test_backends_agree_on_hill_climb(seed):
     n = int(rng.integers(8, 25))
     k = int(rng.integers(2, 5))
     rds = _random_rds(rng, n)
-    with use_backend("python"):
-        oracle = TopKComputer(rds, k, exact_set_limit=0)
+    oracle = TopKComputer(rds, k, exact_set_limit=0, backend="python")
     tensor = TopKComputer(rds, k, exact_set_limit=0, backend="numpy")
     uncertain = [i for i, rd in enumerate(rds) if not rd.is_impulse]
     if len(uncertain) < 4:

@@ -99,6 +99,26 @@ class TestEnvelope:
             document["environment"]
         )
 
+    def test_environment_records_resolved_knobs(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PREFILTER", "exact")
+        monkeypatch.setenv("REPRO_TRACE", "yes")
+        knobs = bench.environment()["knobs"]
+        assert set(knobs) == {
+            "REPRO_BACKEND",
+            "REPRO_POOL_WORKERS",
+            "REPRO_ADAPT",
+            "REPRO_TRACE",
+            "REPRO_CACHE_TIER",
+            "REPRO_PREFILTER",
+            "REPRO_CLUSTER_REPLICAS",
+        }
+        assert knobs["REPRO_PREFILTER"] == "exact"
+        # A malformed knob fails only the config that reads it, never
+        # the report.
+        assert knobs["REPRO_TRACE"] == (
+            "invalid: REPRO_TRACE must be an integer or 'stderr', got 'yes'"
+        )
+
     def test_finish_writes_and_exits_3_on_false_gate(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         good = bench.report(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exceptions import ReproError
 
 SMALL = [
     "--scale", "0.03",
@@ -105,6 +106,46 @@ class TestCommands:
         assert load_training_checkpoint(checkpoint).queries_done == 60
         assert "parallel, 2 workers" in capsys.readouterr().out
 
+
+
+class TestClusterCommand:
+    """The replica count resolves before any replica process starts."""
+
+    @pytest.fixture()
+    def started(self, monkeypatch):
+        # Stands in for LocalCluster: records the count it was given and
+        # ends the command there, so no test here spawns a process.
+        counts = []
+
+        def refuse(replicas, **kwargs):
+            counts.append(replicas)
+            raise ReproError("not started")
+
+        monkeypatch.setattr("repro.cluster.LocalCluster", refuse)
+        return counts
+
+    @pytest.mark.parametrize(
+        ("env", "argv", "replicas"),
+        [(None, [], 2), ("3", [], 3), ("3", ["--replicas", "1"], 1)],
+    )
+    def test_replica_count(self, monkeypatch, started, env, argv, replicas):
+        if env is None:
+            monkeypatch.delenv("REPRO_CLUSTER_REPLICAS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_CLUSTER_REPLICAS", env)
+        assert main(["cluster", *argv]) == 2
+        assert started == [replicas]
+
+    def test_malformed_replica_knob_is_a_clean_error(
+        self, monkeypatch, started, capsys
+    ):
+        monkeypatch.setenv("REPRO_CLUSTER_REPLICAS", "abc")
+        assert main(["cluster"]) == 2
+        assert (
+            "error: REPRO_CLUSTER_REPLICAS must be an integer, got 'abc'"
+            in capsys.readouterr().err
+        )
+        assert started == []
 
 class TestServeCommands:
     def test_serve_parser_defaults(self):

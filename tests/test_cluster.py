@@ -286,6 +286,17 @@ class TestServiceCacheTierIntegration:
         assert counters["cache_tier_hits"] == 1
         assert counters["cache_tier_errors"] == 0
 
+    def test_env_knob_resolution(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_TIER", "127.0.0.1:7071")
+        assert ServiceConfig().cache_tier == "127.0.0.1:7071"
+        # An explicit address always beats the env knob.
+        assert ServiceConfig(cache_tier="10.0.0.2:9").cache_tier == "10.0.0.2:9"
+        monkeypatch.delenv("REPRO_CACHE_TIER")
+        assert ServiceConfig().cache_tier is None
+        monkeypatch.setenv("REPRO_CACHE_TIER", "nohost")
+        with pytest.raises(ConfigurationError, match="'host:port'"):
+            ServiceConfig()
+
     def test_snapshot_always_carries_cache_tier_section(
         self, trained_metasearcher
     ):

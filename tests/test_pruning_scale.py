@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import knobs
 from repro.core.policies import (
     CostAwareGreedyPolicy,
     GreedyUsefulnessPolicy,
@@ -28,11 +29,7 @@ from repro.corpus.generator import DatabaseSpec, DocumentGenerator
 from repro.hiddenweb.database import RelevancyDefinition
 from repro.hiddenweb.mediator import Mediator
 from repro.metasearch.fusion import reciprocal_rank_fusion
-from repro.metasearch.metasearcher import (
-    PREFILTER_ENV,
-    Metasearcher,
-    MetasearcherConfig,
-)
+from repro.metasearch.metasearcher import Metasearcher, MetasearcherConfig
 from repro.stats.distribution import DiscreteDistribution as D
 from repro.types import Query, ScoredDocument, SearchResult
 
@@ -432,20 +429,20 @@ class TestPruneModeConfig:
         ],
     )
     def test_env_aliases(self, monkeypatch, raw, resolved):
-        monkeypatch.setenv(PREFILTER_ENV, raw)
+        monkeypatch.setenv(knobs.PREFILTER, raw)
         assert MetasearcherConfig().prune_mode == resolved
 
     def test_env_unset_means_off(self, monkeypatch):
-        monkeypatch.delenv(PREFILTER_ENV, raising=False)
+        monkeypatch.delenv(knobs.PREFILTER, raising=False)
         assert MetasearcherConfig().prune_mode == "off"
 
     def test_env_unknown_raises(self, monkeypatch):
-        monkeypatch.setenv(PREFILTER_ENV, "banana")
+        monkeypatch.setenv(knobs.PREFILTER, "banana")
         with pytest.raises(ConfigurationError):
             MetasearcherConfig()
 
     def test_explicit_mode_beats_env(self, monkeypatch):
-        monkeypatch.setenv(PREFILTER_ENV, "exact")
+        monkeypatch.setenv(knobs.PREFILTER, "exact")
         assert MetasearcherConfig(prune_mode="off").prune_mode == "off"
 
     def test_invalid_explicit_mode_raises(self):
@@ -453,7 +450,7 @@ class TestPruneModeConfig:
             MetasearcherConfig(prune_mode="fuzzy")
 
     def test_removed_topm_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(PREFILTER_ENV, "topm")
+        monkeypatch.setenv(knobs.PREFILTER, "topm")
         with pytest.raises(ConfigurationError, match="'topm'"):
             MetasearcherConfig()
 

@@ -9,7 +9,7 @@ active (the serving layer's stable-key-set convention).
 
 import pytest
 
-from repro.core.backend import BACKEND_ENV
+from repro import knobs
 from repro.exceptions import ConfigurationError
 from repro.service.resilience import RetryPolicy
 from repro.service.server import MetasearchService, ServiceConfig
@@ -30,15 +30,15 @@ def make_service(trained_metasearcher, **config_kwargs):
 
 class TestConfigResolution:
     def test_default_resolves_registry_default(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        monkeypatch.delenv(knobs.BACKEND, raising=False)
         assert ServiceConfig().backend == "numpy"
 
     def test_env_knob_resolves(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
+        monkeypatch.setenv(knobs.BACKEND, "python")
         assert ServiceConfig().backend == "python"
 
     def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
+        monkeypatch.setenv(knobs.BACKEND, "python")
         assert ServiceConfig(backend="numpy").backend == "numpy"
 
     def test_name_is_canonicalized(self):
@@ -49,7 +49,7 @@ class TestConfigResolution:
             ServiceConfig(backend="no-such-backend")
 
     def test_unknown_env_name_fails_at_construction(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "no-such-backend")
+        monkeypatch.setenv(knobs.BACKEND, "no-such-backend")
         with pytest.raises(ConfigurationError, match="unknown backend"):
             ServiceConfig()
 

@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro import knobs
 from repro.core.probing import MediatorProber
 from repro.core.deadline import Deadline
 from repro.service.metrics import MetricsRegistry
@@ -33,7 +34,7 @@ from repro.service.pool import (
 )
 from repro.service.resilience import RetryPolicy
 from repro.service.server import MetasearchService, ServiceConfig
-from repro.service.worker import CRASH_TERM_ENV, build_worker_blob
+from repro.service.worker import build_worker_blob
 
 POOL_SIZES = (1, 2, 8)
 
@@ -218,7 +219,7 @@ class TestWorkerCrash:
     ):
         query = health_queries[42]
         crash_term = trained_metasearcher.analyze(query).terms[0]
-        monkeypatch.setenv(CRASH_TERM_ENV, crash_term)
+        monkeypatch.setenv(knobs.POOL_CRASH_TERM, crash_term)
         with make_service(trained_metasearcher) as reference_service:
             expected = reference_service.serve(query, k=2, certainty=1.0)
         with make_service(
@@ -392,7 +393,7 @@ class TestLifecycle:
     ):
         query = health_queries[42]
         crash_term = trained_metasearcher.analyze(query).terms[0]
-        monkeypatch.setenv(CRASH_TERM_ENV, crash_term)
+        monkeypatch.setenv(knobs.POOL_CRASH_TERM, crash_term)
         pool = make_pool(
             trained_metasearcher, workers=1, unhealthy_after=2
         )
