@@ -83,7 +83,9 @@ def test_apro_run_k1_t80(benchmark, paper_context, paper_pipeline):
 def test_usefulness_sweep_k1(benchmark, paper_pipeline, sample_query):
     """One greedy policy round: usefulness of every candidate database.
 
-    A fresh computer per call, as APro pays after each observation.
+    A fresh computer per call, as APro pays for the first round of a
+    query; later rounds run on a collapsed computer that reuses its
+    parent's tables (``test_greedy_round_after_collapse_k1``).
     """
     rds = paper_pipeline.rd_selector.build_rds(sample_query)
     policy = GreedyUsefulnessPolicy()
@@ -104,7 +106,8 @@ def test_usefulness_sweep_k3(benchmark, paper_pipeline, sample_query):
     Over the paper testbed's 20 databases k = 3 takes the hill climb
     (C(20, 3) > 400), so this times the batched answer-set search the
     sweep's first ``best_set`` miss runs for every hypothetical probe.
-    A fresh computer per call, as APro pays after each observation.
+    A fresh computer per call, as APro pays for the first round of a
+    query.
     """
     rds = paper_pipeline.rd_selector.build_rds(sample_query)
     policy = GreedyUsefulnessPolicy()
@@ -117,3 +120,32 @@ def test_usefulness_sweep_k3(benchmark, paper_pipeline, sample_query):
             )
 
     benchmark(sweep)
+
+
+def test_greedy_round_after_collapse_k1(
+    benchmark, paper_pipeline, sample_query
+):
+    """The round APro pays after an in-support observation, at k = 1.
+
+    Setup sweeps a fresh computer once and collapses the chosen
+    candidate onto its most probable atom; the timed part is what the
+    collapsed computer then pays: ``best_set`` plus the next sweep,
+    which resume the parent's DP chains and share its rank masks.
+    """
+    rds = paper_pipeline.rd_selector.build_rds(sample_query)
+    policy = GreedyUsefulnessPolicy()
+    metric = CorrectnessMetric.ABSOLUTE
+    computer = TopKComputer(rds, 1)
+    candidates = [i for i, rd in enumerate(rds) if not rd.is_impulse]
+    chosen = policy.choose(computer, candidates, metric, 0.9)
+    value = max(computer.atoms_of(chosen), key=lambda atom: atom[2])[1]
+    remaining = [i for i in candidates if i != chosen]
+
+    def collapsed():
+        return (computer.collapse(chosen, value),), {}
+
+    def round_(child):
+        child.best_set(metric)
+        policy.choose(child, remaining, metric, 0.9)
+
+    benchmark.pedantic(round_, setup=collapsed, rounds=200)

@@ -87,13 +87,26 @@ class ArrayBackend(abc.ABC):
 
     @abc.abstractmethod
     def dp_chain(
-        self, greater: np.ndarray, k: int, reverse: bool = False
+        self,
+        greater: np.ndarray,
+        k: int,
+        reverse: bool = False,
+        init: np.ndarray | None = None,
     ) -> np.ndarray:
         """Stacked Poisson-binomial DP chain, shape ``(n+1, m, k)``.
 
         Entry ``j`` of the forward chain is the truncated outrank-count
         distribution over databases ``0..j-1`` (for every atom); the
         reversed chain's entry ``j`` covers databases ``j..n-1``.
+
+        ``init`` is the ``(m, k)`` start table: entry 0 of the forward
+        chain, entry n of the reversed one. It defaults to the empty
+        count (all mass on 0). Passing a longer chain's entry resumes
+        that chain: ``dp_chain(G[d:], k, init=prefix[d])`` equals
+        ``prefix[d:]`` of the chain over all of G, and
+        ``dp_chain(G[:d + 1], k, reverse=True, init=suffix[d + 1])``
+        equals ``suffix[:d + 2]``, bit for bit, because each step
+        multiplies and adds in the same order either way.
         """
 
     @abc.abstractmethod

@@ -12,10 +12,14 @@ practice):
   rank-ordered one-hot matrix. The interleaved zero terms add exactly,
   so the exclusive/inclusive prefix sums — and hence G and L — are
   bitwise identical to the oracle's per-database ``searchsorted`` reads.
-* The k = 1 DP chain is a running product; ``np.cumprod`` performs the
-  same multiplication sequence as the per-database fold.
+* The k = 1 DP chain is a running product; ``np.cumprod`` over the
+  start table followed by the rows of 1 − G performs the same
+  multiplication sequence as the per-database fold, from the default
+  start or from a resumed chain's ``init``.
 * The k = 1 leave-one-out combine and override fold reduce to single
-  elementwise products, matching the oracle's loop bodies term for term.
+  elementwise products, matching the oracle's loop bodies term for term
+  up to the sign of a zero: the oracle adds each product to 0.0, which
+  turns a −0.0 into +0.0 (the two compare equal).
 * ``derive_rd_arrays`` merges colliding RD values with ``np.bincount``
   over run labels, which adds each run's weights sequentially in atom
   order — the same sum ``DiscreteDistribution.from_pairs`` builds — so
@@ -80,16 +84,18 @@ class NumpyBackend(PythonBackend):
         ]
         return greater, less, db_sorted_ranks, db_cumprobs
 
-    def dp_chain(self, greater, k, reverse=False):
+    def dp_chain(self, greater, k, reverse=False, init=None):
         if k != 1:
-            return super().dp_chain(greater, k, reverse)
+            return super().dp_chain(greater, k, reverse, init)
         n, m = greater.shape
-        out = np.ones((n + 1, m, 1), dtype=np.float64)
-        survive = 1.0 - greater
-        if reverse:
-            out[:n, :, 0] = np.cumprod(survive[::-1], axis=0)[::-1]
-        else:
-            out[1:, :, 0] = np.cumprod(survive, axis=0)
+        out = np.empty((n + 1, m, 1), dtype=np.float64)
+        # The chain in fold order: running[j] is forward entry j, or
+        # reversed entry n - j, folded from running[j - 1] and rows[j - 1].
+        running = out[::-1, :, 0] if reverse else out[:, :, 0]
+        rows = greater[::-1] if reverse else greater
+        running[0] = 1.0 if init is None else init[:, 0]
+        np.subtract(1.0, rows, out=running[1:])
+        np.cumprod(running, axis=0, out=running)
         return out
 
     def loo_combine(self, pre, suf, k):

@@ -65,11 +65,12 @@ class PythonBackend(ArrayBackend):
         keep[:, 1:] += dp[:, :-1] * p
         return keep
 
-    def dp_chain(self, greater, k, reverse=False):
+    def dp_chain(self, greater, k, reverse=False, init=None):
         n, m = greater.shape
         out = np.empty((n + 1, m, k), dtype=np.float64)
-        init = np.zeros((m, k), dtype=np.float64)
-        init[:, 0] = 1.0
+        if init is None:
+            init = np.zeros((m, k), dtype=np.float64)
+            init[:, 0] = 1.0
         if reverse:
             out[n] = init
             for j in reversed(range(n)):

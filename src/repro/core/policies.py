@@ -92,8 +92,8 @@ class GreedyUsefulnessPolicy:
     ) -> float:
         """Expected post-probe maximal correctness for one database."""
         # A vectorized backend serves every candidate from one cached
-        # array pass (same accumulation as the loop below, float for
-        # float).
+        # array pass, which adds each database's terms in the order of
+        # the loop below, so both paths return the same floats.
         sweep = computer.usefulness_sweep(metric, self._NEGLIGIBLE)
         if sweep is not None:
             return float(sweep[database])

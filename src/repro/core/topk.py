@@ -33,6 +33,9 @@ Observed probing. :meth:`TopKComputer.collapse` turns an observation
 into a new computer *incrementally*: the atom ordering, outrank
 matrices and subset index structures are reused, so an adaptive-probing
 run costs one rank-structure build instead of ``1 + num_probes`` builds.
+An observation inside the database's support also hands over the DP
+chains, resumed from the collapsed row, and the rank masks of the
+override batch, so the next greedy round pays only for that row.
 """
 
 from __future__ import annotations
@@ -148,6 +151,11 @@ class TopKComputer:
         # The DP chains are (n+1, m, k) stacks produced by the backend.
         self._prefix_dp: np.ndarray | None = None
         self._suffix_dp: np.ndarray | None = None
+        # (d, parent chain) after an in-support collapse of database d:
+        # the parent's table the chain resumes from, dropped once this
+        # computer's own chain is built (see _prefix_dps).
+        self._prefix_seed: tuple[int, np.ndarray] | None = None
+        self._suffix_seed: tuple[int, np.ndarray] | None = None
         self._loo_memo: dict[int, np.ndarray] = {}
         self._loo_all: np.ndarray | None = None
         self._override_batch_memo: dict[int, np.ndarray] = {}
@@ -215,6 +223,10 @@ class TopKComputer:
         # (m, m) same-database mask, built on first batched-override use;
         # layout-pure, so collapse() shares it between computers.
         self._own_mask: np.ndarray | None = None
+        # The rank-only operands of the stacked override batch (see
+        # _batch_masks); in-support collapses keep the ranks, so they
+        # share them too.
+        self._batch_masks_memo: tuple[np.ndarray | None, np.ndarray] | None = None
 
     def _triples(self, i: int) -> list[tuple[int, float, float]]:
         cached = self._db_atom_triples[i]
@@ -333,6 +345,7 @@ class TopKComputer:
             new._order_values = self._order_values
             new._order_dbs = self._order_dbs
             new._order_ranks = self._order_ranks
+            new._batch_masks_memo = self._batch_masks_memo
             rank0 = float(self._atom_ranks[t0])
             migrated = (i, t0)
         else:
@@ -347,6 +360,7 @@ class TopKComputer:
             new._atom_values[t0] = value
             new._atom_ranks = self._atom_ranks.copy()
             new._atom_ranks[t0] = rank0
+            new._batch_masks_memo = None
 
         new._atom_probs = self._atom_probs.copy()
         new._atom_probs[start:stop] = 0.0
@@ -387,6 +401,13 @@ class TopKComputer:
             # Rank structure unchanged → override rows computed on self
             # are identical on the collapsed computer.
             new._override_rows_memo = self._override_rows_memo
+            # Only row i of G changed, so both DP chains resume from
+            # this computer's (an out-of-support value changes column
+            # t0 of every row: those chains are rebuilt).
+            if self._prefix_dp is not None:
+                new._prefix_seed = (i, self._prefix_dp)
+            if self._suffix_dp is not None:
+                new._suffix_seed = (i, self._suffix_dp)
             # Results conditioned on the observed outcome ARE the
             # collapsed computer's unconditioned results.
             for (subset_key, ov), prob in self._prob_memo.items():
@@ -474,17 +495,44 @@ class TopKComputer:
         """prefix[j] = outrank-count DP over databases 0..j-1 (truncated at k).
 
         An (n+1, m, k) stack produced by the backend's chain kernel.
+        After an in-support collapse of database d only row d of G
+        differs from the parent's, so entries 0..d are the parent's and
+        the chain resumes from its prefix[d] over rows d..n-1 — the
+        same folds in the same order as a chain from scratch.
         """
         if self._prefix_dp is None:
-            self._prefix_dp = self._backend.dp_chain(self._greater, self._k)
+            if self._prefix_seed is None:
+                self._prefix_dp = self._backend.dp_chain(self._greater, self._k)
+            else:
+                d, parent = self._prefix_seed
+                self._prefix_seed = None
+                tail = self._backend.dp_chain(
+                    self._greater[d:], self._k, init=parent[d]
+                )
+                self._prefix_dp = np.concatenate((parent[:d], tail))
         return self._prefix_dp
 
     def _suffix_dps(self) -> np.ndarray:
-        """suffix[j] = outrank-count DP over databases j..n-1 (truncated at k)."""
+        """suffix[j] = outrank-count DP over databases j..n-1 (truncated at k).
+
+        Seeded like :meth:`_prefix_dps`: entries d+1..n are the parent's
+        and the chain runs back from its suffix[d+1] over rows d..0.
+        """
         if self._suffix_dp is None:
-            self._suffix_dp = self._backend.dp_chain(
-                self._greater, self._k, reverse=True
-            )
+            if self._suffix_seed is None:
+                self._suffix_dp = self._backend.dp_chain(
+                    self._greater, self._k, reverse=True
+                )
+            else:
+                d, parent = self._suffix_seed
+                self._suffix_seed = None
+                head = self._backend.dp_chain(
+                    self._greater[: d + 1],
+                    self._k,
+                    reverse=True,
+                    init=parent[d + 1],
+                )
+                self._suffix_dp = np.concatenate((head, parent[d + 2 :]))
         return self._suffix_dp
 
     def _loo_dp(self, i: int) -> np.ndarray:
@@ -543,8 +591,9 @@ class TopKComputer:
             membership = self._prefix_dps()[self._n].sum(axis=1)
             weighted = self._atom_probs * membership
             # Atom spans are contiguous per database, so the scatter-add
-            # is a segmented reduction (same left-to-right accumulation
-            # order as ``np.add.at``, at a fraction of the cost).
+            # is a segmented reduction, at a fraction of ``np.add.at``'s
+            # cost. It adds a span's tail first, a0 + (a1 + a2 + …), not
+            # left to right; both backends run this line, so they agree.
             starts = np.asarray(self._db_atom_start, dtype=np.intp)
             marginals = np.add.reduceat(weighted, starts)
             result = np.clip(marginals, 0.0, 1.0)
@@ -564,14 +613,15 @@ class TopKComputer:
         contributes its 0/1 indicator row as a final DP step — a single
         vectorized (s × m × k) pass instead of s independent full DPs.
         """
+        start = int(self._db_atom_start[i])
+        stop = int(self._db_atom_stop[i])
+        if self._num_atoms * self._num_atoms * self._k <= self._BATCH_ALL_LIMIT:
+            if self._batch_all is None:
+                self._override_batch_all()
+            return self._batch_all[start:stop]
         cached = self._override_batch_memo.get(i)
         if cached is not None:
             return cached
-        if self._num_atoms * self._num_atoms * self._k <= self._BATCH_ALL_LIMIT:
-            self._override_batch_all()
-            return self._override_batch_memo[i]
-        start = int(self._db_atom_start[i])
-        stop = int(self._db_atom_stop[i])
         span = np.arange(start, stop)
         ranks = self._atom_ranks
         dp_loo = self._loo_dp(i)
@@ -602,40 +652,68 @@ class TopKComputer:
     _BATCH_ALL_LIMIT = 2_000_000
 
     def _override_batch_all(self) -> None:
-        """Fill the override-batch memo for *every* database at once.
+        """Every database's override batch at once, as one (m, n) matrix.
 
         A greedy usefulness sweep asks for the batch of each candidate
         in turn; stacking the per-database computations collapses the n
         passes of :meth:`_override_marginals_all` into one set of
-        (m × m × k) array operations. Each row's own-database span is
-        masked exactly like the per-database path (compare
-        ``g_rows[:, start:stop] = 0`` with the ``own`` mask below), so
-        the stored batches are bitwise identical to it.
+        (m × m × k) array operations, and each database's batch is its
+        span of rows. Each row's own-database span is masked exactly
+        like the per-database path (compare ``g_rows[:, start:stop] =
+        0`` with the masks of :meth:`_batch_masks`), so the rows are
+        bitwise identical to it.
         """
-        m = self._num_atoms
-        loo_atom = self._loo_dps_all()[self._atom_dbs]  # (m, m, k)
-        ranks = self._atom_ranks
-        if self._own_mask is None:
-            self._own_mask = (
-                self._atom_dbs[:, None] == self._atom_dbs[None, :]
-            )
-        own = self._own_mask
-        g_all = (ranks[:, None] > ranks[None, :]).astype(np.float64)
-        g_all[own] = 0.0
-        membership = self._backend.override_membership(
-            loo_atom, g_all, self._k
-        )  # (m, m)
-        contrib = membership * np.where(own, 0.0, self._atom_probs[None, :])
+        dbs = self._atom_dbs
+        loo_all = self._loo_dps_all()
+        fold, lost = self._batch_masks()
+        masked_probs = np.where(lost, 0.0, self._atom_probs[None, :])
+        if fold is None:
+            contrib = loo_all[:, :, 0][dbs] * masked_probs  # (m, m)
+        else:
+            membership = self._backend.override_membership(
+                loo_all[dbs], fold, self._k
+            )  # (m, m)
+            contrib = membership * masked_probs
         starts = np.asarray(self._db_atom_start, dtype=np.intp)
         batch_all = np.add.reduceat(contrib, starts, axis=1)  # (m, n)
-        idx = np.arange(m)
-        batch_all[idx, self._atom_dbs] = loo_atom[idx, idx].sum(axis=1)
-        batch_all = np.clip(batch_all, 0.0, 1.0)
-        self._batch_all = batch_all
-        for i in range(self._n):
-            self._override_batch_memo[i] = batch_all[
-                int(self._db_atom_start[i]) : int(self._db_atom_stop[i])
-            ]
+        # The overridden database's own column: P(at most k-1 others
+        # outrank the impulse), summed over counts like the per-database
+        # path (at k = 1 too: the sum from 0.0 turns a -0.0 into 0.0).
+        idx = np.arange(self._num_atoms)
+        batch_all[idx, dbs] = loo_all[dbs, idx].sum(axis=1)
+        self._batch_all = np.clip(batch_all, 0.0, 1.0)
+
+    def _batch_masks(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """``(fold, lost)``: the rank-only operands of the override batch.
+
+        Row t stands for the hypothetical impulse at atom t, column u
+        for the atom whose membership it changes. ``fold`` is the 0/1
+        outrank row ``[rank_t > rank_u]`` with t's own span zeroed, the
+        row the backend folds into the leave-one-out table. ``lost``
+        marks the entries whose mass drops out: u in t's own span.
+        A vectorized backend's k = 1 fold is the bare product
+        loo·(1 − g), and 1 − g is exactly 0.0 or 1.0, so there ``fold``
+        is ``None`` and ``lost`` also marks every u that t outranks:
+        ``loo·where(own | g, 0, P)`` is bitwise ``(loo·(1 − g))·where(own,
+        0, P)``. The oracle keeps its own fold, whose sum over the count
+        axis turns a −0.0 into +0.0. Both depend on ranks and spans
+        only, so in-support collapses share them.
+        """
+        if self._batch_masks_memo is None:
+            if self._own_mask is None:
+                self._own_mask = (
+                    self._atom_dbs[:, None] == self._atom_dbs[None, :]
+                )
+            own = self._own_mask
+            ranks = self._atom_ranks
+            outranks = ranks[:, None] > ranks[None, :]
+            if self._k == 1 and self._backend.vectorized:
+                self._batch_masks_memo = (None, own | outranks)
+            else:
+                fold = outranks.astype(np.float64)
+                fold[own] = 0.0
+                self._batch_masks_memo = (fold, own)
+        return self._batch_masks_memo
 
     # -- batched hypothetical-probe scores ----------------------------------------
 
@@ -743,9 +821,11 @@ class TopKComputer:
         already batched: :meth:`conditional_best_scores` reads each atom
         through :meth:`best_set`, whose first miss fills the memo for
         every atom at once.
-        Zero-mass atoms of collapsed databases contribute exactly 0
-        either way, so the sweep matches the per-database accumulation
-        float for float.
+        Each database's terms are added in atom order from 0.0, as the
+        per-database loop adds them (``np.bincount``; a segmented
+        ``np.add.reduceat`` would add a span's tail first), and the
+        zero-mass atoms of collapsed databases add exactly 0, so the
+        sweep matches the per-database accumulation float for float.
         """
         if not self._backend.vectorized:
             return None
@@ -762,8 +842,9 @@ class TopKComputer:
                 contrib = np.where(
                     probs < negligible, probs, probs * scores_all
                 )
-                starts = np.asarray(self._db_atom_start, dtype=np.intp)
-                cached = np.add.reduceat(contrib, starts)
+                cached = np.bincount(
+                    self._atom_dbs, weights=contrib, minlength=self._n
+                )
             self._sweep_memo[key] = cached
         return cached
 
@@ -915,10 +996,15 @@ class TopKComputer:
             if cached is not None:
                 return cached
         marginals = self.marginals(override)
+        if self._k == 1:
+            # The marginal IS the set probability, so the best singleton
+            # under either metric is the first largest marginal.
+            best = int(np.argmax(marginals))
+            result = (best,), min(1.0, float(marginals[best]))
+            self._best_set_memo[memo_key] = result
+            return result
         ranked = sorted(range(self._n), key=lambda i: (-marginals[i], i))
-        if metric is CorrectnessMetric.PARTIAL or self._k == 1:
-            # For k = 1 the marginal IS the set probability, so the
-            # partial-optimal singleton is also the absolute optimum.
+        if metric is CorrectnessMetric.PARTIAL:
             chosen = tuple(sorted(ranked[: self._k]))
             result = chosen, min(1.0, float(np.mean([marginals[i] for i in chosen])))
         elif comb(self._n, self._k) <= self._exact_set_limit:

@@ -8,8 +8,11 @@ backends through randomized belief states — ragged supports, one-atom
 collapses — and asserts marginals, override batches, collapse results
 and best sets agree, bitwise for k > 1; a second sweep over 8–24 databases holds the
 numpy backend's batched answer-set hill climb to the oracle's per-call
-climb. RD construction is held to the stricter bitwise
-standard: the batched builder must reproduce ``derive_rd`` exactly.
+climb. The usefulness sweep must add each database's terms in the
+oracle loop's order, and the numpy DP chain must equal the oracle's
+bit for bit, from the default start or a resumed chain's entry. RD
+construction is held to the stricter bitwise standard: the batched
+builder must reproduce ``derive_rd`` exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from repro.core.backend import (
     default_backend_name,
     get_backend,
 )
+from repro.core.policies import GreedyUsefulnessPolicy
 from repro.core.relevancy import derive_rd, derive_rds
 from repro.core.topk import CorrectnessMetric, TopKComputer
 from repro.exceptions import ConfigurationError
@@ -227,22 +231,90 @@ def test_backends_agree_on_hill_climb(seed):
 
 
 def test_usefulness_sweep_matches_across_backends():
-    from repro.core.policies import GreedyUsefulnessPolicy
-
     policy = GreedyUsefulnessPolicy()
-    # k = 3 over 16 databases takes the hill climb (C(16, 3) > 400).
-    for k, n in ((1, 6), (3, 16)):
+    # k = 3 over 16 databases takes the hill climb (C(16, 3) > 400),
+    # whose batched values may differ by 1e-12; every other cell is the
+    # oracle's loop, float for float.
+    for k, n, metric in (
+        (1, 6, CorrectnessMetric.ABSOLUTE),
+        (1, 6, CorrectnessMetric.PARTIAL),
+        (3, 16, CorrectnessMetric.PARTIAL),
+        (3, 16, CorrectnessMetric.ABSOLUTE),
+    ):
         rng = np.random.default_rng(7)
         rds = _random_rds(rng, n)
         oracle, tensor = _computers(rds, k)
         for database in range(len(rds)):
-            u_oracle = policy.usefulness(
-                oracle, database, CorrectnessMetric.ABSOLUTE
+            u_oracle = policy.usefulness(oracle, database, metric)
+            u_tensor = policy.usefulness(tensor, database, metric)
+            trial = (k, metric, database)
+            if metric is CorrectnessMetric.ABSOLUTE and k > 1:
+                assert u_oracle == pytest.approx(u_tensor, abs=1e-9), trial
+            else:
+                assert u_oracle == u_tensor, trial
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_usefulness_sweep_adds_in_oracle_order(seed):
+    # The sweep sums each database's atom terms; the oracle's loop adds
+    # them left to right from 0.0. Spans of 3+ atoms tell the orders
+    # apart (a segmented reduceat adds a span's tail first).
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    rds = _random_rds(rng, n)
+    policy = GreedyUsefulnessPolicy()
+    for k, metric in (
+        (1, CorrectnessMetric.ABSOLUTE),
+        (1, CorrectnessMetric.PARTIAL),
+        (2, CorrectnessMetric.PARTIAL),
+        (3, CorrectnessMetric.PARTIAL),
+    ):
+        if k >= n:
+            continue
+        oracle, tensor = _computers(rds, k)
+        if rng.random() < 0.5:
+            database = int(rng.integers(n))
+            observed = float(rng.choice(rds[database].values))
+            oracle = oracle.collapse(database, observed)
+            tensor = tensor.collapse(database, observed)
+        for database in range(n):
+            assert policy.usefulness(
+                oracle, database, metric
+            ) == policy.usefulness(tensor, database, metric), (
+                seed, k, metric, database,
             )
-            u_tensor = policy.usefulness(
-                tensor, database, CorrectnessMetric.ABSOLUTE
-            )
-            assert u_oracle == pytest.approx(u_tensor, abs=1e-9), (k, database)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_dp_chain_matches_oracle_and_resumes(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    m = int(rng.integers(1, 30))
+    k = int(rng.integers(1, 6))
+    greater = rng.random((n, m))
+    greater[rng.random((n, m)) < 0.3] = 0.0
+    greater[rng.random((n, m)) < 0.1] = 1.0
+    start = rng.random((m, k))
+    d = int(rng.integers(n))
+    tensor, oracle = get_backend("numpy"), get_backend("python")
+    for reverse in (False, True):
+        for init in (None, start):
+            chain = tensor.dp_chain(greater, k, reverse, init=init)
+            expected = oracle.dp_chain(greater, k, reverse, init=init)
+            assert chain.tobytes() == expected.tobytes(), (seed, reverse)
+        # Resuming from an entry of the full chain reproduces its rest.
+        full = oracle.dp_chain(greater, k, reverse)
+        for backend in (tensor, oracle):
+            if reverse:
+                rest = backend.dp_chain(
+                    greater[: d + 1], k, True, init=full[d + 1]
+                )
+                assert rest.tobytes() == full[: d + 2].tobytes(), seed
+            else:
+                rest = backend.dp_chain(greater[d:], k, init=full[d])
+                assert rest.tobytes() == full[d:].tobytes(), seed
 
 
 class _FixedED:

@@ -99,6 +99,20 @@ class TestBasicProperties:
         assert marginals[0] == pytest.approx(1.0)
         assert marginals[1] == pytest.approx(0.0)
 
+    def test_k1_tied_marginals_pick_lower_index(self):
+        # db1 tops the set exactly when it reads 10, db2 exactly when
+        # db1 reads 1: both marginals are 0.5, bit for bit.
+        rds = [
+            D.impulse(0.0),
+            D.from_pairs([(1.0, 0.5), (10.0, 0.5)]),
+            D.impulse(5.0),
+        ]
+        computer = TopKComputer(rds, k=1)
+        marginals = computer.marginals()
+        assert marginals[1] == marginals[2] == 0.5
+        for metric in CorrectnessMetric:
+            assert computer.best_set(metric) == ((1,), 0.5)
+
     def test_partial_expectation_is_mean_of_marginals(self):
         rds = paper_example4_rds() + [D.impulse(700.0)]
         computer = TopKComputer(rds, k=2)

@@ -6,14 +6,17 @@ The contract under test: a computer evolved through a chain of
 observations, out-of-support observations (midpoint rank insertion),
 and observed values duplicating another database's support atom.
 Also covers greedy usefulness against a brute-force reference built on
-joint enumeration, memo migration across collapse, and the batched
-hill climb's chunking contract.
+joint enumeration, memo migration across collapse, the batched hill
+climb's chunking contract, and the DP chains and rank masks a collapsed
+computer reuses from its parent.
 """
 
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.policies import GreedyUsefulnessPolicy
 from repro.core.topk import CorrectnessMetric, TopKComputer
@@ -369,3 +372,98 @@ class TestBatchedUsefulnessMatchesLegacy:
             assert GreedyUsefulnessPolicy().choose(
                 computer, list(range(n)), CorrectnessMetric.ABSOLUTE, 0.9
             ) == expected
+
+
+class TestSeededRounds:
+    """What a greedy round reuses after a collapse equals a rebuild.
+
+    An in-support collapse of database d changes only row d of G, so
+    the collapsed computer resumes its parent's DP chains (prefix
+    entries 0..d, suffix entries d+1..n) and shares its rank masks; an
+    out-of-support collapse changes column t0 of every row and rebuilds
+    both. Every reused table must be bitwise what a rebuild computes.
+    """
+
+    @staticmethod
+    def fresh_tables(computer):
+        """Prefix, suffix and leave-one-out tables over the computer's G."""
+        backend, greater, k = computer._backend, computer._greater, computer.k
+        prefix = backend.dp_chain(greater, k)
+        suffix = backend.dp_chain(greater, k, reverse=True)
+        return prefix, suffix, backend.loo_combine(prefix[:-1], suffix[1:], k)
+
+    @staticmethod
+    def per_database_batch(computer, database):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(TopKComputer, "_BATCH_ALL_LIMIT", 0)
+            return computer._override_marginals_all(database)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_reused_tables_match_a_rebuild(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(1, min(4, n) + 1))
+        computer = TopKComputer(random_rds(rng, n, max_support=6), k)
+        for _ in range(int(rng.integers(2, 7))):
+            # A round builds both chains before the probe; sometimes
+            # only one exists (or none), and only that one is resumed.
+            if rng.random() < 0.8:
+                computer._prefix_dps()
+            if rng.random() < 0.8:
+                computer._suffix_dps()
+            database = int(rng.integers(n))
+            in_support = rng.random() < 0.7
+            if in_support:
+                atoms = computer.atoms_of(database)
+                value = atoms[int(rng.integers(len(atoms)))][1]
+            else:
+                value = float(rng.integers(0, 15)) + 0.5
+            child = computer.collapse(database, value)
+            assert (child._prefix_seed is not None) == (
+                in_support and computer._prefix_dp is not None
+            )
+            assert (child._suffix_seed is not None) == (
+                in_support and computer._suffix_dp is not None
+            )
+            prefix, suffix, loo = self.fresh_tables(child)
+            assert child._prefix_dps().tobytes() == prefix.tobytes()
+            assert child._suffix_dps().tobytes() == suffix.tobytes()
+            assert child._loo_dps_all().tobytes() == loo.tobytes()
+            assert child._prefix_seed is None and child._suffix_seed is None
+            for row in range(n):
+                batch = child._override_marginals_all(row)
+                expected = self.per_database_batch(child, row)
+                assert batch.tobytes() == expected.tobytes(), (seed, row)
+            computer = child
+
+    def test_k1_signed_zeros_match_per_database(self):
+        # db1's masses sum to 1 + 2**-52 and db2's to exactly 1, both
+        # wholly above db0's impulse, so at that atom 1 − G1 = −2**-52
+        # and 1 − G2 = 0.0. db2's k = 1 leave-one-out entry there is
+        # negative, and db3's is −2**-52 · 0.0: −0.0 on numpy, whose
+        # combine is the bare product, +0.0 on the oracle, which adds it
+        # to 0.0. Masked or outranked, such entries become signed
+        # zeros, and the stacked override batch must give each one the
+        # per-database path's sign (the oracle's fold sums it to +0.0).
+        rds = [
+            D.impulse(1.0),
+            D.from_pairs([(5.0, 1.0), (6.0, 4.0), (7.0, 1.0)]),
+            D.impulse(8.0),
+            D.from_pairs([(0.5, 1.0), (3.0, 1.0)]),
+        ]
+        assert rds[1].probs.sum() > 1.0
+        computer = TopKComputer(rds, k=1)
+        computer._prefix_dps()
+        computer._suffix_dps()
+        # An in-support collapse of db3 below the impulse resumes both
+        # chains and keeps both entries.
+        for current in (computer, computer.collapse(3, 0.5)):
+            loo = current._loo_dps_all()[:, int(current._db_atom_start[0]), 0]
+            assert loo[2] < 0.0
+            assert loo[3] == 0.0
+            assert np.signbit(loo[3]) == current._backend.vectorized
+            for row in range(len(rds)):
+                batch = current._override_marginals_all(row)
+                expected = self.per_database_batch(current, row)
+                assert batch.tobytes() == expected.tobytes(), row
