@@ -2,8 +2,9 @@
 
 These are the per-query costs a deployment cares about: conjunctive
 match counting inside a database, RD construction, expected-correctness
-computation, full RD-based selection, and one APro run — plus the
-exact-pruning certificate at federated scale.
+computation, full RD-based selection, and one APro run — plus, at
+federated scale, the exact-pruning certificate, the RD build and the
+survivors' ``TopKComputer`` build.
 """
 
 from __future__ import annotations
@@ -15,6 +16,14 @@ from repro.core.policies import GreedyUsefulnessPolicy
 from repro.core.probing import APro
 from repro.core.pruning import prunable_mask
 from repro.core.topk import CorrectnessMetric, TopKComputer
+from repro.corpus.generator import DocumentGenerator
+from repro.corpus.topics import default_topic_registry
+from repro.corpus.zipf import ZipfVocabulary
+from repro.experiments.bench_scale import scale_specs
+from repro.hiddenweb.mediator import Mediator
+from repro.metasearch.metasearcher import Metasearcher, MetasearcherConfig
+from repro.text.analyzer import Analyzer
+from repro.types import Query
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +38,66 @@ def test_engine_match_count(benchmark, paper_context, sample_query):
 
 def test_build_rds(benchmark, paper_pipeline, sample_query):
     benchmark(paper_pipeline.rd_selector.build_rds, sample_query)
+
+
+@pytest.fixture(scope="module")
+def federation():
+    """A trained 1024-database federation and one topical query.
+
+    ``bench_scale.scale_specs`` databases, exact pruning, trained on 60
+    three-anchor topical queries with 8 samples per type — the shape of
+    the benchmark's federation workload.
+    """
+    seed = 2004
+    registry = default_topic_registry(seed=seed)
+    analyzer = Analyzer()
+    generator = DocumentGenerator(registry, ZipfVocabulary(1500, seed=seed + 1))
+    mediator = Mediator.from_documents(
+        {
+            spec.name: generator.generate(spec)
+            for spec in scale_specs(1024, registry, seed)
+        },
+        analyzer=analyzer,
+    )
+    rng = np.random.default_rng(seed + 11)
+    names = registry.names()
+
+    def topical() -> Query:
+        topic = registry[names[int(rng.integers(len(names)))]]
+        picked = rng.choice(
+            topic.anchors, size=min(3, len(topic.anchors)), replace=False
+        )
+        return Query(
+            tuple(
+                dict.fromkeys(
+                    term for word in picked for term in analyzer.analyze(word)
+                )
+            )
+        )
+
+    searcher = Metasearcher(
+        mediator,
+        MetasearcherConfig(samples_per_type=8, prune_mode="exact"),
+        analyzer=analyzer,
+    )
+    searcher.train([topical() for _ in range(60)])
+    return searcher, topical()
+
+
+def test_build_rds_federation(benchmark, federation):
+    """One query's RDs over 1024 databases (about 50 candidates)."""
+    searcher, query = federation
+    benchmark(searcher.selector.build_rds, query)
+
+
+def test_restricted_computer_federation(benchmark, federation):
+    """The ``TopKComputer`` APro builds over the bound-pruned survivors."""
+    searcher, query = federation
+    selector = searcher.selector
+    apro = APro(selector, prune=True)
+    rds = selector.build_rds(query)
+    survivors, _bounds = apro._survivor_map(rds, 1, selector.nonzero(query))
+    benchmark(apro._restricted_computer, rds, survivors, 1)
 
 
 def test_prunable_mask_federation(benchmark):

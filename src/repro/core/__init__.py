@@ -31,16 +31,22 @@ from repro.core.policies import (
 )
 from repro.core.probing import APro, ProbeSession
 from repro.core.query_types import QueryType, QueryTypeClassifier
-from repro.core.relevancy import RelevancyDistribution, derive_rd, derive_rds
+from repro.core.relevancy import (
+    PackedRDs,
+    RelevancyDistribution,
+    derive_rd,
+    derive_rds,
+)
 from repro.core.selection import RDBasedSelector, SelectionResult
 from repro.core.topk import CorrectnessMetric, TopKComputer
-from repro.core.training import EDTrainer, ErrorModel
+from repro.core.training import EDTable, EDTrainer, ErrorModel
 
 __all__ = [
     "APro",
     "ArrayBackend",
     "CorrectnessMetric",
     "DEFAULT_ERROR_EDGES",
+    "EDTable",
     "EDTrainer",
     "ErrorDistribution",
     "ErrorModel",
@@ -48,6 +54,7 @@ __all__ = [
     "GreedyUsefulnessPolicy",
     "LookaheadPolicy",
     "MaxUncertaintyPolicy",
+    "PackedRDs",
     "ProbePolicy",
     "ProbeSession",
     "QueryType",

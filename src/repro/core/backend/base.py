@@ -66,23 +66,15 @@ class ArrayBackend(abc.ABC):
         ranks: np.ndarray,
         order: np.ndarray,
         n: int,
-    ) -> tuple[
-        np.ndarray,
-        np.ndarray,
-        list[np.ndarray],
-        list[np.ndarray],
-    ]:
-        """Build the outrank matrices plus the collapse search structure.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Build the outrank matrices.
 
         Parameters are the flat atom layout: per-atom probabilities,
         owning database indices, global ranks, and ``order`` (atom
-        indices sorted by rank). Returns
-        ``(greater_masked, less, db_sorted_ranks, db_cumprobs)`` where
-        ``greater_masked[j, t]`` is the mass of database j strictly
-        outranking atom t (own-database entries zeroed) and
-        ``less[j, t]`` the mass strictly below. ``db_sorted_ranks`` /
-        ``db_cumprobs`` are the per-database rank / cumulative-mass
-        arrays :meth:`collapse_column` searches.
+        indices sorted by rank). Returns ``(greater_masked, less)``
+        where ``greater_masked[j, t]`` is the mass of database j
+        strictly outranking atom t (own-database entries zeroed) and
+        ``less[j, t]`` the mass strictly below.
         """
 
     @abc.abstractmethod
@@ -138,18 +130,24 @@ class ArrayBackend(abc.ABC):
         self,
         rank0: float,
         database: int,
-        n: int,
-        db_sorted_ranks: list[np.ndarray],
-        db_cumprobs: list[np.ndarray],
+        probs: np.ndarray,
+        ranks: np.ndarray,
+        bounds: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Outrank-mass columns of a re-ranked atom against every database.
 
         Called by the out-of-support :meth:`TopKComputer.collapse` path:
         the repurposed atom moved to the fresh rank ``rank0``, so every
         *other* database's mass strictly above / strictly below it must
-        be re-read. Returns ``(greater_col, less_col)`` of length ``n``;
-        the entry for ``database`` itself is a placeholder (the caller
-        overwrites row ``database`` wholesale).
+        be re-read. ``probs`` and ``ranks`` are the collapsed computer's
+        atom arrays, database j's atoms the span
+        ``bounds[j]:bounds[j + 1]``. Each database's masses are summed in
+        rank order, ``np.cumsum``'s left fold: its total minus the mass
+        ranked at or below ``rank0``, and the mass ranked below it. A
+        collapsed database's zero-mass atoms add exactly 0. Returns
+        ``(greater_col, less_col)`` of length ``n``; the entry for
+        ``database`` itself is a placeholder (the caller overwrites row
+        ``database`` wholesale).
         """
 
     @abc.abstractmethod

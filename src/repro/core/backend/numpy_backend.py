@@ -20,6 +20,10 @@ practice):
   elementwise products, matching the oracle's loop bodies term for term
   up to the sign of a zero: the oracle adds each product to 0.0, which
   turns a −0.0 into +0.0 (the two compare equal).
+* ``collapse_column`` reads the same cumulative sums the oracle's
+  per-database ``cumsum`` builds: one row per database of a padded
+  (database, rank)-sorted layout, summed along the row by
+  ``np.cumsum`` (a left fold), with padding that adds exactly 0.
 * ``derive_rd_arrays`` merges colliding RD values with ``np.bincount``
   over run labels, which adds each run's weights sequentially in atom
   order — the same sum ``DiscreteDistribution.from_pairs`` builds — so
@@ -64,25 +68,7 @@ class NumpyBackend(PythonBackend):
         less = cum[:, :-1][:, rank_pos]
         greater = (inclusive[:, -1:] - inclusive)[:, rank_pos]
         greater[dbs, positions] = 0.0
-
-        # The ragged per-database structures collapse_column searches:
-        # one lexsort groups atoms by (database, rank), and each
-        # database's cumulative array is a short cumsum over its slice —
-        # identical arrays to the oracle's per-database argsort builds.
-        sort_idx = np.lexsort((ranks, dbs))
-        ranks_by_db = ranks[sort_idx]
-        probs_by_db = probs[sort_idx]
-        bounds = np.searchsorted(dbs[sort_idx], np.arange(n + 1))
-        db_sorted_ranks = [
-            ranks_by_db[bounds[i] : bounds[i + 1]] for i in range(n)
-        ]
-        db_cumprobs = [
-            np.concatenate(
-                ([0.0], np.cumsum(probs_by_db[bounds[i] : bounds[i + 1]]))
-            )
-            for i in range(n)
-        ]
-        return greater, less, db_sorted_ranks, db_cumprobs
+        return greater, less
 
     def dp_chain(self, greater, k, reverse=False, init=None):
         if k != 1:
@@ -108,37 +94,26 @@ class NumpyBackend(PythonBackend):
             return dp_loo[..., 0] * (1.0 - g)
         return super().override_membership(dp_loo, g, k)
 
-    def collapse_column(
-        self,
-        rank0,
-        database,
-        n,
-        db_sorted_ranks,
-        db_cumprobs,
-    ):
-        # Same lookups as the oracle — cum[left] and cum[-1] - cum[right]
-        # per database — but the per-segment searchsorted counts become
-        # two comparisons plus segmented reductions over the flattened
-        # rank layout. Every float read or subtracted is the identical
-        # array element, so the column is bitwise equal to the oracle's.
-        lengths = np.fromiter(
-            (len(r) for r in db_sorted_ranks), dtype=np.intp, count=n
-        )
-        offsets = np.zeros(n, dtype=np.intp)
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        flat_ranks = np.concatenate(db_sorted_ranks)
-        right = np.add.reduceat(
-            (flat_ranks <= rank0).astype(np.intp), offsets
-        )
-        left = np.add.reduceat(
-            (flat_ranks < rank0).astype(np.intp), offsets
-        )
-        # Each cumulative array is one entry longer than its rank array.
-        flat_cum = np.concatenate(db_cumprobs)
-        cum_offsets = offsets + np.arange(n)
-        totals = flat_cum[cum_offsets + lengths]
-        greater_col = totals - flat_cum[cum_offsets + right]
-        less_col = flat_cum[cum_offsets + left]
+    def collapse_column(self, rank0, database, probs, ranks, bounds):
+        # The oracle's reads — cum[-1] - cum[right] and cum[left] per
+        # database — over one padded layout: spans are contiguous, so
+        # one lexsort orders each database's atoms by rank, and row j of
+        # the (n, width) matrix holds them, with zero mass and rank +inf
+        # past the span's end (see the bitwise notes above).
+        n = len(bounds) - 1
+        lengths = np.diff(bounds)
+        order = np.lexsort((ranks, np.repeat(np.arange(n), lengths)))
+        column = np.arange(int(lengths.max()))
+        inside = column < lengths[:, None]
+        atom = order[np.where(inside, bounds[:-1, None] + column, 0)]
+        sorted_ranks = np.where(inside, ranks[atom], np.inf)
+        cum = np.zeros((n, len(column) + 1), dtype=np.float64)
+        np.cumsum(np.where(inside, probs[atom], 0.0), axis=1, out=cum[:, 1:])
+        rows = np.arange(n)
+        right = np.count_nonzero(sorted_ranks <= rank0, axis=1)
+        left = np.count_nonzero(sorted_ranks < rank0, axis=1)
+        greater_col = cum[:, -1] - cum[rows, right]
+        less_col = cum[rows, left]
         # Placeholder entries, exactly as the oracle leaves them: the
         # caller overwrites row ``database`` wholesale.
         greater_col[database] = 0.0

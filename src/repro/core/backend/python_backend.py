@@ -22,30 +22,30 @@ class PythonBackend(ArrayBackend):
     name = "python"
     vectorized = False
 
+    @staticmethod
+    def _rank_cumulative(
+        ranks: np.ndarray, probs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One database's atom ranks sorted, and its mass below each.
+
+        ``(sorted_ranks, cum)`` with ``cum = [0, cumsum(probs in rank
+        order)]``: the database's mass strictly above rank r is
+        ``cum[-1] - cum[searchsorted(sorted_ranks, r, "right")]`` and
+        strictly below it ``cum[searchsorted(sorted_ranks, r, "left")]``.
+        """
+        sort = np.argsort(ranks)
+        return ranks[sort], np.concatenate(([0.0], np.cumsum(probs[sort])))
+
     def outrank_structures(self, probs, dbs, ranks, order, n):
         m = len(probs)
-        # Per-database cumulative mass by rank, supporting
-        # P(rank_j > t) and P(rank_j < t) lookups for arbitrary t.
-        db_sorted_ranks: list[np.ndarray] = []
-        db_cumprobs: list[np.ndarray] = []
-        for i in range(n):
-            mask = dbs == i
-            db_ranks = ranks[mask]
-            db_probs = probs[mask]
-            sort = np.argsort(db_ranks)
-            sorted_ranks = db_ranks[sort]
-            cum = np.concatenate(([0.0], np.cumsum(db_probs[sort])))
-            db_sorted_ranks.append(sorted_ranks)
-            db_cumprobs.append(cum)
-
         # G[j, t] = P(database j's realization outranks atom t)
         # L[j, t] = P(database j's realization ranks below atom t)
         # (for j == atom_db[t], G + L + P(atom t) == 1).
         greater = np.empty((n, m), dtype=np.float64)
         less = np.empty((n, m), dtype=np.float64)
         for j in range(n):
-            sorted_ranks = db_sorted_ranks[j]
-            cum = db_cumprobs[j]
+            mask = dbs == j
+            sorted_ranks, cum = self._rank_cumulative(ranks[mask], probs[mask])
             right = np.searchsorted(sorted_ranks, ranks, side="right")
             left = np.searchsorted(sorted_ranks, ranks, side="left")
             greater[j] = cum[-1] - cum[right]
@@ -55,7 +55,7 @@ class PythonBackend(ArrayBackend):
         # marginal DP and the member product neutralize those entries
         # anyway, so the mask removes a copy per call.
         greater[dbs, np.arange(m)] = 0.0
-        return greater, less, db_sorted_ranks, db_cumprobs
+        return greater, less
 
     @staticmethod
     def _dp_step(dp: np.ndarray, p_row: np.ndarray) -> np.ndarray:
@@ -94,14 +94,8 @@ class PythonBackend(ArrayBackend):
         keep[..., 1:] += dp_loo[..., :-1] * p
         return keep.sum(axis=-1)
 
-    def collapse_column(
-        self,
-        rank0,
-        database,
-        n,
-        db_sorted_ranks,
-        db_cumprobs,
-    ):
+    def collapse_column(self, rank0, database, probs, ranks, bounds):
+        n = len(bounds) - 1
         greater_col = np.zeros(n, dtype=np.float64)
         less_col = np.zeros(n, dtype=np.float64)
         for j in range(n):
@@ -109,8 +103,8 @@ class PythonBackend(ArrayBackend):
                 # Placeholder: the caller overwrites row ``database``
                 # wholesale (and its masked own entry is 0.0 anyway).
                 continue
-            sorted_ranks = db_sorted_ranks[j]
-            cum = db_cumprobs[j]
+            span = slice(bounds[j], bounds[j + 1])
+            sorted_ranks, cum = self._rank_cumulative(ranks[span], probs[span])
             right = int(np.searchsorted(sorted_ranks, rank0, side="right"))
             left = int(np.searchsorted(sorted_ranks, rank0, side="left"))
             greater_col[j] = cum[-1] - cum[right]

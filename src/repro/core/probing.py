@@ -25,7 +25,7 @@ from repro.core.backend import ArrayBackend
 from repro.core.deadline import Deadline
 from repro.core.policies import GreedyUsefulnessPolicy, ProbePolicy
 from repro.core.pruning import prunable_mask, support_bounds
-from repro.core.relevancy import RelevancyDistribution
+from repro.core.relevancy import PackedRDs, RelevancyDistribution
 from repro.core.selection import RDBasedSelector
 from repro.core.topk import CorrectnessMetric, TopKComputer
 from repro.exceptions import ProbingError
@@ -171,10 +171,12 @@ class APro:
     ----------
     selector:
         Provides RDs, the mediator and the relevancy definition. APro
-        calls ``build_rds(query, backend=...)`` and, when pruning,
-        ``nonzero(query)``: the ascending mediation indices whose RD
-        may differ from the impulse at zero (every other slot of
-        ``build_rds``'s list must be that impulse).
+        calls ``build_rds(query, backend=...)`` — a
+        :class:`~repro.core.relevancy.PackedRDs`, or any sequence of
+        RDs, which APro packs — and, when pruning, ``nonzero(query)``:
+        the ascending mediation indices whose RD may differ from the
+        impulse at zero (every other item of ``build_rds``'s sequence
+        must be that impulse).
     policy:
         Probe-order strategy (defaults to the paper's greedy policy).
         APro always passes ``deadline=`` to ``choose`` (``None`` without
@@ -294,8 +296,8 @@ class APro:
 
         mediator = self._selector.mediator
         n = len(mediator)
-        rds: list[RelevancyDistribution] = self._selector.build_rds(
-            query, backend=self._backend
+        rds = PackedRDs.of(
+            self._selector.build_rds(query, backend=self._backend)
         )
         session = ProbeSession(
             query=query, k=k, metric=metric, threshold=threshold
@@ -310,6 +312,10 @@ class APro:
 
         probed: set[int] = set()
         local_of = {g: p for p, g in enumerate(sub)}
+        # Candidate rows: the survivors not yet settled. A probed
+        # database is an impulse, so the mask is rebuilt from the RDs
+        # only when the survivor set grows.
+        open_rows = rds.select(sub).support_sizes() > 1
         while True:
             reached = score >= threshold
             want_more = (
@@ -322,11 +328,7 @@ class APro:
                 break
             if max_probes is not None and len(probed) >= max_probes:
                 break
-            candidates = [
-                local
-                for local, g in enumerate(sub)
-                if g not in probed and not rds[g].is_impulse
-            ]
+            candidates = np.flatnonzero(open_rows).tolist()
             if not candidates:
                 break
             budget = len(candidates)
@@ -369,6 +371,7 @@ class APro:
                 )
                 probed.add(choice)
                 rds[choice] = RelevancyDistribution.impulse(observed)
+                open_rows[local_of[choice]] = False
                 expanded = False
                 if bounds is not None and len(sub) < len(bounds[0]):
                     sub, expanded = self._recheck_certificate(
@@ -380,6 +383,7 @@ class APro:
                     # set (the collapsed RDs are already impulses, so a
                     # rebuild is answer-equivalent to the collapse).
                     local_of = {g: p for p, g in enumerate(sub)}
+                    open_rows = rds.select(sub).support_sizes() > 1
                     computer = self._restricted_computer(rds, sub, k)
                 else:
                     computer = computer.collapse(local_of[choice], observed)
@@ -416,22 +420,22 @@ class APro:
             return list(range(len(rds))), None
         mins = np.zeros(len(rds))
         maxs = np.zeros(len(rds))
-        mins[nonzero], maxs[nonzero] = support_bounds(
-            [rds[g] for g in nonzero.tolist()]
-        )
+        mins[nonzero], maxs[nonzero] = support_bounds(rds.select(nonzero))
         kept = ~prunable_mask(mins, maxs, k) | (mins < maxs)
         survivors = _pad_survivors(np.flatnonzero(kept), mins, k)
         return survivors.tolist(), (mins, maxs)
 
     def _restricted_computer(
-        self, rds, sub: list[int], k: int
+        self, rds: PackedRDs, sub: list[int], k: int
     ) -> TopKComputer:
         """A :class:`TopKComputer` over the survivor sub-list.
 
         Row ``p`` of the computer is database ``sub[p]``, recorded in
-        its ``databases``. ``exact_set_limit`` is pinned so the
-        restricted ``best_set`` takes the same exhaustive-vs-hill-climb
-        branch the unpruned computer would have: exhaustive iff
+        its ``databases``; the computer gathers the survivors' atoms
+        straight from the packed arrays. ``exact_set_limit`` is pinned
+        so the restricted ``best_set`` takes the same
+        exhaustive-vs-hill-climb branch the unpruned computer would
+        have: exhaustive iff
         ``comb(n_full, k)`` fits the default budget (then
         ``comb(n_sub, k)`` fits it too), the hill climb otherwise. This
         keeps tie-breaking identical instead of letting the branch flip
@@ -440,7 +444,7 @@ class APro:
         """
         limit = 400 if comb(len(rds), k) <= 400 else 0
         return TopKComputer(
-            [rds[g] for g in sub],
+            rds.select(sub),
             k,
             exact_set_limit=limit,
             backend=self._backend,

@@ -63,25 +63,24 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.core.relevancy import PackedRDs
+
 __all__ = ["support_bounds", "prunable_mask", "survivor_indices"]
 
 
-def support_bounds(rds: Sequence) -> tuple[np.ndarray, np.ndarray]:
+def support_bounds(
+    rds: PackedRDs | Sequence,
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-database (min, max) support values of *rds*.
 
-    Distribution atoms are stored value-ascending (a
+    Atoms are stored value-ascending (a
     :class:`~repro.stats.distribution.DiscreteDistribution` invariant),
-    so the bounds are the first and last atoms: each RD's values are
-    read once and both ends are gathered from one concatenated array —
-    no probability mass touched.
+    so the bounds are each RD's first and last atoms: the ends of its
+    segment in a :class:`~repro.core.relevancy.PackedRDs`, gathered
+    from the flat values with no probability mass touched. Any other
+    sequence of distributions is packed first.
     """
-    values = [rd.values for rd in rds]
-    if not values:
-        return np.empty(0), np.empty(0)
-    lengths = np.fromiter(map(len, values), dtype=np.intp, count=len(values))
-    ends = np.cumsum(lengths)
-    atoms = np.concatenate(values)
-    return atoms[ends - lengths], atoms[ends - 1]
+    return PackedRDs.of(rds).bounds()
 
 
 def prunable_mask(

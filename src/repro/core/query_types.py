@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 from repro.types import Query
 
@@ -102,6 +104,7 @@ class QueryTypeClassifier:
         if not term_counts or any(count < 1 for count in term_counts):
             raise ConfigurationError("term_counts must be positive and non-empty")
         self._thresholds = thresholds
+        self._thresholds_array = np.asarray(thresholds, dtype=np.float64)
         self._term_counts = tuple(sorted(set(term_counts)))
         self._split_on_estimate = split_on_estimate
 
@@ -141,6 +144,20 @@ class QueryTypeClassifier:
             if estimate >= threshold:
                 band += 1
         return band
+
+    def term_count_of(self, query: Query) -> int:
+        """The type's term count for *query* (clamped to the listed counts)."""
+        return self._clamp_terms(query.num_terms)
+
+    def bands_of(self, estimates: np.ndarray) -> np.ndarray:
+        """:meth:`band_of` of every estimate.
+
+        ``band_of`` counts the thresholds at or below the estimate,
+        which is ``searchsorted(..., side="right")``.
+        """
+        if not self._split_on_estimate:
+            return np.zeros(len(estimates), dtype=np.intp)
+        return np.searchsorted(self._thresholds_array, estimates, side="right")
 
     def classify(self, query: Query, estimate: float) -> QueryType:
         """Classify *query* given its estimate on one database.

@@ -14,16 +14,26 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from repro.core.backend import ArrayBackend
+from repro.core.backend import ArrayBackend, get_backend
 from repro.core.query_types import QueryTypeClassifier
-from repro.core.relevancy import RelevancyDistribution, derive_rd, derive_rds
+from repro.core.relevancy import (
+    PackedRDs,
+    RelevancyDistribution,
+    derive_packed,
+    derive_rd,
+    derive_rds,
+    segment_index,
+)
 from repro.core.topk import CorrectnessMetric, TopKComputer
-from repro.core.training import ErrorModel
+from repro.core.training import EDTable, ErrorModel
 from repro.exceptions import SelectionError
 from repro.hiddenweb.database import RelevancyDefinition
 from repro.hiddenweb.mediator import Mediator
 from repro.stats.distribution import DiscreteDistribution
-from repro.summaries.estimators import RelevancyEstimator
+from repro.summaries.estimators import (
+    RelevancyEstimator,
+    TermIndependenceEstimator,
+)
 from repro.summaries.summary import ContentSummary
 from repro.summaries.zero_index import CertainZeroIndex
 from repro.types import Query
@@ -85,19 +95,21 @@ class RDBasedSelector:
         self._definition = definition
         self._names = [db.name for db in mediator]
         self._positions = {name: i for i, name in enumerate(self._names)}
-        self._zero_index = CertainZeroIndex(
-            [self._summaries[name] for name in self._names], definition
-        )
+        self._ordered = [self._summaries[name] for name in self._names]
+        self._sizes = np.array([float(s.size) for s in self._ordered])
+        self._zero_index = CertainZeroIndex(self._ordered, definition)
+        self._table = error_model.compile(self._names, self._classifier)
 
     def with_error_model(self, error_model: ErrorModel) -> "RDBasedSelector":
         """This selector over *error_model*, sharing everything else.
 
         The mediator, summaries and certain-zero index do not depend on
         the error model, so a model swap reuses them instead of
-        rebuilding the index.
+        rebuilding the index; only the compiled ED table is rebuilt.
         """
         clone = copy.copy(self)
         clone._error_model = error_model
+        clone._table = error_model.compile(clone._names, clone._classifier)
         return clone
 
     @property
@@ -173,44 +185,140 @@ class RDBasedSelector:
         self,
         query: Query,
         backend: "str | ArrayBackend | None" = None,
-    ) -> list[RelevancyDistribution]:
-        """RDs of every database, in mediation order.
+    ) -> PackedRDs:
+        """RDs of every database, in mediation order, as one :class:`PackedRDs`.
 
         Only the :meth:`nonzero` candidates are visited: every other
-        slot holds one shared ``impulse(0.0)`` (distributions are
-        immutable and APro replaces slots rather than changing them,
-        and at federated scale most databases are certain zeros for
-        any one query). The candidates' "no usable ED" short-circuit
-        runs first; the remaining ED→RD derivations go through one
-        :func:`~repro.core.relevancy.derive_rds` call — one batched
-        kernel on a vectorized backend, the per-database route on the
-        ``python`` oracle — so the result matches the :meth:`build_rd`
-        loop bitwise on every backend.
+        item reads as one shared ``impulse(0.0)`` (at federated scale
+        most databases are certain zeros for any one query). APro
+        assigns observed impulses into the returned sequence, so each
+        call returns a fresh one.
+
+        On a vectorized backend with the term-independence estimator
+        the candidates go through array passes: estimates, estimate
+        bands, the compiled ED table's slots and one batched
+        :func:`~repro.core.relevancy.derive_packed`. Every other
+        configuration — the ``python`` oracle, any other estimator —
+        takes the per-database route (``estimate``, ``classify``,
+        ``lookup``, :func:`~repro.core.relevancy.derive_rds`). Both
+        equal the :meth:`build_rd` loop bitwise.
         """
-        zero = DiscreteDistribution.impulse(0.0)
-        rds: list[RelevancyDistribution] = [zero] * len(self._names)
-        pending: list[tuple[int, float, object]] = []
-        for idx in self.nonzero(query).tolist():
+        resolved = get_backend(backend)
+        candidates = self.nonzero(query)
+        if (
+            resolved.vectorized
+            and type(self._estimator) is TermIndependenceEstimator
+        ):
+            rows, rds = self._table_rds(query, candidates, resolved)
+        else:
+            rows, rds = self._lookup_rds(query, candidates, resolved)
+        return PackedRDs.scattered(len(self._names), rows, rds)
+
+    def _lookup_rds(
+        self, query: Query, candidates: np.ndarray, backend: ArrayBackend
+    ) -> tuple[np.ndarray, PackedRDs]:
+        """``(rows, rds)``: the candidates' RDs, one database at a time.
+
+        Candidates without a usable ED come last, as impulses at their
+        point values.
+        """
+        pending: list[int] = []
+        estimates: list[float] = []
+        eds: list[object] = []
+        settled: list[int] = []
+        points: list[RelevancyDistribution] = []
+        for idx in candidates.tolist():
             name = self._names[idx]
             estimate = self._estimator.estimate(self._summaries[name], query)
             query_type = self._classifier.classify(query, estimate)
             ed = self._error_model.lookup(name, query_type)
             if ed is None:
-                rds[idx] = DiscreteDistribution.impulse(
-                    self._point_value(estimate)
+                settled.append(idx)
+                points.append(
+                    DiscreteDistribution.impulse(self._point_value(estimate))
                 )
-                continue
-            pending.append((idx, estimate, ed))
+            else:
+                pending.append(idx)
+                estimates.append(estimate)
+                eds.append(ed)
         derived = derive_rds(
-            [estimate for _idx, estimate, _ed in pending],
-            [ed for _idx, _estimate, ed in pending],
+            estimates,
+            eds,
             definition=self._definition,
             estimate_floor=self._error_model.estimate_floor,
             backend=backend,
         )
-        for (idx, _estimate, _ed), rd in zip(pending, derived):
-            rds[idx] = rd
-        return rds
+        return (
+            np.array(pending + settled, dtype=np.intp),
+            PackedRDs.of(list(derived) + points),
+        )
+
+    def _table_rds(
+        self, query: Query, candidates: np.ndarray, backend: ArrayBackend
+    ) -> tuple[np.ndarray, PackedRDs]:
+        """``(rows, rds)``: the candidates' RDs from array passes.
+
+        The estimate multiplies ``df / size`` into ``float(size)`` once
+        per query term, in query order — the scalar estimator's
+        arithmetic, so the same bits. Candidates without a usable ED
+        come last, as impulses at their point values.
+        """
+        sizes = self._sizes[candidates]
+        estimates = sizes.copy()
+        ordered = [self._ordered[i] for i in candidates.tolist()]
+        for term in query.terms:
+            frequencies = np.fromiter(
+                (s.document_frequency(term) for s in ordered),
+                dtype=np.float64,
+                count=len(ordered),
+            )
+            estimates *= frequencies / sizes
+        table = self._compiled_table()
+        ids = table.slot[
+            candidates,
+            table.term_slot[self._classifier.term_count_of(query)],
+            self._classifier.bands_of(estimates),
+        ]
+        usable = ids >= 0
+        if not usable.all():
+            unusable = ~usable
+            points = [
+                self._point_value(float(e)) for e in estimates[unusable]
+            ]
+            candidates = np.concatenate(
+                (candidates[usable], candidates[unusable])
+            )
+            ids, estimates = ids[usable], estimates[usable]
+        else:
+            points = []
+        index, bounds = segment_index(table.starts, ids)
+        values, probs, starts = derive_packed(
+            estimates,
+            np.diff(bounds),
+            table.values[index],
+            table.probs[index],
+            self._definition,
+            self._error_model.estimate_floor,
+            backend,
+        )
+        if points:
+            values = np.concatenate((values, points))
+            probs = np.concatenate((probs, np.ones(len(points))))
+            starts = np.concatenate(
+                (starts, starts[-1] + np.arange(1, len(points) + 1))
+            )
+        return candidates, PackedRDs(
+            values, probs, starts, np.arange(len(candidates))
+        )
+
+    def _compiled_table(self) -> EDTable:
+        """The compiled ED table, recompiled if the model observed since."""
+        table = self._table
+        if table.version != self._error_model.version:
+            table = self._table = self._error_model.compile(
+                self._names, self._classifier
+            )
+        return table
 
     def _point_value(self, estimate: float) -> float:
         if self._definition is RelevancyDefinition.DOCUMENT_FREQUENCY:

@@ -50,6 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.backend import ArrayBackend, get_backend
+from repro.core.relevancy import PackedRDs
 from repro.exceptions import SelectionError
 from repro.stats.distribution import DiscreteDistribution
 
@@ -70,7 +71,10 @@ class TopKComputer:
     ----------
     rds:
         One relevancy distribution per database, in mediation order
-        (the order defines tie-breaking).
+        (the order defines tie-breaking): a
+        :class:`~repro.core.relevancy.PackedRDs`, whose atom arrays are
+        gathered directly, or any sequence of distributions, packed
+        first.
     k:
         Number of databases to select (1 <= k <= n; k = n is legal and
         trivially certain).
@@ -95,14 +99,15 @@ class TopKComputer:
 
     def __init__(
         self,
-        rds: Sequence[DiscreteDistribution],
+        rds: PackedRDs | Sequence[DiscreteDistribution],
         k: int,
         exact_set_limit: int = 400,
         swap_width: int = 4,
         backend: "str | ArrayBackend | None" = None,
         databases: Sequence[int] | None = None,
     ) -> None:
-        n = len(rds)
+        packed = PackedRDs.of(rds)
+        n = len(packed)
         if n == 0:
             raise SelectionError("need at least one database")
         if not 1 <= k <= n:
@@ -112,13 +117,12 @@ class TopKComputer:
             raise SelectionError(
                 f"{len(self._databases)} database indices for {n} RDs"
             )
-        self._rds = list(rds)
         self._n = n
         self._k = k
         self._exact_set_limit = exact_set_limit
         self._swap_width = max(1, swap_width)
         self._backend = get_backend(backend)
-        self._build_atoms()
+        self._build_atoms(packed)
         # Pure-function index structures keyed by candidate set; they
         # depend only on the atom layout, which :meth:`collapse`
         # preserves, so collapsed computers share this dict.
@@ -168,16 +172,12 @@ class TopKComputer:
 
     # -- construction of the rank structure ---------------------------------
 
-    def _build_atoms(self) -> None:
-        counts = np.asarray(
-            [rd.support_size for rd in self._rds], dtype=np.intp
-        )
-        values = np.concatenate([rd.values for rd in self._rds])
-        probs = np.concatenate([rd.probs for rd in self._rds])
-        dbs = np.repeat(np.arange(self._n), counts)
+    def _build_atoms(self, rds: PackedRDs) -> None:
+        # Every database's atoms form a contiguous span, in row order.
+        values, probs, bounds = rds.atoms()
+        dbs = np.repeat(np.arange(self._n), np.diff(bounds))
         m = len(values)
-        # Concatenation order gives every database a contiguous atom span.
-        bounds = np.concatenate(([0], np.cumsum(counts)))
+        self._db_bounds = bounds
         self._db_atom_start = bounds[:-1]
         self._db_atom_stop = bounds[1:]
         # Strict total order: ascending value; on equal value the later
@@ -201,19 +201,15 @@ class TopKComputer:
         self._order_dbs = dbs[order]
         self._order_ranks = np.arange(m, dtype=np.float64)
 
-        # The outrank matrices and the per-database cumulative-mass
-        # structures are the backend's kernel:
+        # The outrank matrices are the backend's kernel:
         # G[j, t] = P(database j's realization outranks atom t)
         # L[j, t] = P(database j's realization ranks below atom t)
         # (for j == atom_db[t], G + L + P(atom t) == 1; each atom's own
         # database is pre-masked to 0 in G — conditioned on, not
         # competing).
-        (
-            self._greater,
-            self._less,
-            self._db_sorted_ranks,
-            self._db_cumprobs,
-        ) = self._backend.outrank_structures(probs, dbs, ranks, order, self._n)
+        self._greater, self._less = self._backend.outrank_structures(
+            probs, dbs, ranks, order, self._n
+        )
         # Reported (index, value, prob) triples per database, built on
         # first use: collapse() overwrites a database's entry outright,
         # so most spans of a short-lived computer are never materialized.
@@ -258,8 +254,12 @@ class TopKComputer:
         return self._databases
 
     def rd(self, i: int) -> DiscreteDistribution:
-        """The RD of database *i*."""
-        return self._rds[i]
+        """The RD of database *i* (an impulse once collapsed), built on call."""
+        triples = self._triples(i)
+        return DiscreteDistribution._trusted(
+            np.array([value for _t, value, _p in triples]),
+            np.array([prob for _t, _v, prob in triples]),
+        )
 
     def atoms_of(self, i: int) -> list[tuple[int, float, float]]:
         """(atom_index, value, probability) triples of database *i*.
@@ -303,8 +303,6 @@ class TopKComputer:
         stop = int(self._db_atom_stop[i])
 
         new = object.__new__(TopKComputer)
-        new._rds = list(self._rds)
-        new._rds[i] = DiscreteDistribution.impulse(value)
         new._databases = self._databases
         new._n = self._n
         new._k = self._k
@@ -314,6 +312,7 @@ class TopKComputer:
         new._num_atoms = self._num_atoms
         # Layout is shared verbatim: spans and atom→database mapping
         # never change under collapse.
+        new._db_bounds = self._db_bounds
         new._db_atom_start = self._db_atom_start
         new._db_atom_stop = self._db_atom_stop
         new._atom_dbs = self._atom_dbs
@@ -365,10 +364,6 @@ class TopKComputer:
         new._atom_probs = self._atom_probs.copy()
         new._atom_probs[start:stop] = 0.0
         new._atom_probs[t0] = 1.0
-        new._db_sorted_ranks = list(self._db_sorted_ranks)
-        new._db_sorted_ranks[i] = np.array([rank0], dtype=np.float64)
-        new._db_cumprobs = list(self._db_cumprobs)
-        new._db_cumprobs[i] = np.array([0.0, 1.0])
 
         # Only row i of the outrank matrices changes ...
         new._greater = self._greater.copy()
@@ -380,12 +375,13 @@ class TopKComputer:
         if migrated is None:
             # ... plus, for an out-of-support value, column t0: the
             # repurposed atom's rank moved, so every other database's
-            # outrank mass against it is re-read from its cumulative
-            # structure (O(n log s)). The backend returns a zero
-            # placeholder for row i, matching the masked own entry the
-            # row assignment above already wrote.
+            # outrank mass against it is re-summed from the current atom
+            # arrays (a collapsed database's zero-mass fenceposts add
+            # exactly 0). The backend returns a zero placeholder for row
+            # i, matching the masked own entry the row assignment above
+            # already wrote.
             greater_col, less_col = self._backend.collapse_column(
-                rank0, i, self._n, new._db_sorted_ranks, new._db_cumprobs
+                rank0, i, new._atom_probs, new._atom_ranks, self._db_bounds
             )
             greater_col[i] = new._greater[i, t0]
             less_col[i] = new._less[i, t0]

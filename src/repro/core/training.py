@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.errors import (
     DEFAULT_ERROR_EDGES,
     DEFAULT_ESTIMATE_FLOOR,
@@ -30,6 +32,7 @@ from repro.types import Query
 
 __all__ = [
     "ERROR_MODEL_STATE_VERSION",
+    "EDTable",
     "ErrorModel",
     "EDTrainer",
     "PlannedProbe",
@@ -61,6 +64,28 @@ class PlannedProbe:
     query_type: QueryType
 
 
+@dataclass(frozen=True)
+class EDTable:
+    """An :class:`ErrorModel`'s fallback chain, resolved for every slot.
+
+    ``slot[d, c, b]`` is the id of the ED ``lookup`` returns for the
+    d-th database (mediation order), the c-th of the classifier's term
+    counts (``term_slot`` maps a term count to c) and estimate band b;
+    -1 where it returns ``None``. ED e's atoms (its
+    ``to_distribution()``) are ``values[starts[e]:starts[e + 1]]`` with
+    ``probs`` alongside, stored once however many slots share it.
+    ``version`` is the model's :attr:`ErrorModel.version` when it was
+    compiled. Built by :meth:`ErrorModel.compile`.
+    """
+
+    slot: np.ndarray
+    term_slot: dict[int, int]
+    starts: np.ndarray
+    values: np.ndarray
+    probs: np.ndarray
+    version: int
+
+
 class ErrorModel:
     """Trained error distributions with a pooled-fallback hierarchy.
 
@@ -90,13 +115,21 @@ class ErrorModel:
         self._per_flag: dict[tuple[str, int], ErrorDistribution] = {}
         self._per_db: dict[str, ErrorDistribution] = {}
         self._global = ErrorDistribution(self._edges)
+        self._version = 0
 
     # -- training-side interface ------------------------------------------------
+
+    @property
+    def version(self) -> int:
+        """Count of :meth:`observe` calls: an :class:`EDTable` compiled at
+        another version may no longer match :meth:`lookup`."""
+        return self._version
 
     def observe(
         self, database_name: str, query_type: QueryType, error: float
     ) -> None:
         """Record one training error for (database, type)."""
+        self._version += 1
         key = (database_name, query_type)
         ed = self._per_type.get(key)
         if ed is None:
@@ -144,6 +177,70 @@ class ErrorModel:
         if self._global.sample_count >= self._min_samples:
             return self._global
         return None
+
+    def compile(
+        self, names: Sequence[str], classifier: QueryTypeClassifier
+    ) -> "EDTable":
+        """:meth:`lookup` for every (database, query type) slot, as arrays.
+
+        *names* gives the databases in mediation order, *classifier*
+        the types a query can take. Built from the trained slices
+        instead of one ``lookup`` per slot: every slot of a database
+        starts at the first qualifying fallback level — band-pooled,
+        then database-pooled, then global — and a qualifying exact
+        slice overrides its own slot, the chain ``lookup`` walks.
+        """
+        version = self._version
+        position = {name: d for d, name in enumerate(names)}
+        term_slot = {count: c for c, count in enumerate(classifier.term_counts)}
+        bands = classifier.num_bands
+        eds: list[ErrorDistribution] = []
+
+        def usable(ed: ErrorDistribution) -> bool:
+            return ed.sample_count >= self._min_samples
+
+        def ed_id(ed: ErrorDistribution) -> int:
+            eds.append(ed)
+            return len(eds) - 1
+
+        fallback = np.full(
+            (len(names), bands),
+            ed_id(self._global) if usable(self._global) else -1,
+            dtype=np.intp,
+        )
+        for name, ed in self._per_db.items():
+            d = position.get(name)
+            if d is not None and usable(ed):
+                fallback[d] = ed_id(ed)
+        for (name, band), ed in self._per_flag.items():
+            d = position.get(name)
+            if d is not None and band < bands and usable(ed):
+                fallback[d, band] = ed_id(ed)
+        slot = np.repeat(fallback[:, None, :], len(term_slot), axis=1)
+        for (name, query_type), ed in self._per_type.items():
+            d = position.get(name)
+            c = term_slot.get(query_type.num_terms)
+            band = query_type.estimate_band
+            if d is not None and c is not None and band < bands and usable(ed):
+                slot[d, c, band] = ed_id(ed)
+        # Keep only the EDs some slot resolves to, numbered densely; the
+        # trailing -1 of ``dense`` maps "no usable ED" onto itself.
+        used = np.flatnonzero(np.bincount(slot[slot >= 0], minlength=len(eds)))
+        dense = np.full(len(eds) + 1, -1, dtype=np.intp)
+        dense[used] = np.arange(len(used))
+        distributions = [eds[e].to_distribution() for e in used.tolist()]
+        return EDTable(
+            slot=dense[slot],
+            term_slot=term_slot,
+            starts=np.cumsum([0] + [d.support_size for d in distributions]),
+            values=np.concatenate(
+                [np.empty(0)] + [d.values for d in distributions]
+            ),
+            probs=np.concatenate(
+                [np.empty(0)] + [d.probs for d in distributions]
+            ),
+            version=version,
+        )
 
     def exact(
         self, database_name: str, query_type: QueryType

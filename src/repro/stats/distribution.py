@@ -92,28 +92,52 @@ class DiscreteDistribution:
         return self
 
     @classmethod
-    def _from_trusted_weights(
-        cls, values: np.ndarray, weights: np.ndarray
+    def _trusted(
+        cls, values: np.ndarray, probs: np.ndarray
     ) -> "DiscreteDistribution":
-        """Construct from pre-merged, pre-sorted (value, weight) arrays.
+        """Wrap arrays that already satisfy every invariant, uncopied.
 
-        Internal fast path for the batched RD builder: *values* must be
-        strictly ascending and *weights* positive — exactly what
-        :meth:`from_pairs` would produce after its merge — so the
-        validation scans are skipped. The normalization arithmetic
-        replicates :meth:`from_pairs` + ``__init__`` operation for
-        operation, keeping the result bitwise identical to the checked
-        route.
+        Internal fast path for packed RD storage
+        (:class:`~repro.core.relevancy.PackedRDs`): *values* strictly
+        ascending, *probs* exactly what the validating route would
+        have stored. Nothing is checked or recomputed, so the atoms
+        keep their bits.
         """
         self = object.__new__(cls)
-        probs = weights / weights.sum()
-        total = float(probs.sum())
         self._values = values
-        # ``__init__``'s clip is an identity here (positive weights give
-        # strictly positive probs), so skipping it keeps the bits.
-        self._probs = probs / max(total, _PROB_TOLERANCE)
+        self._probs = probs
         self._cumulative = None
         return self
+
+    @staticmethod
+    def _normalized_segments(
+        weights: np.ndarray, starts: np.ndarray
+    ) -> np.ndarray:
+        """The probs :meth:`from_pairs` stores, for many merged supports.
+
+        Segment j is ``weights[starts[j]:starts[j + 1]]``: one support's
+        merged positive weights, values ascending. Each segment gets
+        ``from_pairs``' ``w / w.sum()`` and then ``__init__``'s division
+        by the re-summed total (its clip is an identity on positive
+        weights), with every sum in ``ndarray.sum``'s order: a left fold
+        below 8 elements — the order ``np.bincount`` adds in — and
+        numpy's 8-accumulator pairwise sum from 8 up, which those few
+        segments get from ``.sum()`` itself. (``np.add.reduceat`` adds
+        in neither order.) The result is bitwise the per-support route.
+        """
+        lengths = np.diff(starts)
+        labels = np.repeat(np.arange(len(lengths)), lengths)
+        long_segments = np.flatnonzero(lengths >= 8).tolist()
+
+        def segment_sums(terms: np.ndarray) -> np.ndarray:
+            sums = np.bincount(labels, weights=terms, minlength=len(lengths))
+            for j in long_segments:
+                sums[j] = terms[starts[j] : starts[j + 1]].sum()
+            return sums
+
+        probs = weights / segment_sums(weights)[labels]
+        totals = np.maximum(segment_sums(probs), _PROB_TOLERANCE)
+        return probs / totals[labels]
 
     # -- atoms --------------------------------------------------------------
 
