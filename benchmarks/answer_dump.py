@@ -7,6 +7,13 @@ each backend, and comparing the digests::
     python benchmarks/answer_dump.py --backend numpy --out answers.tsv
     python benchmarks/answer_dump.py --backend python --out answers.tsv
 
+A change that moves answers on purpose is reported with
+``--compare OTHER``, which prints every line that differs from another
+dump, field by field, and exits 1 if any does::
+
+    python benchmarks/answer_dump.py --backend numpy --out new.tsv \
+        --compare old.tsv
+
 The cells are built with the benchmark's own testbeds
 (``perfbench/systems.py``, imported, never modified), and every query
 runs ``Metasearcher.select(query, k, certainty=0.9)``:
@@ -60,10 +67,37 @@ def answer_lines(cell, testbed, k, count):
         )
 
 
+def compare(lines, other_path) -> int:
+    """Print each line that differs from *other_path*'s; 1 if any do."""
+    other = other_path.read_text().splitlines()
+    differing = 0
+    for index in range(max(len(lines), len(other))):
+        mine = lines[index].split("\t") if index < len(lines) else None
+        theirs = other[index].split("\t") if index < len(other) else None
+        if mine == theirs:
+            continue
+        differing += 1
+        cell, terms = (mine or theirs)[:2]
+        print(f"line {index + 1}: {cell} | {terms}")
+        for position, field in enumerate(("selected", "probes", "certainty")):
+            this = mine[position + 2] if mine else "(missing)"
+            that = theirs[position + 2] if theirs else "(missing)"
+            mark = " " if this == that else "*"
+            print(f"  {mark} {field:<9} this: {this}  other: {that}")
+    print(f"differ : {differing} of {len(lines)} lines vs {other_path}")
+    return 1 if differing else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--backend", choices=("numpy", "python"), required=True)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument(
+        "--compare",
+        type=Path,
+        metavar="OTHER",
+        help="print the lines that differ from dump OTHER; exit 1 if any",
+    )
     args = parser.parse_args(argv)
     os.environ["REPRO_BACKEND"] = args.backend
 
@@ -92,7 +126,7 @@ def main(argv=None) -> int:
     args.out.write_bytes(payload)
     print(f"lines  : {len(lines)}")
     print(f"sha256 : {hashlib.sha256(payload).hexdigest()}")
-    return 0
+    return compare(lines, args.compare) if args.compare else 0
 
 
 if __name__ == "__main__":

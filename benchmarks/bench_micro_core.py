@@ -4,10 +4,16 @@ These are the per-query costs a deployment cares about: conjunctive
 match counting inside a database, RD construction, expected-correctness
 computation, full RD-based selection, and one APro run — plus, at
 federated scale, the exact-pruning certificate, the RD build and the
-survivors' ``TopKComputer`` build.
+survivors' ``TopKComputer`` build, and at k = 3 the greedy round of a
+query whose every database is uncertain.
 """
 
 from __future__ import annotations
+
+import importlib.util
+import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,11 +178,9 @@ def test_usefulness_sweep_k1(benchmark, paper_pipeline, sample_query):
 def test_usefulness_sweep_k3(benchmark, paper_pipeline, sample_query):
     """One greedy round at k = 3: absolute usefulness of every database.
 
-    Over the paper testbed's 20 databases k = 3 takes the hill climb
-    (C(20, 3) > 400), so this times the batched answer-set search the
-    sweep's first ``best_set`` miss runs for every hypothetical probe.
-    A fresh computer per call, as APro pays for the first round of a
-    query.
+    This times the batched exact answer-set search that the sweep's
+    first ``best_set`` miss runs for every hypothetical probe. A fresh
+    computer per call, as APro pays for the first round of a query.
     """
     rds = paper_pipeline.rd_selector.build_rds(sample_query)
     policy = GreedyUsefulnessPolicy()
@@ -189,6 +193,53 @@ def test_usefulness_sweep_k3(benchmark, paper_pipeline, sample_query):
             )
 
     benchmark(sweep)
+
+
+@pytest.fixture(scope="module")
+def uncertain_rds():
+    """RDs of perfbench paper-k3's ('crairound', 'doudot').
+
+    All 20 databases are uncertain, 18 of them with 10–14 atoms, so a
+    greedy round at k = 3 scores about 200 lanes whose answer-set pools
+    hold 9–14 databases. Built with perfbench's own testbed
+    (``perfbench/systems.py``, loaded under a private module name and
+    never modified). Loading it clears ``REPRO_*`` knobs and may put
+    ``src`` on ``sys.path``, so both are restored after it.
+    """
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "systems.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_systems", path)
+    systems = importlib.util.module_from_spec(spec)
+    saved_environ, saved_path = dict(os.environ), list(sys.path)
+    sys.modules[spec.name] = systems
+    try:
+        spec.loader.exec_module(systems)
+    finally:
+        os.environ.clear()
+        os.environ.update(saved_environ)
+        sys.path[:] = saved_path
+    testbed = systems.build_paper(200)
+    query = next(
+        q for q in testbed.queries if tuple(q.terms) == ("crairound", "doudot")
+    )
+    return testbed.metasearcher.selector.build_rds(query)
+
+
+def test_greedy_round_k3_all_uncertain(benchmark, uncertain_rds):
+    """The first greedy round at k = 3 when every database is uncertain.
+
+    ``best_set`` on the prior, then the usefulness of every database:
+    the tail of the answer-set search, where pools are largest.
+    """
+    policy = GreedyUsefulnessPolicy()
+    metric = CorrectnessMetric.ABSOLUTE
+    candidates = list(range(len(uncertain_rds)))
+
+    def round_():
+        computer = TopKComputer(uncertain_rds, 3)
+        computer.best_set(metric)
+        policy.choose(computer, candidates, metric, 0.9)
+
+    benchmark(round_)
 
 
 def test_greedy_round_after_collapse_k1(

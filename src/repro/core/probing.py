@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from math import comb
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -432,23 +431,14 @@ class APro:
 
         Row ``p`` of the computer is database ``sub[p]``, recorded in
         its ``databases``; the computer gathers the survivors' atoms
-        straight from the packed arrays. ``exact_set_limit`` is pinned
-        so the restricted ``best_set`` takes the same
-        exhaustive-vs-hill-climb branch the unpruned computer would
-        have: exhaustive iff
-        ``comb(n_full, k)`` fits the default budget (then
-        ``comb(n_sub, k)`` fits it too), the hill climb otherwise. This
-        keeps tie-breaking identical instead of letting the branch flip
-        with the survivor count; over every database it is exactly the
-        default computer.
+        straight from the packed arrays. A pruned database is certainly
+        out of the top-k, so no set holding it can be the answer, and
+        survivors keep ascending mediation order, by which the
+        answer-set search breaks ties: the restricted ``best_set`` picks
+        the set the unpruned computer would.
         """
-        limit = 400 if comb(len(rds), k) <= 400 else 0
         return TopKComputer(
-            rds.select(sub),
-            k,
-            exact_set_limit=limit,
-            backend=self._backend,
-            databases=sub,
+            rds.select(sub), k, backend=self._backend, databases=sub
         )
 
     @staticmethod

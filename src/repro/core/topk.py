@@ -26,8 +26,9 @@ pair (database i collapsed onto its atom t) and reuse the precomputed
 rank structure; :meth:`TopKComputer.conditional_best_scores` evaluates
 every atom of a candidate database in one vectorized pass via a
 leave-one-out dynamic program, and for the absolute metric with k > 1
-one batched hill climb answers every atom of every database at once
-(see docs/PERFORMANCE.md).
+one batched search with a bounded cost, exact whenever its pool fits
+(:meth:`TopKComputer.best_set`), answers every atom of every database
+at once (see docs/PERFORMANCE.md).
 
 Observed probing. :meth:`TopKComputer.collapse` turns an observation
 into a new computer *incrementally*: the atom ordering, outrank
@@ -45,7 +46,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 from collections.abc import Sequence
-from typing import NamedTuple
 
 import numpy as np
 
@@ -78,12 +78,6 @@ class TopKComputer:
     k:
         Number of databases to select (1 <= k <= n; k = n is legal and
         trivially certain).
-    exact_set_limit:
-        ``best_set`` enumerates all C(n, k) candidate sets exhaustively
-        when their count is at most this; beyond it, a marginal-ranked
-        hill-climbing search is used.
-    swap_width:
-        Size of the non-member pool considered by the hill climber.
     backend:
         Numeric backend executing the array kernels: a registry name
         (``"numpy"``, ``"python"``), an
@@ -101,8 +95,6 @@ class TopKComputer:
         self,
         rds: PackedRDs | Sequence[DiscreteDistribution],
         k: int,
-        exact_set_limit: int = 400,
-        swap_width: int = 4,
         backend: "str | ArrayBackend | None" = None,
         databases: Sequence[int] | None = None,
     ) -> None:
@@ -119,8 +111,6 @@ class TopKComputer:
             )
         self._n = n
         self._k = k
-        self._exact_set_limit = exact_set_limit
-        self._swap_width = max(1, swap_width)
         self._backend = get_backend(backend)
         self._build_atoms(packed)
         # Pure-function index structures keyed by candidate set; they
@@ -138,8 +128,7 @@ class TopKComputer:
         # in the APro thread). RDs are fixed per instance, so every
         # query below is a pure function of its arguments: probability
         # and answer-set results are cached outright. APro's batch
-        # rounds re-ask best_set for the same overrides once per pick,
-        # and the hill climber re-tries sets across improvement passes.
+        # rounds re-ask best_set for the same overrides once per pick.
         self._prob_memo: dict[tuple, float] = {}
         self._marginals_memo: dict[tuple[int, int] | None, np.ndarray] = {}
         self._best_set_memo: dict[tuple, tuple[tuple[int, ...], float]] = {}
@@ -166,9 +155,11 @@ class TopKComputer:
         self._batch_all: np.ndarray | None = None
         self._scores_memo: dict[tuple[int, CorrectnessMetric], np.ndarray] = {}
         self._sweep_memo: dict[tuple[CorrectnessMetric, float], np.ndarray] = {}
-        # Set once the batched hill climb has filled _best_set_memo for
-        # every hypothetical probe (see _batch_climbs).
-        self._climbs_batched = False
+        # Set once the lane batch has filled _best_set_memo for every
+        # hypothetical probe (see _batch_lanes).
+        self._lanes_batched = False
+        # Per-row atom tables of the answer-set sweep (_sweep_spans).
+        self._spans: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- construction of the rank structure ---------------------------------
 
@@ -306,8 +297,6 @@ class TopKComputer:
         new._databases = self._databases
         new._n = self._n
         new._k = self._k
-        new._exact_set_limit = self._exact_set_limit
-        new._swap_width = self._swap_width
         new._backend = self._backend
         new._num_atoms = self._num_atoms
         # Layout is shared verbatim: spans and atom→database mapping
@@ -726,7 +715,7 @@ class TopKComputer:
         averages. For the partial metric and for k = 1 every atom is
         evaluated in one vectorized pass over the shared leave-one-out
         DP; for the absolute metric with k > 1 each atom is read through
-        :meth:`best_set`, whose first hill-climb miss on a vectorized
+        :meth:`best_set`, whose first override miss on a vectorized
         backend answers every atom of every uncertain database in one
         batched pass, so the later reads here are memo hits. Atoms with
         probability below *min_prob* are skipped in the per-atom path
@@ -813,10 +802,8 @@ class TopKComputer:
         contributing their probability alone. Returns ``None`` when no
         whole-sweep path exists — on a non-vectorized backend, or for
         the absolute metric with 1 < k < n — in which case callers fall
-        back to the per-database route. For the latter that route is
-        already batched: :meth:`conditional_best_scores` reads each atom
-        through :meth:`best_set`, whose first miss fills the memo for
-        every atom at once.
+        back to the per-database route, which :meth:`best_set` batches
+        for the latter.
         Each database's terms are added in atom order from 0.0, as the
         per-database loop adds them (``np.bincount``; a segmented
         ``np.add.reduceat`` would add a span's tail first), and the
@@ -961,16 +948,20 @@ class TopKComputer:
 
         For the partial metric the optimum is exactly the k databases
         with the largest marginals (E[Cor_p] is their mean, by linearity
-        of expectation). For the absolute metric every C(n, k) set is
-        enumerated when feasible; otherwise a marginal-seeded
-        hill-climbing swap search is used (see DESIGN.md).
+        of expectation). For the absolute metric the *incumbent* is the
+        value of the top-k set by marginal, ranked on (−marginal, row);
+        since P[S = DB_topk] ≤ min over i ∈ S of P[i ∈ DB_topk], only
+        rows whose marginal reaches it less :attr:`_POOL_SLACK` can be in
+        a better set. Every k-subset of that *pool*, cut to its first
+        :func:`_widest_pool` rows by marginal, is scored, and the answer
+        is the first, in lexicographic order of ascending rows, within
+        :attr:`_TIE_WINDOW` of the maximum: exact whenever the cut drops
+        no row.
 
-        On a vectorized backend the first hill-climb miss with an
-        override runs the climb of *every* hypothetical probe a greedy
-        round can ask for in one array pass (:meth:`_batch_climbs`) and
-        answers from the memo it fills; the sets are the sequential
-        climb's, the values agree within 1e-12. The ``python`` backend
-        keeps the sequential climb per call as the oracle.
+        The ``python`` oracle scores one set at a time with
+        :meth:`prob_set_is_topk`; a vectorized backend answers a greedy
+        round's every override at its first miss (:meth:`_batch_lanes`),
+        with the oracle's sets and values within 1e-12.
         """
         if self._k == self._n:
             return tuple(range(self._n)), 1.0
@@ -982,12 +973,11 @@ class TopKComputer:
             override is not None
             and metric is CorrectnessMetric.ABSOLUTE
             and self._k > 1
-            and not self._climbs_batched
+            and not self._lanes_batched
             and self._backend.vectorized
-            and comb(self._n, self._k) > self._exact_set_limit
         ):
             self._validate_override(override)
-            self._batch_climbs()
+            self._batch_lanes()
             cached = self._best_set_memo.get(memo_key)
             if cached is not None:
                 return cached
@@ -999,191 +989,269 @@ class TopKComputer:
             result = (best,), min(1.0, float(marginals[best]))
             self._best_set_memo[memo_key] = result
             return result
-        ranked = sorted(range(self._n), key=lambda i: (-marginals[i], i))
         if metric is CorrectnessMetric.PARTIAL:
+            ranked = sorted(range(self._n), key=lambda i: (-marginals[i], i))
             chosen = tuple(sorted(ranked[: self._k]))
             result = chosen, min(1.0, float(np.mean([marginals[i] for i in chosen])))
-        elif comb(self._n, self._k) <= self._exact_set_limit:
-            result = self._best_absolute_exact(override)
+        elif self._backend.vectorized:
+            lane = (-1, -1) if override is None else override
+            result = self._search_lanes(
+                np.array([lane[0]]), np.array([lane[1]]), marginals[None, :]
+            )[0]
         else:
-            result = self._best_absolute_hillclimb(ranked, override)
+            result = self._best_absolute(override, marginals)
         self._best_set_memo[memo_key] = result
         return result
 
-    def _best_absolute_exact(
-        self, override: tuple[int, int] | None
+    #: Slack under the incumbent for pool membership, far above the
+    #: rounding of a marginal or a set value.
+    _POOL_SLACK = 1e-9
+    #: The answer is the first pool subset within this of the maximum.
+    _TIE_WINDOW = 1e-12
+    #: Most k-subsets one search scores, whatever k and the pool.
+    _SUBSET_LIMIT = 4096
+
+    def _best_absolute(
+        self, override: tuple[int, int] | None, marginals: np.ndarray
     ) -> tuple[tuple[int, ...], float]:
-        best_set: tuple[int, ...] = tuple(range(self._k))
-        best_value = -1.0
-        for candidate in combinations(range(self._n), self._k):
-            value = self.prob_set_is_topk(candidate, override)
-            if value > best_value + 1e-15:
-                best_set, best_value = candidate, value
-        return best_set, max(0.0, best_value)
+        """The search of :meth:`best_set`, one set value at a time."""
+        ranked = sorted(range(self._n), key=lambda i: (-marginals[i], i))
+        top = tuple(sorted(ranked[: self._k]))
+        incumbent = self.prob_set_is_topk(top, override)
+        floor = incumbent - self._POOL_SLACK
+        size = sum(1 for j in range(self._n) if marginals[j] >= floor)
+        widest = _widest_pool(self._k, self._SUBSET_LIMIT)
+        size = min(max(size, self._k), widest)
+        if size == self._k:
+            return top, incumbent
+        pool = sorted(ranked[:size])
+        scored = [
+            (subset, self.prob_set_is_topk(subset, override))
+            for subset in combinations(pool, self._k)
+        ]
+        best = max(value for _subset, value in scored)
+        return next(
+            (subset, value)
+            for subset, value in scored
+            if value >= best - self._TIE_WINDOW
+        )
 
-    def _best_absolute_hillclimb(
-        self,
-        ranked: list[int],
-        override: tuple[int, int] | None,
-    ) -> tuple[tuple[int, ...], float]:
-        current = set(ranked[: self._k])
-        pool = ranked[self._k : self._k + self._swap_width]
-        current_value = self.prob_set_is_topk(sorted(current), override)
-        improved = True
-        while improved:
-            improved = False
-            for member in sorted(current):
-                for candidate in pool:
-                    if candidate in current:
-                        continue
-                    trial = (current - {member}) | {candidate}
-                    value = self.prob_set_is_topk(sorted(trial), override)
-                    if value > current_value + 1e-12:
-                        current, current_value = trial, value
-                        improved = True
-                        break
-                if improved:
-                    break
-        return tuple(sorted(current)), current_value
-
-    #: Element budget of one chunk of batched climbs. A lane occupies
-    #: (databases + partner sets × other pool databases) × pool-atom
-    #: width elements: the outrank gather for the product over non-pool
-    #: databases plus the per-subset fold; chunking bounds peak memory.
-    _CLIMB_BATCH_LIMIT = 131_072
-
-    def _batch_climbs(self) -> None:
+    def _batch_lanes(self) -> None:
         """Fill the best-set memo for every hypothetical probe at once.
 
         A *lane* is one override (i, t0) the greedy sweep can ask for:
-        every atom with 0 < P < 1, i.e. every atom of every database
-        that is not an impulse. :meth:`_best_absolute_hillclimb` only
-        ever visits k-subsets of a lane's top-(k + swap_width) databases
-        by marginal (the seed set plus its swap pool), so each lane's
-        ``pool`` is ranked by its row of the override marginals (stable
-        on (−marginal, index), exactly the climb's ``ranked``), all
-        C(k + w, k) pool subsets are scored in one array pass
-        (:meth:`_climb_table`) and :func:`_replay_climbs` re-runs the
-        first-improvement climb over that table. Lanes are scored in
-        chunks under :attr:`_CLIMB_BATCH_LIMIT`; a lane's values do not
-        depend on the chunking. The marginals memo is filled alongside,
-        as the per-call climb would, so collapse's memo migration sees
-        the same state.
+        every atom with 0 < P < 1. The marginals memo is filled
+        alongside, as per-call searches would, for collapse's migration.
         """
-        self._climbs_batched = True
+        self._lanes_batched = True
         probs = self._atom_probs
         lane_atoms = np.flatnonzero((probs > 0.0) & (probs < 1.0))
         if not len(lane_atoms):
             return
         lane_dbs = self._atom_dbs[lane_atoms]
-        rows = []
-        for i in np.unique(lane_dbs).tolist():
-            batch = self._override_marginals_all(i)
-            rows.append(
-                batch[lane_atoms[lane_dbs == i] - int(self._db_atom_start[i])]
-            )
-        marginals = np.concatenate(rows)
-        k = self._k
-        size = min(self._n, k + self._swap_width)
-        pool = np.argsort(-marginals, axis=1, kind="stable")[:, :size]
-        subsets = _pool_subsets(size, k)
-        spans = self._db_atom_stop - self._db_atom_start
-        width = int(spans[pool].sum(axis=1).max())
-        per_lane = width * (self._n + subsets.mates.size)
-        step = max(1, self._CLIMB_BATCH_LIMIT // per_lane)
-        table = np.concatenate(
+        with_lanes = np.flatnonzero(np.bincount(lane_dbs, minlength=self._n))
+        marginals = np.concatenate(
             [
-                self._climb_table(
-                    lane_atoms[lo : lo + step],
-                    lane_dbs[lo : lo + step],
-                    pool[lo : lo + step],
-                    subsets,
-                    width,
-                )
-                for lo in range(0, len(lane_atoms), step)
+                self._override_marginals_all(i)[
+                    lane_atoms[lane_dbs == i] - int(self._db_atom_start[i])
+                ]
+                for i in with_lanes.tolist()
             ]
         )
-        chosen, values = _replay_climbs(table, pool, k, subsets.binom)
+        answers = self._search_lanes(lane_dbs, lane_atoms, marginals)
         metric = CorrectnessMetric.ABSOLUTE
-        for i, t0, best, value, row in zip(
-            lane_dbs.tolist(), lane_atoms.tolist(), chosen, values, marginals
+        for i, t0, answer, row in zip(
+            lane_dbs.tolist(), lane_atoms.tolist(), answers, marginals
         ):
-            self._best_set_memo.setdefault((metric, (i, t0)), (best, value))
+            self._best_set_memo.setdefault((metric, (i, t0)), answer)
             self._marginals_memo.setdefault((i, t0), row)
 
-    def _climb_table(
-        self,
-        atoms: np.ndarray,
-        dbs: np.ndarray,
-        pool: np.ndarray,
-        subsets: _PoolSubsets,
-        width: int,
-    ) -> np.ndarray:
-        """P[S = DB_topk | override] for every pool subset S of every lane.
+    def _search_lanes(
+        self, xs: np.ndarray, t0s: np.ndarray, marginals: np.ndarray
+    ) -> list[tuple[tuple[int, ...], float]]:
+        """:meth:`_best_absolute`'s answer for every lane, in array passes.
 
-        Row l is lane (dbs[l], atoms[l]); column c is the pool subset of
-        colex rank c. Each lane lays its pool databases' atom spans out
-        in rank order, zero-padded to *width*. An atom of pool database
-        d contributes to every subset holding d: its (overridden) mass,
-        times the product of L (ranks below it) over the non-pool
-        databases — taken once per lane, not per subset — times, for
-        each choice of the k − 1 other members among the pool, G over
-        those members and L over the remaining pool databases. These
-        are the terms :meth:`prob_set_is_topk` sums (an atom's own
-        database drops out), multiplied and added in another order.
+        Lane l collapses database ``xs[l]`` onto atom ``t0s[l]`` (both
+        −1 for the unconditioned state) and has ``marginals[l]``. One
+        pass scores the incumbents, then one pass per larger pool size.
         """
-        lanes, size = pool.shape
-        lane = np.arange(lanes)[:, None]
-        counts = (self._db_atom_stop - self._db_atom_start)[pool]
-        ends = np.cumsum(counts, axis=1)
-        position = np.arange(width)
-        slot = (position[None, :, None] >= ends[:, None, :]).sum(axis=2)
-        padded = slot == size
-        slot[padded] = size - 1
-        atom = (
-            self._db_atom_start[pool[lane, slot]]
-            + position
-            - (ends - counts)[lane, slot]
+        k = self._k
+        ranked = np.argsort(-marginals, axis=1, kind="stable")
+        top = np.sort(ranked[:, :k], axis=1)
+        incumbent = self._pool_scores(xs, t0s, top)[:, 0]
+        floor = (incumbent - self._POOL_SLACK)[:, None]
+        widest = _widest_pool(k, self._SUBSET_LIMIT)
+        sizes = np.clip((marginals >= floor).sum(axis=1), k, widest)
+        answers = list(zip(map(tuple, top.tolist()), incumbent.tolist()))
+        for size in np.flatnonzero(np.bincount(sizes)[k + 1 :]).tolist():
+            size += k + 1
+            picked = np.flatnonzero(sizes == size)
+            pools = np.sort(ranked[picked, :size], axis=1)
+            values = self._pool_scores(xs[picked], t0s[picked], pools)
+            best = values.max(axis=1, keepdims=True)
+            first = np.argmax(values >= best - self._TIE_WINDOW, axis=1)
+            rows = np.arange(len(picked))
+            chosen = pools[rows[:, None], _subsets(size, k)[first]]
+            for lane, row, value in zip(
+                picked.tolist(), chosen.tolist(), values[rows, first].tolist()
+            ):
+                answers[lane] = (tuple(row), value)
+        return answers
+
+    #: Element budget of one :meth:`_sweep_table` call's temporaries:
+    #: peak memory stays flat however many lanes and subsets there are.
+    _SWEEP_BATCH_LIMIT = 1 << 20
+
+    def _pool_scores(
+        self, xs: np.ndarray, t0s: np.ndarray, pools: np.ndarray
+    ) -> np.ndarray:
+        """P[S = DB_topk | lane] for every k-subset S of each lane's pool.
+
+        ``pools`` holds one ascending row per lane, all of one size;
+        column c is the c-th subset in lexicographic order. Lanes of one
+        database that share a pool form a *group*. Groups, or slices of
+        one group's subsets, are scored under :attr:`_SWEEP_BATCH_LIMIT`.
+        """
+        lanes, size = pools.shape
+        groups: dict[tuple[int, bytes], int] = {}
+        group_of = np.array(
+            [
+                groups.setdefault((x, row.tobytes()), len(groups))
+                for x, row in zip(xs.tolist(), pools)
+            ],
+            dtype=np.intp,
         )
-        atom[padded] = 0
-        # The lane's overridden database is an impulse at atom t0.
-        ranks = self._atom_ranks
-        rank0 = ranks[atoms][:, None]
-        atom_ranks = ranks[atom]
-        overridden = self._atom_dbs[atom] == dbs[:, None]
-        g_over = np.where(overridden, 0.0, rank0 > atom_ranks)
-        l_over = (rank0 < atom_ranks).astype(np.float64)
-        mass = np.where(
-            overridden, atom == atoms[:, None], self._atom_probs[atom]
-        )
-        mass[padded] = 0.0
-        outside = self._less[:, atom]
-        outside[dbs, lane[:, 0]] = l_over
-        outside[pool, lane] = 1.0
-        base = mass * outside.prod(axis=0)
-        # The other pool databases of each atom, (lanes, size - 1, width).
-        other = pool[lane[:, :, None], subsets.others[slot]].transpose(0, 2, 1)
-        inside = self._greater[other, atom[:, None, :]]
-        below = self._less[other, atom[:, None, :]]
-        is_lane = other == dbs[:, None, None]
-        inside = np.where(is_lane, g_over[:, None, :], inside)
-        below = np.where(is_lane, l_over[:, None, :], below)
-        mates = subsets.mates
-        terms = np.repeat(base[:, None, :], len(mates), axis=1)
-        for r in range(size - 1):
-            terms *= np.where(
-                mates[None, :, r, None],
-                inside[:, None, r, :],
-                below[:, None, r, :],
+        # Any lane of a group stands for it: they share x and the pool.
+        first = np.empty(len(groups), dtype=np.intp)
+        first[group_of] = np.arange(lanes)
+        count = comb(size, self._k)
+        fixed, per_subset = self._sweep_elements(size)
+        room = self._SWEEP_BATCH_LIMIT - fixed
+        chunk = max(1, min(count, room // per_subset))
+        step = max(1, self._SWEEP_BATCH_LIMIT // (fixed + chunk * per_subset))
+        if step >= len(groups):
+            return self._sweep_table(
+                xs[first], pools[first], group_of, t0s, chunk
             )
-        column = subsets.column[slot].transpose(0, 2, 1)
-        bins = lane[:, :, None] * subsets.count + column
-        table = np.bincount(
-            bins.ravel(),
-            weights=terms.ravel(),
-            minlength=lanes * subsets.count,
-        )
-        return np.clip(table.reshape(lanes, subsets.count), 0.0, 1.0)
+        values = np.empty((lanes, count))
+        for lo in range(0, len(groups), step):
+            rows = np.flatnonzero((group_of >= lo) & (group_of < lo + step))
+            picked = first[lo : lo + step]
+            values[rows] = self._sweep_table(
+                xs[picked], pools[picked], group_of[rows] - lo, t0s[rows], chunk
+            )
+        return values
+
+    def _sweep_elements(self, size: int) -> tuple[int, int]:
+        """``(fixed, per_subset)``: one group's elements in :meth:`_sweep_table`.
+
+        A group lays out size × width atoms (the widest span) and has at
+        most width lanes; each subset scored at once adds k pairs.
+        """
+        width = self._sweep_spans()[0].shape[1]
+        fixed = size * width * (2 * self._n + 4 * size + width)
+        return fixed, self._k * (10 * width + size)
+
+    def _sweep_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(atoms, ranks, mass)`` of each row in rank order (a collapse
+        can re-rank a span's first atom), padded at rank ∞ and mass 0."""
+        if self._spans is None:
+            starts = self._db_atom_start[:, None]
+            spans = (self._db_atom_stop - self._db_atom_start)[:, None]
+            offsets = np.arange(int(spans.max()))
+            valid = offsets < spans
+            atoms = np.where(valid, starts + offsets, starts)
+            ranks = np.where(valid, self._atom_ranks[atoms], np.inf)
+            order = np.argsort(ranks, axis=1)
+            atoms = np.take_along_axis(atoms, order, axis=1)
+            mass = np.where(
+                np.take_along_axis(valid, order, axis=1),
+                self._atom_probs[atoms],
+                0.0,
+            )
+            self._spans = (atoms, np.take_along_axis(ranks, order, axis=1), mass)
+        return self._spans
+
+    def _sweep_table(
+        self,
+        xs: np.ndarray,
+        pools: np.ndarray,
+        lane_group: np.ndarray,
+        lane_t0: np.ndarray,
+        chunk: int,
+    ) -> np.ndarray:
+        """The rank sweep: every pool subset's value, for every lane.
+
+        Group g excludes database x = ``xs[g]`` (−1: none) and scores
+        the k-subsets S of ``pools[g]``; its lane l collapses x onto
+        atom ``lane_t0[l]``. q_S(a) = P(a) · Π G[j, a] over members
+        j ∉ {own(a), x} · Π L[j, a] over non-members j ≠ x does not
+        depend on t0, so one product pass per (subset, member) pair
+        serves every lane; a lane sums it over the atoms ranked above t0
+        (x ∉ S) or below t0 plus t0's own term (x ∈ S), one prefix or
+        suffix sum per pair (docs/PERFORMANCE.md §2). Subsets are scored
+        *chunk* at a time, with the same arithmetic for any chunk.
+        """
+        groups, size = pools.shape
+        span_atoms, span_ranks, span_mass = self._sweep_spans()
+        width = span_atoms.shape[1]
+        x_row = pools == xs[:, None]
+        atom = span_atoms[pools]
+        mass = np.where(x_row[:, :, None], 1.0, span_mass[pools])
+        # L over the rows outside the pool and x, at base[s, g, i].
+        outside = self._less[:, atom]
+        outside[pools, np.arange(groups)[:, None]] = 1.0
+        outside[np.where(xs >= 0, xs, pools[:, 0]), np.arange(groups)] = 1.0
+        base = (mass * outside.prod(axis=0)).transpose(1, 0, 2).copy()
+        # sides[(t · size + s) · (size − 1) + r, g]: at row s's atoms, G
+        # (t = 1) or L (t = 0) of the r-th other pool row; x's row is 1.
+        others = _others(size)
+        rows = pools[:, others].transpose(1, 2, 0)[:, :, :, None]
+        at = atom.transpose(1, 0, 2)[:, None]
+        sides = np.empty((2, size, size - 1, groups, width))
+        sides[0] = self._less[rows, at]
+        sides[1] = self._greater[rows, at]
+        neutral = x_row[:, others].transpose(1, 2, 0)[:, :, :, None]
+        np.copyto(sides, 1.0, where=neutral)
+        sides = sides.reshape(-1, groups, width)
+        # Per lane and row: the atoms ranked below t0 come first.
+        rank0 = np.where(lane_t0 >= 0, self._atom_ranks[lane_t0], -np.inf)
+        below_rank0 = span_ranks[pools][lane_group] < rank0[:, None, None]
+        place = below_rank0.sum(axis=2)
+        lane_x = x_row[lane_group]
+        group = lane_group[:, None]
+        members = _subsets(size, self._k)
+        values = np.empty((len(lane_group), len(members)))
+        picks = _sweep_picks(size, self._k)
+        for lo in range(0, len(members), chunk):
+            chosen = members[lo : lo + chunk]
+            # Pair p is member own[p] of subset lo + p // k.
+            own = chosen.ravel()
+            pairs = np.arange(len(own))
+            # body[p, g, i]: q of pair p's i-th atom.
+            body = base[own]
+            factor = np.empty_like(body)
+            for pick in picks[:, lo * self._k : (lo + chunk) * self._k]:
+                np.take(sides, pick, axis=0, out=factor)
+                body *= factor
+            # below[..., i] sums atoms 0..i-1, above[..., i] atoms i on.
+            below = np.zeros(body.shape[:2] + (width + 1,))
+            above = np.zeros_like(below)
+            np.cumsum(body, axis=2, out=below[:, :, 1:])
+            np.cumsum(body[:, :, ::-1], axis=2, out=above[:, :, -2::-1])
+            at_t0 = place[:, own]
+            below_t0 = np.where(
+                lane_x[:, own],
+                body[pairs, group, np.minimum(at_t0, width - 1)],
+                below[pairs, group, at_t0],
+            ).reshape(len(lane_group), len(chosen), self._k)
+            above_t0 = above[pairs, group, at_t0].reshape(below_t0.shape)
+            values[:, lo : lo + chunk] = np.where(
+                lane_x[:, chosen].any(axis=2),
+                below_t0.sum(axis=2),
+                above_t0.sum(axis=2),
+            )
+        return np.clip(values, 0.0, 1.0)
 
     def __repr__(self) -> str:
         return (
@@ -1192,106 +1260,47 @@ class TopKComputer:
         )
 
 
-class _PoolSubsets(NamedTuple):
-    """Index tables for scoring every k-subset of ``range(size)``.
+@lru_cache(maxsize=64)
+def _widest_pool(k: int, limit: int) -> int:
+    """The most pool rows whose k-subsets number at most *limit*."""
+    size = k
+    while comb(size + 1, k) <= limit:
+        size += 1
+    return size
 
-    Subsets are numbered by colex rank: sorted positions
-    p_1 < … < p_k have rank Σ_j C(p_j, j) = Σ_j ``binom[p_j, j]``
-    (:func:`_colex_rank`), so the seed set {0, …, k−1} is rank 0.
-    ``others[s]`` lists the positions other than s in ascending order;
-    ``mates[q]`` is the q-th choice of k − 1 of them (a mask over
-    ``others[s]``), and ``column[s, q]`` the rank of s plus that choice.
+
+@lru_cache(maxsize=64)
+def _subsets(size: int, k: int) -> np.ndarray:
+    """The k-subsets of ``range(size)`` in :func:`itertools.combinations`
+    order. Shared by every computer through the cache: never written."""
+    members = np.array(list(combinations(range(size), k)), dtype=np.intp)
+    members.flags.writeable = False
+    return members
+
+
+@lru_cache(maxsize=32)
+def _sweep_picks(size: int, k: int) -> np.ndarray:
+    """Row r: for each (subset, member) pair, its ``sides`` row at r.
+
+    Pairs run over :func:`_subsets`' rows, k members each; member s
+    takes G at another member's position and L elsewhere. A table holds
+    at most 4096 · k · (size − 1) int32 entries.
     """
-
-    count: int
-    binom: np.ndarray
-    others: np.ndarray
-    mates: np.ndarray
-    column: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def _pool_subsets(size: int, k: int) -> _PoolSubsets:
-    """The :class:`_PoolSubsets` tables for k-subsets of ``range(size)``."""
-    binom = np.array(
-        [[comb(p, j) for j in range(k + 1)] for p in range(size)],
-        dtype=np.intp,
+    members = _subsets(size, k)
+    inside = np.zeros((len(members), size), dtype=bool)
+    inside[np.arange(len(members))[:, None], members] = True
+    other = _others(size)[members]
+    mate = np.take_along_axis(inside[:, None, :], other, axis=2)
+    picks = (members * (size - 1)).astype(np.int32)[:, :, None] + mate * np.int32(
+        size * (size - 1)
     )
-    others = np.array(
-        [[p for p in range(size) if p != s] for s in range(size)],
-        dtype=np.intp,
-    ).reshape(size, size - 1)
-    choices = list(combinations(range(size - 1), k - 1))
-    mates = np.zeros((len(choices), size - 1), dtype=bool)
-    for q, choice in enumerate(choices):
-        mates[q, list(choice)] = True
-    # held[s, q]: position s plus the q-th choice among the others.
-    held = np.zeros((size, len(choices), size), dtype=bool)
-    own = np.arange(size)
-    choice = np.arange(len(choices))[:, None]
-    held[own[:, None, None], choice, others[:, None]] = mates
-    held[own, :, own] = True
-    column = _colex_rank(held, binom)
-    # Shared by every computer through the cache: never written.
-    for table in (binom, others, mates, column):
-        table.flags.writeable = False
-    return _PoolSubsets(comb(size, k), binom, others, mates, column)
+    picks += np.arange(size - 1, dtype=np.int32)
+    picks = np.ascontiguousarray(picks.reshape(-1, size - 1).T)
+    picks.flags.writeable = False
+    return picks
 
 
-def _colex_rank(sets: np.ndarray, binom: np.ndarray) -> np.ndarray:
-    """Colex rank of each k-subset mask along the last axis."""
-    order = np.cumsum(sets, axis=-1)
-    return (binom[np.arange(len(binom)), order] * sets).sum(axis=-1)
-
-
-def _replay_climbs(
-    table: np.ndarray, pool: np.ndarray, k: int, binom: np.ndarray
-) -> tuple[list[tuple[int, ...]], list[float]]:
-    """:meth:`TopKComputer._best_absolute_hillclimb` over a subset table.
-
-    ``table[l, c]`` is lane l's value for its colex-rank-c pool subset
-    and ``pool[l]`` its databases in rank order. Every lane starts at
-    pool positions 0..k−1 and, one pass per loop iteration for all
-    lanes at once, tries removing each member in ascending database
-    index against each swap candidate (positions k.. in rank order,
-    skipping current members), accepting the first trial whose value
-    exceeds the current one by more than 1e-12 — the sequential climb's
-    visiting order and acceptance rule. Returns each lane's sorted set
-    and value as Python objects.
-    """
-    lanes, size = pool.shape
-    width = size - k
-    current = np.zeros((lanes, size), dtype=bool)
-    current[:, :k] = True
-    value = table[:, 0].copy()
-    slots = np.arange(k, size)
-    active = np.arange(lanes)
-    while len(active):
-        held = current[active]
-        count = len(active)
-        # Member positions by ascending database index.
-        key = np.where(held, pool[active], np.iinfo(pool.dtype).max)
-        leaving = np.argsort(key, axis=1, kind="stable")[:, :k]
-        trial = np.broadcast_to(
-            held[:, None, None, :], (count, k, width, size)
-        ).copy()
-        a = np.arange(count)[:, None, None]
-        m = np.arange(k)[None, :, None]
-        c = np.arange(width)[None, None, :]
-        trial[a, m, c, leaving[:, :, None]] = False
-        trial[a, m, c, slots[None, None, :]] = True
-        open_slot = ~held[:, slots][:, None, :]
-        rank = np.where(open_slot, _colex_rank(trial, binom), 0)
-        trial_value = table[active[:, None, None], rank]
-        floor = (value[active] + 1e-12)[:, None, None]
-        better = open_slot & (trial_value > floor)
-        flat = better.reshape(count, k * width)
-        hit = flat.any(axis=1)
-        member, candidate = np.divmod(flat.argmax(axis=1)[hit], width)
-        moved = active[hit]
-        current[moved, leaving[hit, member]] = False
-        current[moved, slots[candidate]] = True
-        value[moved] = trial_value[hit, member, candidate]
-        active = moved
-    chosen = np.sort(pool[current].reshape(lanes, k), axis=1)
-    return [tuple(row) for row in chosen.tolist()], value.tolist()
+def _others(size: int) -> np.ndarray:
+    """Row s lists the positions of ``range(size)`` other than s."""
+    positions = np.arange(size - 1, dtype=np.int32)
+    return positions + (positions >= np.arange(size)[:, None])

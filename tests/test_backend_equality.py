@@ -6,9 +6,11 @@ certainty deltas within 1e-9. The property sweep here drives both
 backends through randomized belief states — ragged supports, one-atom
 (impulse) RDs, every k from 1 to n, in-support and out-of-support
 collapses — and asserts marginals, override batches, collapse results
-and best sets agree, bitwise for k > 1; a second sweep over 8–24 databases holds the
-numpy backend's batched answer-set hill climb to the oracle's per-call
-climb. The usefulness sweep must add each database's terms in the
+and best sets agree: bitwise for k > 1, except the absolute metric's
+set values, which the numpy backend scores in its sweep table and must
+match within 1e-12. A second sweep over 8–24 databases holds the numpy
+backend's batched answer-set search to the oracle's per-call search.
+The usefulness sweep must add each database's terms in the
 oracle loop's order, and the numpy DP chain must equal the oracle's
 bit for bit, from the default start or a resumed chain's entry. RD
 construction is held to the stricter bitwise standard: the batched
@@ -17,11 +19,20 @@ builder must reproduce ``derive_rd`` exactly.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from math import comb
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import knobs
 from repro.core.backend import (
     ArrayBackend,
@@ -33,7 +44,7 @@ from repro.core.backend import (
 )
 from repro.core.policies import GreedyUsefulnessPolicy
 from repro.core.relevancy import derive_rd, derive_rds
-from repro.core.topk import CorrectnessMetric, TopKComputer
+from repro.core.topk import CorrectnessMetric, TopKComputer, _widest_pool
 from repro.exceptions import ConfigurationError
 from repro.hiddenweb.database import RelevancyDefinition
 from repro.stats.distribution import DiscreteDistribution as D
@@ -121,7 +132,9 @@ def test_backends_agree_on_random_belief_states(seed):
     oracle, tensor = _computers(rds, k)
     # For k > 1 every kernel the tensor backend runs here adds in the
     # oracle's order (the leave-one-out combine is the oracle's own
-    # loop), so marginals and override batches are bitwise equal.
+    # loop), so marginals and override batches are bitwise equal. The
+    # absolute metric's set values come from the numpy sweep table,
+    # which sums in its own order.
     bitwise = k > 1
     _assert_same_belief(oracle, tensor, metric, seed, bitwise)
 
@@ -134,8 +147,10 @@ def test_backends_agree_on_random_belief_states(seed):
         set_o, score_o = oracle.best_set(metric, override=override)
         set_t, score_t = tensor.best_set(metric, override=override)
         assert set_o == set_t, (seed, override)
-        if bitwise:
+        if bitwise and metric is CorrectnessMetric.PARTIAL:
             assert score_o == score_t, (seed, override)
+        elif bitwise:
+            assert abs(score_o - score_t) <= 1e-12, (seed, override)
         assert abs(score_o - score_t) <= 1e-9, (seed, override)
 
     # Collapse on an observation, in-support or not, then re-compare the
@@ -179,11 +194,11 @@ def test_backends_agree_after_out_of_support_collapse_chain():
             _assert_same_belief(oracle, tensor, metric, (database, observed))
 
 
-def _assert_climbs_agree(oracle, tensor, databases, trial):
+def _assert_searches_agree(oracle, tensor, databases, trial):
     """Every atom override of *databases*: same set, values within 1e-12.
 
-    The tensor side answers from the batched climb (one array pass at
-    its first miss), the oracle from the per-call sequential climb.
+    The tensor side answers from the lane batch (one array pass at its
+    first miss), the oracle from the per-call search.
     """
     for database in databases:
         for atom, _value, _prob in tensor.atoms_of(database):
@@ -200,41 +215,102 @@ def _assert_climbs_agree(oracle, tensor, databases, trial):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**31 - 1))
-def test_backends_agree_on_hill_climb(seed):
-    # n >= 8 with exact_set_limit=0 always takes the hill climb, which
-    # the numpy backend batches over every lane and the oracle runs per
-    # call; the n <= 6 sweep above only ever enumerates exhaustively.
+def test_backends_agree_on_answer_search(seed):
+    # Over 8–24 databases pools reach many sizes: the numpy backend
+    # scores every lane in one batch, the oracle runs each call alone.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, 25))
     k = int(rng.integers(2, 5))
     rds = _random_rds(rng, n)
-    oracle = TopKComputer(rds, k, exact_set_limit=0, backend="python")
-    tensor = TopKComputer(rds, k, exact_set_limit=0, backend="numpy")
+    oracle, tensor = _computers(rds, k)
     uncertain = [i for i, rd in enumerate(rds) if not rd.is_impulse]
     if len(uncertain) < 4:
         return
     picked = sorted(
         int(i) for i in rng.choice(uncertain, size=4, replace=False)
     )
-    _assert_climbs_agree(oracle, tensor, picked, (seed, "prior"))
+    _assert_searches_agree(oracle, tensor, picked, (seed, "prior"))
     # One in-support and one out-of-support observation, each followed
     # by the same override checks on the collapsed computers.
     in_support = float(rng.choice(rds[picked[0]].values))
     oracle = oracle.collapse(picked[0], in_support)
     tensor = tensor.collapse(picked[0], in_support)
-    _assert_climbs_agree(oracle, tensor, picked[1:], (seed, "in-support"))
+    _assert_searches_agree(oracle, tensor, picked[1:], (seed, "in-support"))
     outside = float(rds[picked[1]].values.max()) + 0.5
     oracle = oracle.collapse(picked[1], outside)
     tensor = tensor.collapse(picked[1], outside)
-    _assert_climbs_agree(oracle, tensor, picked[2:], (seed, "out-of-support"))
+    _assert_searches_agree(oracle, tensor, picked[2:], (seed, "out-of-support"))
     _assert_same_belief(oracle, tensor, CorrectnessMetric.ABSOLUTE, seed)
+
+
+def test_widest_pool_fits_the_subset_limit():
+    widest = [_widest_pool(k, TopKComputer._SUBSET_LIMIT) for k in (2, 3, 5, 10)]
+    assert widest == [91, 30, 15, 15]
+
+
+@pytest.mark.parametrize("k", [8, 10])
+def test_answer_search_is_bounded_at_wide_k(monkeypatch, k):
+    # Twenty uncertain databases with marginals near one half: lane
+    # pools outgrow the subset limit and are cut to the widest pool
+    # that fits it, one group alone overflows the element budget and is
+    # scored a slice of its subsets at a time, and every kernel call's
+    # traced peak stays within the budget. The oracle runs the same
+    # rule one set at a time.
+    rng = np.random.default_rng(k)
+    rds = [
+        D.from_pairs(
+            zip(
+                np.sort(rng.choice(12, 3, replace=False)).astype(float).tolist(),
+                (rng.random(3) + 0.2).tolist(),
+            )
+        )
+        for _ in range(20)
+    ]
+    calls = []
+    original = TopKComputer._sweep_table
+
+    def spy(self, xs, pools, lane_group, lane_t0, chunk):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        values = original(self, xs, pools, lane_group, lane_t0, chunk)
+        peak = tracemalloc.get_traced_memory()[1] - before
+        calls.append((pools.shape[1], chunk, peak))
+        return values
+
+    monkeypatch.setattr(TopKComputer, "_sweep_table", spy)
+    oracle, tensor = _computers(rds, k)
+    widest = _widest_pool(k, TopKComputer._SUBSET_LIMIT)
+    overrides = [
+        (database, atom)
+        for database in (0, 11)
+        for atom, _value, _prob in tensor.atoms_of(database)
+    ]
+    tracemalloc.start()
+    try:
+        answers = [
+            tensor.best_set(CorrectnessMetric.ABSOLUTE, override=override)
+            for override in overrides
+        ]
+    finally:
+        tracemalloc.stop()
+    assert any(
+        size == widest and chunk < comb(widest, k) for size, chunk, _ in calls
+    )
+    budget = 8 * TopKComputer._SWEEP_BATCH_LIMIT
+    assert max(peak for _size, _chunk, peak in calls) <= budget
+    for override, (best, value) in zip(overrides, answers):
+        best_o, value_o = oracle.best_set(
+            CorrectnessMetric.ABSOLUTE, override=override
+        )
+        assert best_o == best, override
+        assert abs(value_o - value) <= 1e-12, override
 
 
 def test_usefulness_sweep_matches_across_backends():
     policy = GreedyUsefulnessPolicy()
-    # k = 3 over 16 databases takes the hill climb (C(16, 3) > 400),
-    # whose batched values may differ by 1e-12; every other cell is the
-    # oracle's loop, float for float.
+    # The absolute metric at k = 3 reads the numpy sweep table, whose
+    # values may differ by 1e-12; every other cell is the oracle's loop,
+    # float for float.
     for k, n, metric in (
         (1, 6, CorrectnessMetric.ABSOLUTE),
         (1, 6, CorrectnessMetric.PARTIAL),
@@ -355,3 +431,43 @@ def test_derive_rds_is_bitwise_derive_rd(seed):
             single = derive_rd(estimate, ed, definition)
             assert rd.values.tobytes() == single.values.tobytes(), seed
             assert rd.probs.tobytes() == single.probs.tobytes(), seed
+
+
+def test_selection_does_not_load_numpy_ma():
+    # ``numpy.ma`` is a large import nothing here needs; ``np.unique``
+    # loads it, so the k > 1 answer-set batch must not call it.
+    code = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from repro.core.policies import GreedyUsefulnessPolicy
+        from repro.core.topk import CorrectnessMetric, TopKComputer
+        from repro.stats.distribution import DiscreteDistribution as D
+
+        rng = np.random.default_rng(0)
+        rds = [
+            D.from_pairs(zip(
+                np.sort(rng.choice(50, 4, replace=False)).astype(float).tolist(),
+                (rng.random(4) + 0.1).tolist(),
+            ))
+            for _ in range(16)
+        ]
+        for k in (3, 1):
+            computer = TopKComputer(rds, k, backend="numpy")
+            choice = GreedyUsefulnessPolicy().choose(
+                computer, list(range(16)), CorrectnessMetric.ABSOLUTE, 0.9
+            )
+            computer.collapse(choice, float(rds[choice].values[0])).best_set()
+        print("numpy.ma" in sys.modules)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert result.stdout.strip() == "False", result.stderr

@@ -6,12 +6,13 @@ The contract under test: a computer evolved through a chain of
 observations, out-of-support observations (midpoint rank insertion),
 and observed values duplicating another database's support atom.
 Also covers greedy usefulness against a brute-force reference built on
-joint enumeration, memo migration across collapse, the batched hill
-climb's chunking contract, and the DP chains and rank masks a collapsed
-computer reuses from its parent.
+joint enumeration, memo migration across collapse, the batched
+answer-set search's chunking contract, and the DP chains and rank masks
+a collapsed computer reuses from its parent.
 """
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -178,10 +179,10 @@ class TestMemoMigration:
             1
         ] == pytest.approx(score_after, abs=ATOL)
 
-        # The same on a k = 3 hill-climb computer, where a vectorized
-        # backend answers every override from one batched climb.
+        # The same at k = 3, where a vectorized backend answers every
+        # override from one batched search.
         rds = random_rds(np.random.default_rng(21), 9, impulse_prob=0.0)
-        computer = TopKComputer(rds, 3, exact_set_limit=0)
+        computer = TopKComputer(rds, 3)
         for database in (2, 6):
             t0, value, _p = computer.atoms_of(database)[0]
             best_override, score_override = computer.best_set(
@@ -195,9 +196,9 @@ class TestMemoMigration:
             assert score_after == pytest.approx(score_override, abs=1e-12)
             current = list(rds)
             current[database] = D.impulse(value)
-            best_fresh, score_fresh = TopKComputer(
-                current, 3, exact_set_limit=0
-            ).best_set(CorrectnessMetric.ABSOLUTE)
+            best_fresh, score_fresh = TopKComputer(current, 3).best_set(
+                CorrectnessMetric.ABSOLUTE
+            )
             assert best_fresh == best_after
             assert score_fresh == pytest.approx(score_after, abs=ATOL)
 
@@ -219,10 +220,10 @@ class TestMemoMigration:
         current[1] = D.impulse(value)
         assert_agrees(collapsed, TopKComputer(current, 2), 4, 2)
 
-        # A k = 3 hill-climb computer: the sweep fills the memo for
-        # every override of every database at once.
+        # At k = 3 the sweep fills the memo for every override of every
+        # database at once.
         rds = random_rds(rng, 9, impulse_prob=0.0)
-        computer = TopKComputer(rds, 3, exact_set_limit=0)
+        computer = TopKComputer(rds, 3)
         for database in range(9):
             policy.usefulness(
                 computer, database, CorrectnessMetric.ABSOLUTE
@@ -231,12 +232,7 @@ class TestMemoMigration:
             collapsed = computer.collapse(database, value)
             current = list(rds)
             current[database] = D.impulse(value)
-            assert_agrees(
-                collapsed,
-                TopKComputer(current, 3, exact_set_limit=0),
-                9,
-                3,
-            )
+            assert_agrees(collapsed, TopKComputer(current, 3), 9, 3)
 
 
 def lane_overrides(computer):
@@ -250,43 +246,58 @@ def lane_overrides(computer):
 
 
 class TestBatchedClimbChunks:
-    """The batched hill climb answers the same for any lane chunking."""
+    """The batched answer-set search answers the same for any chunking."""
 
     def run(self, monkeypatch, rds, limit):
-        chunks = []
-        original = TopKComputer._climb_table
+        calls = []
+        original = TopKComputer._sweep_table
 
-        def spy(self, atoms, dbs, pool, subsets, width):
-            chunks.append((len(atoms), width, subsets.mates.size))
-            return original(self, atoms, dbs, pool, subsets, width)
+        def spy(self, xs, pools, lane_group, lane_t0, chunk):
+            calls.append((pools.shape[1], len(pools), chunk))
+            return original(self, xs, pools, lane_group, lane_t0, chunk)
 
-        monkeypatch.setattr(TopKComputer, "_climb_table", spy)
-        monkeypatch.setattr(TopKComputer, "_CLIMB_BATCH_LIMIT", limit)
-        computer = TopKComputer(rds, 3, exact_set_limit=0, backend="numpy")
+        monkeypatch.setattr(TopKComputer, "_sweep_table", spy)
+        monkeypatch.setattr(TopKComputer, "_SWEEP_BATCH_LIMIT", limit)
+        computer = TopKComputer(rds, 3, backend="numpy")
         answers = {
             override: computer.best_set(
                 CorrectnessMetric.ABSOLUTE, override=override
             )
             for override in lane_overrides(computer)
         }
-        return answers, chunks
+        return answers, calls
 
     def test_chunk_sizes_do_not_change_answers(self, monkeypatch):
-        rds = random_rds(np.random.default_rng(8), 14, impulse_prob=0.1)
-        whole, chunks = self.run(monkeypatch, rds, 10**12)
-        lanes = len(whole)
-        assert lanes > 14 and lanes % 7
-        assert [size for size, _w, _m in chunks] == [lanes]
-        _size, width, mates = chunks[0]
-        per_lane = width * (len(rds) + mates)
-        for chunk in (1, 7):
-            answers, chunks = self.run(monkeypatch, rds, chunk * per_lane)
-            sizes = [size for size, _w, _m in chunks]
-            assert sizes[:-1] == [chunk] * (len(sizes) - 1)
-            assert sum(sizes) == lanes
+        # Seed 12 gives five pool sizes, one shared by more than 7 groups.
+        rds = random_rds(np.random.default_rng(12), 14, impulse_prob=0.1)
+        whole, calls = self.run(monkeypatch, rds, 10**12)
+        # One call per pool size, every subset at once: the incumbent
+        # pass (size 3), then the larger pools, the most crowded with
+        # more than 7 groups.
+        sizes = [size for size, _groups, _chunk in calls]
+        assert sizes == sorted(set(sizes)) and len(sizes) >= 4
+        assert all(chunk == comb(size, 3) for size, _g, chunk in calls)
+        crowded, groups, count = max(calls[1:], key=lambda call: call[1])
+        assert groups > 7
+        fixed, per_subset = TopKComputer(rds, 3)._sweep_elements(crowded)
+        per_group = fixed + count * per_subset
+        for stack in (1, 7):
+            answers, calls = self.run(monkeypatch, rds, stack * per_group)
+            split = [g for size, g, _chunk in calls if size == crowded]
+            assert split[:-1] == [stack] * (len(split) - 1)
+            assert sum(split) == groups
             # Same sets and bitwise-same values.
             assert answers == whole
-        oracle = TopKComputer(rds, 3, exact_set_limit=0, backend="python")
+        # Under one group's share a group is scored alone, a slice of
+        # its subsets at a time.
+        for subsets in (1, 7):
+            answers, calls = self.run(
+                monkeypatch, rds, fixed + subsets * per_subset
+            )
+            split = [(g, c) for size, g, c in calls if size == crowded]
+            assert split == [(1, subsets)] * groups
+            assert answers == whole
+        oracle = TopKComputer(rds, 3, backend="python")
         for override, (best, value) in whole.items():
             best_o, value_o = oracle.best_set(
                 CorrectnessMetric.ABSOLUTE, override=override
@@ -294,12 +305,12 @@ class TestBatchedClimbChunks:
             assert best_o == best
             assert abs(value_o - value) <= 1e-12
 
-    def test_non_lane_override_takes_sequential_climb(self):
+    def test_non_lane_override_is_per_call(self):
         rds = random_rds(np.random.default_rng(3), 10, impulse_prob=0.3)
         impulse = next(i for i, rd in enumerate(rds) if rd.is_impulse)
-        computer = TopKComputer(rds, 3, exact_set_limit=0)
+        computer = TopKComputer(rds, 3)
         atom = computer.atoms_of(impulse)[0][0]
-        oracle = TopKComputer(rds, 3, exact_set_limit=0, backend="python")
+        oracle = TopKComputer(rds, 3, backend="python")
         override = (impulse, atom)
         best, _value = computer.best_set(
             CorrectnessMetric.ABSOLUTE, override=override

@@ -181,7 +181,7 @@ class TestHypothesisAgainstBruteForce:
     @settings(max_examples=60, deadline=None)
     def test_best_set_probability_exact(self, instance):
         rds, k = instance
-        computer = TopKComputer(rds, k, exact_set_limit=10_000)
+        computer = TopKComputer(rds, k)
         _reference, sets = brute_force_topk_stats(rds, k)
         best, claimed = computer.best_set(CorrectnessMetric.ABSOLUTE)
         assert claimed == pytest.approx(
