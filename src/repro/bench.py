@@ -9,9 +9,8 @@ Every ``bench-*`` command builds one ``bench/v1`` envelope::
 list of verdicts :func:`gate` builds from those results, each
 ``{"name", "value", "op", "target", "min_cores", "meets_target"}``.
 ``meets_target`` is ``null`` only when the recording host has fewer
-than ``min_cores`` cores (wall-clock scaling gates) or there is no
-comparable reference (``target`` is ``null``); every other gate is
-judged ``true`` or ``false`` wherever it runs. :func:`finish` writes
+than ``min_cores`` cores (wall-clock scaling gates); every other gate
+is judged ``true`` or ``false`` wherever it runs. :func:`finish` writes
 the envelope, prints the gate table and returns exit code 3 on any
 false gate, so a bench command fails whenever its own evidence does.
 
@@ -163,13 +162,12 @@ def gate(
     """One recorded verdict: does ``value op target`` hold?
 
     ``meets_target`` is ``None`` when this host has fewer than
-    *min_cores* cores or *target* is ``None`` (no comparable
-    reference). A missing *value* is a failed measurement, never a
-    pass.
+    *min_cores* cores. A missing *value* is a failed measurement,
+    never a pass.
     """
     if op not in _OPS:
         raise ConfigurationError(f"unknown gate operator {op!r}")
-    if _cpu_count() < min_cores or target is None:
+    if _cpu_count() < min_cores:
         verdict = None
     else:
         verdict = value is not None and bool(_OPS[op](value, target))
@@ -247,8 +245,6 @@ def _verdict(entry: dict[str, object]) -> str:
         return "pass"
     if entry["meets_target"] is False:
         return "FAIL"
-    if entry["target"] is None:
-        return "not judged (no comparable reference)"
     return f"not judged (needs {entry['min_cores']} cores)"
 
 

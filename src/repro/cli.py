@@ -1,6 +1,6 @@
 """Command-line interface: ``repro-metasearch``.
 
-Fourteen commands:
+Thirteen commands:
 
 * ``demo``        — build a testbed, train, and answer one query
   end-to-end;
@@ -20,10 +20,6 @@ Fourteen commands:
   written to ``BENCH_serve.json`` (see ``docs/PERFORMANCE.md``);
 * ``bench-train`` — benchmark the offline phase: serial vs parallel ED
   training under injected probe latency (see ``docs/TRAINING.md``);
-* ``bench-core``  — time the per-query hot path (RD build, ``best_set``,
-  ``marginals``, usefulness sweep, APro run) on the ``python`` and
-  ``numpy`` backends and write ``BENCH_core.json`` (see
-  ``docs/PERFORMANCE.md``);
 * ``bench-gateway`` — load-test the gateway: coalescing under a
   duplicate burst and clean shedding under overload, with p50/p95/p99
   latency (see ``docs/GATEWAY.md``);
@@ -606,56 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the metrics snapshot JSON to this path",
     )
 
-    bench_core = subparsers.add_parser(
-        "bench-core",
-        help="benchmark the per-query hot path (python vs numpy backend)",
-    )
-    bench_core.add_argument(
-        "--repeats",
-        type=int,
-        default=20,
-        help="timing repetitions per scenario",
-    )
-    bench_core.add_argument("--k", type=int, default=1)
-    bench_core.add_argument(
-        "--certainty",
-        type=float,
-        default=0.8,
-        help="required expected correctness for the APro scenarios",
-    )
-    bench_core.add_argument(
-        "--apro-queries",
-        type=int,
-        default=10,
-        help=(
-            "test queries in the timed APro batch and the "
-            "backend-vs-oracle agreement check"
-        ),
-    )
-    bench_core.add_argument(
-        "--out",
-        default="BENCH_core.json",
-        help="path of the report JSON (default BENCH_core.json)",
-    )
-    bench_core.add_argument(
-        "--baseline",
-        default="BENCH_core.json",
-        help=(
-            "committed reference report the regression gates compare "
-            "against (default BENCH_core.json; a missing file leaves "
-            "them unjudged)"
-        ),
-    )
-    bench_core.add_argument(
-        "--tolerance",
-        type=float,
-        default=1.5,
-        help=(
-            "regression factor the gates tolerate on scenario medians "
-            "and paired ratios (default 1.5)"
-        ),
-    )
-
     bench_drift = subparsers.add_parser(
         "bench-drift",
         help=(
@@ -885,9 +831,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         snapshot = service.snapshot()
     if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
-        print(f"Metrics written to {args.metrics_out}")
+        _write_metrics(snapshot, args.metrics_out)
     else:
         print("\nmetrics:")
         print(json.dumps(snapshot, indent=2, sort_keys=True))
@@ -1231,51 +1175,6 @@ def _cmd_bench_train(args: argparse.Namespace) -> int:
     return finish(document)
 
 
-def _cmd_bench_core(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.bench import finish, read
-    from repro.experiments.bench_core import (
-        FAMILY,
-        BenchCoreConfig,
-        format_bench_core,
-        run_bench_core,
-    )
-
-    # Read the reference up front: --out may point at the same file the
-    # gates compare against, and the fresh report must not overwrite
-    # the committed numbers before they are loaded.
-    reference = None
-    if os.path.exists(args.baseline):
-        reference = read(args.baseline, FAMILY)
-    else:
-        print(
-            f"note: no reference report at {args.baseline}; "
-            "the regression gates stay unjudged",
-        )
-    print(
-        f"Benchmarking core hot path (scale={args.scale}, "
-        f"k={args.k}, t={args.certainty}, {args.repeats} repeats)...",
-        flush=True,
-    )
-    document = run_bench_core(
-        BenchCoreConfig(
-            scale=args.scale,
-            seed=args.seed,
-            n_train=args.train_queries,
-            n_test=args.test_queries,
-            repeats=args.repeats,
-            k=args.k,
-            threshold=args.certainty,
-            apro_queries=args.apro_queries,
-        ),
-        reference=reference,
-        tolerance=args.tolerance,
-    )
-    print(format_bench_core(document))
-    return finish(document, args.out)
-
-
 def _cmd_bench_drift(args: argparse.Namespace) -> int:
     from repro.adapt.bench import (
         BenchDriftConfig,
@@ -1360,7 +1259,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "gateway": _cmd_gateway,
         "bench-serve": _cmd_bench_serve,
         "bench-train": _cmd_bench_train,
-        "bench-core": _cmd_bench_core,
         "bench-gateway": _cmd_bench_gateway,
         "bench-drift": _cmd_bench_drift,
         "cluster": _cmd_cluster,
@@ -1370,7 +1268,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ReproError as error:
+    except (ReproError, OSError) as error:
+        # A bad path (query file, --out, a train output) is bad input
+        # like an invalid config value: a one-line error, not a
+        # traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -220,6 +220,19 @@ class TestServeCommands:
         queries.write_text("\n")
         assert main(SMALL + ["serve", str(queries)]) == 1
 
+    def test_missing_query_file_is_a_clean_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing" / "q.txt"
+        assert main(SMALL + ["serve", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
+    def test_unwritable_report_path_is_a_clean_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        code = main(["bench-index", "--dir", str(tmp_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
     def test_bench_train_parser_defaults(self):
         args = build_parser().parse_args(["bench-train"])
         assert args.command == "bench-train"

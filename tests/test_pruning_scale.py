@@ -32,6 +32,7 @@ from repro.metasearch.fusion import reciprocal_rank_fusion
 from repro.metasearch.metasearcher import Metasearcher, MetasearcherConfig
 from repro.stats.distribution import DiscreteDistribution as D
 from repro.types import Query, ScoredDocument, SearchResult
+from tests.test_backend_agreement import assert_agrees
 
 
 def _brute_force_prunable(mins, maxs, k):
@@ -178,14 +179,7 @@ class TestExactModeIdentity:
             for k in ks:
                 a = base.select(query, k=k, certainty=0.9)
                 b = exact.select(query, k=k, certainty=0.9)
-                assert a.final.names == b.final.names
-                assert [(r.index, r.observed) for r in a.records] == [
-                    (r.index, r.observed) for r in b.records
-                ]
-                assert abs(
-                    a.final.expected_correctness
-                    - b.final.expected_correctness
-                ) <= 1e-9
+                assert_agrees([b], [a])
                 assert a.pruned_databases == 0
                 pruned_total += b.pruned_databases
         return pruned_total
@@ -264,27 +258,6 @@ class TestExactModeIdentity:
             self._assert_identical(
                 base, exact, health_queries[20:40], (1, 2, 3)
             )
-
-    def test_backends_agree_under_pruning(self, trained_pipeline):
-        sessions = []
-        for backend in ("numpy", "python"):
-            apro = APro(
-                trained_pipeline["selector"], backend=backend, prune=True
-            )
-            sessions.append(
-                [
-                    apro.run(query, k=2, threshold=0.9)
-                    for query in trained_pipeline["test_queries"][:4]
-                ]
-            )
-        for a, b in zip(*sessions):
-            assert a.final.names == b.final.names
-            assert [(r.index, r.observed) for r in a.records] == [
-                (r.index, r.observed) for r in b.records
-            ]
-            assert abs(
-                a.final.expected_correctness - b.final.expected_correctness
-            ) <= 1e-9
 
 
 class _StubSelector:

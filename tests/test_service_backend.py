@@ -4,7 +4,8 @@ The backend knob must be resolved and validated at config construction,
 reach every APro the service builds (in-process and pool workers),
 never perturb answers or fingerprints, and stay visible in snapshots
 and traces — with the snapshot key-set identical whichever backend is
-active (the serving layer's stable-key-set convention).
+active (the serving layer's stable-key-set convention). Served answers
+are held to the oracle in ``tests/test_backend_agreement.py``.
 """
 
 import pytest
@@ -52,25 +53,6 @@ class TestConfigResolution:
         monkeypatch.setenv(knobs.BACKEND, "no-such-backend")
         with pytest.raises(ConfigurationError, match="unknown backend"):
             ServiceConfig()
-
-
-class TestAnswerInvariance:
-    def test_backends_serve_identical_answers(
-        self, trained_metasearcher, health_queries
-    ):
-        answers = {}
-        for backend in ("python", "numpy"):
-            with make_service(
-                trained_metasearcher, backend=backend, cache_enabled=False
-            ) as service:
-                answers[backend] = [
-                    service.serve(query, k=2, certainty=0.9)
-                    for query in health_queries[50:56]
-                ]
-        for a_py, a_np in zip(answers["python"], answers["numpy"]):
-            assert a_py.selected == a_np.selected
-            assert a_py.probe_order == a_np.probe_order
-            assert a_py.certainty == pytest.approx(a_np.certainty, abs=1e-9)
 
 
 class TestSnapshotAndBlob:
