@@ -5,7 +5,9 @@ match counting inside a database, RD construction, expected-correctness
 computation, full RD-based selection, and one APro run — plus, at
 federated scale, the exact-pruning certificate, the RD build and the
 survivors' ``TopKComputer`` build, and at k = 3 the greedy round of a
-query whose every database is uncertain.
+query whose every database is uncertain. ``test_probe_round_one`` times
+the serving layer's probe round at the paper's one probe per round
+(``ProbeExecutor.probe_batch``).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.corpus.zipf import ZipfVocabulary
 from repro.experiments.bench_scale import scale_specs
 from repro.hiddenweb.mediator import Mediator
 from repro.metasearch.metasearcher import Metasearcher, MetasearcherConfig
+from repro.service.executor import ProbeExecutor
 from repro.text.analyzer import Analyzer
 from repro.types import Query
 
@@ -44,6 +47,17 @@ def test_engine_match_count(benchmark, paper_context, sample_query):
 
 def test_build_rds(benchmark, paper_pipeline, sample_query):
     benchmark(paper_pipeline.rd_selector.build_rds, sample_query)
+
+
+def test_probe_round_one(benchmark, paper_context, sample_query):
+    """One one-probe round through ``ProbeExecutor``, at serving defaults.
+
+    The probe runs on the calling thread. A tight loop keeps a pool
+    thread hot, so a round handed to the pool would show only part of
+    the hand-off it costs under a real request's cold pool.
+    """
+    with ProbeExecutor(paper_context.mediator) as executor:
+        benchmark(executor.probe_batch, sample_query, [0])
 
 
 @pytest.fixture(scope="module")

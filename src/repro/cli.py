@@ -52,6 +52,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from pathlib import Path
 
 from repro.experiments.ablations import compare_probing_policies
 from repro.experiments.harness import evaluate_selection_quality, train_pipeline
@@ -1248,6 +1249,35 @@ def _cmd_bench_index(args: argparse.Namespace) -> int:
     return finish(document, args.out)
 
 
+#: The arguments naming a file a command writes: (dest, flag).
+_OUTPUT_ARGUMENTS = (
+    ("output", "output"),
+    ("checkpoint", "--checkpoint"),
+    ("out", "--out"),
+    ("metrics_out", "--metrics-out"),
+    ("trace", "--trace"),
+    ("snapshot", "--snapshot"),
+)
+
+
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """Refuse an output path whose directory is missing, before the run.
+
+    A write into a missing directory would otherwise fail only after
+    the training or benchmark it reports on.
+    """
+    for dest, flag in _OUTPUT_ARGUMENTS:
+        path = getattr(args, dest, None)
+        # ``cluster --trace`` is an on/off flag, not a path.
+        if not isinstance(path, str):
+            continue
+        directory = Path(path).parent
+        if not directory.is_dir():
+            raise ReproError(
+                f"{flag} {path}: directory {directory} does not exist"
+            )
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -1267,6 +1297,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "bench-index": _cmd_bench_index,
     }
     try:
+        _check_output_paths(args)
         return handlers[args.command](args)
     except (ReproError, OSError) as error:
         # A bad path (query file, --out, a train output) is bad input

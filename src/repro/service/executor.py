@@ -6,7 +6,8 @@ probes one after another. :class:`ProbeExecutor` executes each round
 through a :class:`concurrent.futures.ThreadPoolExecutor` instead, so a
 round's wall-clock cost is the *slowest* probe rather than the *sum* —
 the difference between 400 ms and 60 ms per round against real remote
-backends.
+backends. A one-probe round (the paper's strictly sequential APro)
+has nothing to overlap, so it runs on the calling thread.
 
 Observations are always applied in the policy's choice order (not
 completion order), so selections are bit-identical to the sequential
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import contextvars
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 from repro.exceptions import ConfigurationError
 from repro.hiddenweb.database import RelevancyDefinition
@@ -111,6 +112,7 @@ class ProbeExecutor:
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="probe"
         )
+        self._closed = False
         self.max_workers = max_workers
 
     @property
@@ -126,9 +128,26 @@ class ProbeExecutor:
     def probe_batch(
         self, query: Query, indices: Sequence[int]
     ) -> list[float]:
-        """Probe *indices* concurrently; observations in choice order."""
+        """Probe *indices* concurrently; observations in choice order.
+
+        A one-probe round runs on the calling thread, sparing the
+        hand-off to a pool thread. Every probe a round started has
+        finished before it returns or raises; without a fallback, the
+        first failure in choice order propagates.
+
+        Raises
+        ------
+        RuntimeError
+            After :meth:`shutdown`, for a round of any width.
+        ProbeFailedError
+            A probe exhausted its retries and there is no fallback.
+        """
+        if self._closed:
+            raise RuntimeError("cannot run a probe round after shutdown")
         if not indices:
             return []
+        if len(indices) == 1:
+            return [self._probe_one(indices[0], query)]
         # Each submit copies the caller's contextvars so a probe thread
         # sees the request's active trace (a Context can only be
         # entered once at a time, hence one copy per future).
@@ -141,6 +160,10 @@ class ProbeExecutor:
             )
             for index in indices
         ]
+        # Join the round before anything propagates: a probe left
+        # running would overlap the next round's attempt on its
+        # database (see ResilientDatabase._next_attempt).
+        wait(futures)
         return [future.result() for future in futures]
 
     def _probe_one(self, index: int, query: Query) -> float:
@@ -156,7 +179,8 @@ class ProbeExecutor:
                 return self._fallback(database.name, query)
 
     def shutdown(self) -> None:
-        """Release the worker threads."""
+        """Refuse further rounds and release the worker threads."""
+        self._closed = True
         self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "ProbeExecutor":

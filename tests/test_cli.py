@@ -223,15 +223,29 @@ class TestServeCommands:
     def test_missing_query_file_is_a_clean_error(self, tmp_path, capsys):
         missing = tmp_path / "missing" / "q.txt"
         assert main(SMALL + ["serve", str(missing)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(missing) in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert str(missing) in captured.err
+        assert "Training" not in captured.out
 
     def test_unwritable_report_path_is_a_clean_error(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "x.json"
-        code = main(["bench-index", "--dir", str(tmp_path), "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(out) in err
+        # Every output path is checked before the command runs: no
+        # testbed, training or report table precedes the error.
+        out = str(tmp_path / "missing" / "x.json")
+        state = str(tmp_path / "state.json")
+        for argv in (
+            ["train", out],
+            ["train", state, "--checkpoint", out],
+            ["bench-index", "--dir", str(tmp_path), "--out", out],
+            ["bench-scale", "--out", out],
+            ["serve", "--metrics-out", out],
+            ["bench-serve", "--trace", out],
+            ["bench-serve", "--snapshot", out],
+        ):
+            assert main(SMALL + argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and out in captured.err
+            assert captured.out == "", argv
 
     def test_bench_train_parser_defaults(self):
         args = build_parser().parse_args(["bench-train"])

@@ -410,6 +410,33 @@ class TestServiceTracing:
         # Direct-serve spans carry the model fingerprint at the root.
         assert root["fingerprint"] == service.state_fingerprint
 
+    def test_in_process_probe_spans_are_children_of_serve(
+        self, trained_metasearcher, health_queries
+    ):
+        # A one-probe round runs on the calling thread and a wider one
+        # on the executor's pool; both open their spans directly under
+        # the request's serve span. These queries make rounds of one
+        # probe and of two (batch_size=2).
+        with make_service(
+            trained_metasearcher, pool_workers=0, cache_enabled=False
+        ) as service:
+            answers = [
+                service.serve(" ".join(q.terms), k=2, certainty=1.0)
+                for q in health_queries[40:46]
+            ]
+            records = service.trace_spans()
+        assert max(a.probes for a in answers) >= 2
+        by_trace: dict[str, list[dict]] = {}
+        for record in records:
+            by_trace.setdefault(record["trace_id"], []).append(record)
+        assert len(by_trace) == len(answers)
+        for answer, trace in zip(answers, by_trace.values()):
+            root = assert_connected(trace)
+            probes = [r for r in trace if r["name"].startswith("probe.")]
+            assert len(probes) == answer.probes
+            for probe in probes:
+                assert probe["parent_id"] == root["span_id"]
+
     def test_cache_hit_outcome(self, trained_metasearcher, health_queries):
         text = " ".join(health_queries[42].terms)
         with make_service(trained_metasearcher) as service:
