@@ -31,12 +31,7 @@ from repro.core.policies import (
 )
 from repro.core.probing import APro, ProbeSession
 from repro.core.query_types import QueryType, QueryTypeClassifier
-from repro.core.relevancy import (
-    PackedRDs,
-    RelevancyDistribution,
-    derive_rd,
-    derive_rds,
-)
+from repro.core.relevancy import PackedRDs, RelevancyDistribution, derive_rd
 from repro.core.selection import RDBasedSelector, SelectionResult
 from repro.core.topk import CorrectnessMetric, TopKComputer
 from repro.core.training import EDTable, EDTrainer, ErrorModel
@@ -68,7 +63,6 @@ __all__ = [
     "available_backends",
     "default_backend_name",
     "derive_rd",
-    "derive_rds",
     "get_backend",
     "partial_correctness",
     "relative_error",

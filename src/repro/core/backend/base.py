@@ -1,11 +1,11 @@
 """The numeric-kernel contract every array backend implements.
 
-:class:`~repro.core.topk.TopKComputer` and the RD builder keep all of
-their *orchestration* (memoization, collapse bookkeeping, answer-set
-search) backend-independent and delegate the numeric kernels — outrank
-matrix construction, the Poisson-binomial DP chains, the leave-one-out
-convolution, the override membership fold, the collapse column update
-and batched RD derivation — to an :class:`ArrayBackend`.
+:class:`~repro.core.topk.TopKComputer` keeps all of its
+*orchestration* (memoization, collapse bookkeeping, answer-set search)
+backend-independent and delegates the numeric kernels — outrank matrix
+construction, the Poisson-binomial DP chains, the leave-one-out
+convolution, the override membership fold and the collapse column
+update — to an :class:`ArrayBackend`.
 
 Two implementations ship in-tree:
 
@@ -49,8 +49,9 @@ class ArrayBackend(abc.ABC):
     name:
         Registry name (``"numpy"``, ``"python"``, ...).
     vectorized:
-        Whether the backend supports the whole-sweep batched paths
-        (:meth:`TopKComputer.usefulness_sweep`, batched RD derivation).
+        Whether callers take the whole-sweep batched paths
+        (:meth:`TopKComputer.usefulness_sweep`, the array-pass RD build
+        of :meth:`~repro.core.selection.RDBasedSelector.build_rds`).
         The row-wise oracle reports ``False`` so its callers keep the
         exact legacy control flow.
     """
@@ -148,31 +149,6 @@ class ArrayBackend(abc.ABC):
         ``(greater_col, less_col)`` of length ``n``; the entry for
         ``database`` itself is a placeholder (the caller overwrites row
         ``database`` wholesale).
-        """
-
-    @abc.abstractmethod
-    def derive_rd_arrays(
-        self,
-        floored: np.ndarray,
-        error_values: np.ndarray,
-        error_probs: np.ndarray,
-        owner: np.ndarray,
-        document_frequency: bool,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Batched RD supports for many databases in one pass.
-
-        Inputs are the concatenated ED atoms of every pending database:
-        ``floored`` the per-atom floored estimate (repeated per ED
-        atom), ``error_values`` / ``error_probs`` the ED atoms, and
-        ``owner`` the owning-database index per atom (grouped,
-        ascending; values ascending within each group). Maps each atom
-        through ``floored * (1 + e)`` (rounded and clamped per the
-        relevancy definition), drops zero-weight atoms and merges
-        colliding values per database, returning
-        ``(values, weights, owner_of_group)`` concatenated over
-        databases. Returns ``None`` when the backend has no batched
-        path (the caller then uses the row-wise
-        :func:`repro.core.relevancy.derive_rd`).
         """
 
     def __repr__(self) -> str:

@@ -24,11 +24,6 @@ practice):
   per-database ``cumsum`` builds: one row per database of a padded
   (database, rank)-sorted layout, summed along the row by
   ``np.cumsum`` (a left fold), with padding that adds exactly 0.
-* ``derive_rd_arrays`` merges colliding RD values with ``np.bincount``
-  over run labels, which adds each run's weights sequentially in atom
-  order — the same sum ``DiscreteDistribution.from_pairs`` builds — so
-  the RDs are bitwise identical to ``derive_rd``'s (``np.add.reduceat``
-  would not be: it sums runs of 8+ atoms pairwise).
 * No kernel reassociates a sum: the k > 1 leave-one-out combine is the
   oracle's own k-unrolled loop (inherited), so every count's terms are
   added in the oracle's order.
@@ -119,37 +114,3 @@ class NumpyBackend(PythonBackend):
         greater_col[database] = 0.0
         less_col[database] = 0.0
         return greater_col, less_col
-
-    def derive_rd_arrays(
-        self, floored, error_values, error_probs, owner, document_frequency
-    ):
-        raw = floored * (1.0 + error_values)
-        if document_frequency:
-            mapped = np.maximum(0.0, np.round(raw))
-        else:
-            mapped = np.minimum(1.0, np.maximum(0.0, raw))
-        # Mirror from_pairs: drop zero-weight atoms before merging.
-        keep = error_probs > 0
-        if not keep.all():
-            mapped = mapped[keep]
-            error_probs = error_probs[keep]
-            owner = owner[keep]
-        # The map is monotone nondecreasing within each database (ED
-        # values ascend and the floored estimate is positive), so
-        # colliding values form adjacent runs; ``bincount`` over run
-        # labels sums each run in atom order (see the bitwise notes).
-        total = len(mapped)
-        if total == 0:
-            return mapped, error_probs, owner
-        boundary = np.empty(total, dtype=bool)
-        boundary[0] = True
-        np.logical_or(
-            mapped[1:] != mapped[:-1], owner[1:] != owner[:-1],
-            out=boundary[1:],
-        )
-        starts = np.flatnonzero(boundary)
-        return (
-            mapped[starts],
-            np.bincount(np.cumsum(boundary) - 1, weights=error_probs),
-            owner[starts],
-        )

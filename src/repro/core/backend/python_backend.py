@@ -110,10 +110,3 @@ class PythonBackend(ArrayBackend):
             greater_col[j] = cum[-1] - cum[right]
             less_col[j] = cum[left]
         return greater_col, less_col
-
-    def derive_rd_arrays(
-        self, floored, error_values, error_probs, owner, document_frequency
-    ):
-        # No batched path: callers fall back to the per-atom
-        # ``derive_rd`` (map + from_pairs) route.
-        return None

@@ -65,7 +65,7 @@ import numpy as np
 
 from repro.core.relevancy import PackedRDs
 
-__all__ = ["support_bounds", "prunable_mask", "survivor_indices"]
+__all__ = ["support_bounds", "prunable_mask"]
 
 
 def support_bounds(
@@ -107,10 +107,3 @@ def prunable_mask(
     above = np.count_nonzero(mins > value)
     last = np.flatnonzero(mins == value)[k - above - 1]
     return (maxs < value) | ((maxs == value) & (np.arange(n) > last))
-
-
-def survivor_indices(
-    mins: np.ndarray, maxs: np.ndarray, k: int
-) -> list[int]:
-    """Ascending indices of the databases the bounds cannot exclude."""
-    return np.flatnonzero(~prunable_mask(mins, maxs, k)).tolist()

@@ -17,12 +17,11 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.backend import ArrayBackend, get_backend
 from repro.core.errors import DEFAULT_ESTIMATE_FLOOR, ErrorDistribution
 from repro.hiddenweb.database import RelevancyDefinition
 from repro.stats.distribution import DiscreteDistribution
 
-__all__ = ["RelevancyDistribution", "PackedRDs", "derive_rd", "derive_rds"]
+__all__ = ["RelevancyDistribution", "PackedRDs", "derive_rd"]
 
 #: An RD is simply a finite discrete distribution over relevancy values.
 RelevancyDistribution = DiscreteDistribution
@@ -114,8 +113,8 @@ class PackedRDs(Sequence):
         """*n* items: ``rds[j]`` at item ``rows[j]``, ``impulse(0.0)`` elsewhere.
 
         *rds* must hold one segment per item, in item order (as
-        :meth:`of` and :func:`derive_rds` pack them). Every other item
-        shares segment 0, the zero impulse.
+        :meth:`of` packs them and :func:`derive_packed` returns them).
+        Every other item shares segment 0, the zero impulse.
         """
         rds._pack()
         segment = np.zeros(n, dtype=np.intp)
@@ -242,47 +241,6 @@ def derive_rd(
     return errors.map(lambda e: min(1.0, max(0.0, floored * (1.0 + e))))
 
 
-def derive_rds(
-    estimates: Sequence[float],
-    error_distributions: Sequence[ErrorDistribution],
-    definition: RelevancyDefinition = RelevancyDefinition.DOCUMENT_FREQUENCY,
-    estimate_floor: float = DEFAULT_ESTIMATE_FLOOR,
-    backend: "str | ArrayBackend | None" = None,
-) -> PackedRDs:
-    """Derive the RDs of many databases in one batched pass.
-
-    Equivalent to ``[derive_rd(est, ed, ...) for est, ed in zip(...)]``
-    but the value mapping and collision merge run as one array kernel
-    over the concatenated ED atoms of every database — no per-atom
-    Python callbacks and no dict-based merging. On a backend without a
-    batched kernel (the ``python`` oracle) this falls back to the
-    per-database route; both paths produce bitwise-identical RDs.
-    """
-    if len(estimates) != len(error_distributions):
-        raise ValueError(
-            f"{len(estimates)} estimates for "
-            f"{len(error_distributions)} error distributions"
-        )
-    resolved = get_backend(backend)
-    errors = [ed.to_distribution() for ed in error_distributions]
-    if errors and resolved.vectorized:
-        counts = np.asarray([e.support_size for e in errors], dtype=np.intp)
-        values, probs, starts = derive_packed(
-            np.asarray(estimates, dtype=np.float64),
-            counts,
-            np.concatenate([e.values for e in errors]),
-            np.concatenate([e.probs for e in errors]),
-            definition,
-            estimate_floor,
-            resolved,
-        )
-        return PackedRDs(values, probs, starts, np.arange(len(errors)))
-    return PackedRDs.of(
-        derive_rd(est, ed, definition, estimate_floor)
-        for est, ed in zip(estimates, error_distributions)
-    )
-
-
 def derive_packed(
     estimates: np.ndarray,
     counts: np.ndarray,
@@ -290,30 +248,45 @@ def derive_packed(
     error_probs: np.ndarray,
     definition: RelevancyDefinition,
     estimate_floor: float,
-    backend: ArrayBackend,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`derive_rd` of every item, from its ED's flat atoms.
 
     Item i has estimate ``estimates[i]`` and the next ``counts[i]``
     atoms of *error_values* / *error_probs* (an ED's
-    ``to_distribution()``). The backend's batched kernel maps and
-    merges them; each RD's probabilities are then normalized exactly
-    as :meth:`DiscreteDistribution.from_pairs` would. Returns
-    ``(values, probs, starts)``: RD i is segment i. *backend* must be
-    vectorized.
+    ``to_distribution()``). Every atom is mapped as :func:`derive_rd`
+    maps it, zero-weight atoms are dropped and colliding values of one
+    item merge; each RD's probabilities are then normalized exactly as
+    :meth:`DiscreteDistribution.from_pairs` would. Returns ``(values,
+    probs, starts)``: RD i is segment i.
+
+    The RDs are bitwise :func:`derive_rd`'s. The map is monotone
+    nondecreasing within an item (ED values ascend and the floored
+    estimate is positive), so colliding values form adjacent runs, and
+    ``np.bincount`` over run labels adds each run's weights one by one
+    in atom order, the sum ``from_pairs`` builds (``np.add.reduceat``
+    would not: it sums runs of 8+ atoms pairwise).
     """
-    floored = np.maximum(estimates, estimate_floor)
-    values, weights, owner = backend.derive_rd_arrays(
-        np.repeat(floored, counts),
-        error_values,
-        error_probs,
-        np.repeat(np.arange(len(counts)), counts),
-        definition is RelevancyDefinition.DOCUMENT_FREQUENCY,
+    owner = np.repeat(np.arange(len(counts)), counts)
+    raw = np.repeat(np.maximum(estimates, estimate_floor), counts) * (
+        1.0 + error_values
     )
-    starts = np.searchsorted(owner, np.arange(len(counts) + 1))
-    return values, DiscreteDistribution._normalized_segments(weights, starts), starts
-
-
-def impulse_rd(value: float) -> RelevancyDistribution:
-    """The RD of a probed database: all mass at the observed relevancy."""
-    return DiscreteDistribution.impulse(value)
+    if definition is RelevancyDefinition.DOCUMENT_FREQUENCY:
+        mapped = np.maximum(0.0, np.round(raw))
+    else:
+        mapped = np.minimum(1.0, np.maximum(0.0, raw))
+    # Mirror from_pairs: drop zero-weight atoms before merging.
+    keep = error_probs > 0
+    if not keep.all():
+        mapped, error_probs, owner = mapped[keep], error_probs[keep], owner[keep]
+    boundary = np.ones(len(mapped), dtype=bool)
+    np.logical_or(
+        mapped[1:] != mapped[:-1], owner[1:] != owner[:-1], out=boundary[1:]
+    )
+    first = np.flatnonzero(boundary)
+    weights = np.bincount(np.cumsum(boundary) - 1, weights=error_probs)
+    starts = np.searchsorted(owner[first], np.arange(len(counts) + 1))
+    return (
+        mapped[first],
+        DiscreteDistribution._normalized_segments(weights, starts),
+        starts,
+    )

@@ -21,7 +21,6 @@ from repro.core.relevancy import (
     RelevancyDistribution,
     derive_packed,
     derive_rd,
-    derive_rds,
     segment_index,
 )
 from repro.core.topk import CorrectnessMetric, TopKComputer
@@ -166,20 +165,9 @@ class RDBasedSelector:
         falls back to trusting the estimate (impulse at r̂) — the
         behaviour of a plain estimator.
         """
-        summary = self._summaries[database_name]
         if self._positions[database_name] not in self.nonzero(query):
             return DiscreteDistribution.impulse(0.0)
-        estimate = self._estimator.estimate(summary, query)
-        query_type = self._classifier.classify(query, estimate)
-        ed = self._error_model.lookup(database_name, query_type)
-        if ed is None:
-            return DiscreteDistribution.impulse(self._point_value(estimate))
-        return derive_rd(
-            estimate,
-            ed,
-            definition=self._definition,
-            estimate_floor=self._error_model.estimate_floor,
-        )
+        return self._candidate_rd(database_name, query)
 
     def build_rds(
         self,
@@ -194,85 +182,74 @@ class RDBasedSelector:
         assigns observed impulses into the returned sequence, so each
         call returns a fresh one.
 
-        On a vectorized backend with the term-independence estimator
-        the candidates go through array passes: estimates, estimate
-        bands, the compiled ED table's slots and one batched
-        :func:`~repro.core.relevancy.derive_packed`. Every other
-        configuration — the ``python`` oracle, any other estimator —
-        takes the per-database route (``estimate``, ``classify``,
-        ``lookup``, :func:`~repro.core.relevancy.derive_rds`). Both
-        equal the :meth:`build_rd` loop bitwise.
+        On a vectorized backend the candidates go through array passes,
+        whatever the estimator: estimates, estimate bands, the compiled
+        ED table's slots and one batched
+        :func:`~repro.core.relevancy.derive_packed`. The ``python``
+        oracle builds each candidate's RD as :meth:`build_rd` does
+        (``estimate``, ``classify``, ``lookup``,
+        :func:`~repro.core.relevancy.derive_rd`). Both equal the
+        :meth:`build_rd` loop bitwise.
         """
-        resolved = get_backend(backend)
         candidates = self.nonzero(query)
-        if (
-            resolved.vectorized
-            and type(self._estimator) is TermIndependenceEstimator
-        ):
-            rows, rds = self._table_rds(query, candidates, resolved)
+        if get_backend(backend).vectorized:
+            rows, rds = self._table_rds(query, candidates)
         else:
-            rows, rds = self._lookup_rds(query, candidates, resolved)
+            rows, rds = candidates, PackedRDs.of(
+                self._candidate_rd(self._names[i], query)
+                for i in candidates.tolist()
+            )
         return PackedRDs.scattered(len(self._names), rows, rds)
 
-    def _lookup_rds(
-        self, query: Query, candidates: np.ndarray, backend: ArrayBackend
-    ) -> tuple[np.ndarray, PackedRDs]:
-        """``(rows, rds)``: the candidates' RDs, one database at a time.
+    def _candidate_rd(
+        self, database_name: str, query: Query
+    ) -> RelevancyDistribution:
+        """A candidate's RD: estimate → query type → ED → RD.
 
-        Candidates without a usable ED come last, as impulses at their
-        point values.
+        With no usable ED, an impulse at the estimate's point value.
         """
-        pending: list[int] = []
-        estimates: list[float] = []
-        eds: list[object] = []
-        settled: list[int] = []
-        points: list[RelevancyDistribution] = []
-        for idx in candidates.tolist():
-            name = self._names[idx]
-            estimate = self._estimator.estimate(self._summaries[name], query)
-            query_type = self._classifier.classify(query, estimate)
-            ed = self._error_model.lookup(name, query_type)
-            if ed is None:
-                settled.append(idx)
-                points.append(
-                    DiscreteDistribution.impulse(self._point_value(estimate))
-                )
-            else:
-                pending.append(idx)
-                estimates.append(estimate)
-                eds.append(ed)
-        derived = derive_rds(
-            estimates,
-            eds,
+        estimate = self._estimator.estimate(
+            self._summaries[database_name], query
+        )
+        query_type = self._classifier.classify(query, estimate)
+        ed = self._error_model.lookup(database_name, query_type)
+        if ed is None:
+            return DiscreteDistribution.impulse(self._point_value(estimate))
+        return derive_rd(
+            estimate,
+            ed,
             definition=self._definition,
             estimate_floor=self._error_model.estimate_floor,
-            backend=backend,
-        )
-        return (
-            np.array(pending + settled, dtype=np.intp),
-            PackedRDs.of(list(derived) + points),
         )
 
     def _table_rds(
-        self, query: Query, candidates: np.ndarray, backend: ArrayBackend
+        self, query: Query, candidates: np.ndarray
     ) -> tuple[np.ndarray, PackedRDs]:
         """``(rows, rds)``: the candidates' RDs from array passes.
 
-        The estimate multiplies ``df / size`` into ``float(size)`` once
-        per query term, in query order — the scalar estimator's
-        arithmetic, so the same bits. Candidates without a usable ED
-        come last, as impulses at their point values.
+        The term-independence estimate multiplies ``df / size`` into
+        ``float(size)`` once per query term, in query order — the
+        scalar estimator's arithmetic, so the same bits; any other
+        estimator is called once per candidate. Candidates without a
+        usable ED come last, as impulses at their point values.
         """
-        sizes = self._sizes[candidates]
-        estimates = sizes.copy()
         ordered = [self._ordered[i] for i in candidates.tolist()]
-        for term in query.terms:
-            frequencies = np.fromiter(
-                (s.document_frequency(term) for s in ordered),
+        if type(self._estimator) is TermIndependenceEstimator:
+            sizes = self._sizes[candidates]
+            estimates = sizes.copy()
+            for term in query.terms:
+                frequencies = np.fromiter(
+                    (s.document_frequency(term) for s in ordered),
+                    dtype=np.float64,
+                    count=len(ordered),
+                )
+                estimates *= frequencies / sizes
+        else:
+            estimates = np.fromiter(
+                (self._estimator.estimate(s, query) for s in ordered),
                 dtype=np.float64,
                 count=len(ordered),
             )
-            estimates *= frequencies / sizes
         table = self._compiled_table()
         ids = table.slot[
             candidates,
@@ -299,7 +276,6 @@ class RDBasedSelector:
             table.probs[index],
             self._definition,
             self._error_model.estimate_floor,
-            backend,
         )
         if points:
             values = np.concatenate((values, points))

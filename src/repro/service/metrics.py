@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import deque
 
 from repro.exceptions import ConfigurationError
 from repro.stats.rank import percentile
@@ -134,8 +135,7 @@ class Histogram:
             )
         self.name = name
         self.deterministic = deterministic
-        self._max_samples = max_samples
-        self._values: list[float] = []
+        self._values: deque[float] = deque(maxlen=max_samples)
         self._count = 0
         self._sum = 0.0
         self._lock = threading.Lock()
@@ -146,8 +146,6 @@ class Histogram:
             self._count += 1
             self._sum += value
             self._values.append(float(value))
-            if len(self._values) > self._max_samples:
-                del self._values[0]
 
     @property
     def count(self) -> int:

@@ -5,6 +5,9 @@ Session-scoped where construction is expensive; all deterministic.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro import knobs
@@ -15,6 +18,25 @@ from repro.hiddenweb.mediator import Mediator
 from repro.querylog.generator import QueryTraceGenerator
 from repro.text.analyzer import Analyzer
 from repro.types import Document
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves a thread it started running.
+
+    Threads alive before the test (those of wider-scoped fixtures, say)
+    are not its own. Its own threads get one second in all to finish
+    after the test's function-scoped fixtures have torn down; any still
+    alive then fails the test, by name.
+    """
+    before = set(threading.enumerate())
+    yield
+    grace = time.monotonic() + 1.0
+    for thread in set(threading.enumerate()) - before:
+        thread.join(max(0.0, grace - time.monotonic()))
+    leaked = sorted(t.name for t in set(threading.enumerate()) - before)
+    if leaked:
+        pytest.fail(f"test left {len(leaked)} thread(s) running: {leaked}")
 
 
 @pytest.fixture(scope="session")

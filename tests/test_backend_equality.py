@@ -14,7 +14,7 @@ The usefulness sweep must add each database's terms in the
 oracle loop's order, and the numpy DP chain must equal the oracle's
 bit for bit, from the default start or a resumed chain's entry. RD
 construction is held to the stricter bitwise standard: the batched
-builder must reproduce ``derive_rd`` exactly.
+``derive_packed`` must reproduce ``derive_rd`` exactly.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ from repro.core.backend import (
     default_backend_name,
     get_backend,
 )
+from repro.core.errors import DEFAULT_ESTIMATE_FLOOR
 from repro.core.policies import GreedyUsefulnessPolicy
-from repro.core.relevancy import derive_rd, derive_rds
+from repro.core.relevancy import derive_packed, derive_rd
 from repro.core.topk import CorrectnessMetric, TopKComputer, _widest_pool
 from repro.exceptions import ConfigurationError
 from repro.hiddenweb.database import RelevancyDefinition
@@ -405,32 +406,39 @@ class _FixedED:
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**31 - 1))
-def test_derive_rds_is_bitwise_derive_rd(seed):
+def test_derive_packed_is_bitwise_derive_rd(seed):
     # Each ED carries 8+ errors in [-1, -0.9] (document frequency rounds
     # them all to 0) and 8+ in [0, 2] (similarity clamps them all to 1),
     # so every RD merges runs of 8+ atoms — where a pairwise-summing
     # merge reorders the additions that from_pairs makes one by one.
     rng = np.random.default_rng(seed)
-    estimates, eds = [], []
+    estimates, errors = [], []
     for _ in range(int(rng.integers(1, 5))):
-        errors = np.concatenate(
+        samples = np.concatenate(
             (
                 rng.uniform(-1.0, -0.9, int(rng.integers(8, 17))),
                 rng.uniform(0.0, 2.0, int(rng.integers(8, 17))),
                 rng.uniform(-1.0, 2.0, int(rng.integers(0, 11))),
             )
         )
-        weights = rng.random(len(errors)) + 1e-3
-        eds.append(
-            _FixedED(D.from_pairs(zip(errors.tolist(), weights.tolist())))
-        )
+        weights = rng.random(len(samples)) + 1e-3
+        errors.append(D.from_pairs(zip(samples.tolist(), weights.tolist())))
         estimates.append(float(rng.uniform(1.0, 4.0)))
     for definition in RelevancyDefinition:
-        batched = derive_rds(estimates, eds, definition, backend="numpy")
-        for estimate, ed, rd in zip(estimates, eds, batched):
-            single = derive_rd(estimate, ed, definition)
-            assert rd.values.tobytes() == single.values.tobytes(), seed
-            assert rd.probs.tobytes() == single.probs.tobytes(), seed
+        values, probs, starts = derive_packed(
+            np.asarray(estimates),
+            np.asarray([error.support_size for error in errors]),
+            np.concatenate([error.values for error in errors]),
+            np.concatenate([error.probs for error in errors]),
+            definition,
+            DEFAULT_ESTIMATE_FLOOR,
+        )
+        assert len(starts) == len(errors) + 1, seed
+        for i, (estimate, error) in enumerate(zip(estimates, errors)):
+            single = derive_rd(estimate, _FixedED(error), definition)
+            segment = slice(starts[i], starts[i + 1])
+            assert values[segment].tobytes() == single.values.tobytes(), seed
+            assert probs[segment].tobytes() == single.probs.tobytes(), seed
 
 
 def test_selection_does_not_load_numpy_ma():

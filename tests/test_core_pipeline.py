@@ -12,7 +12,7 @@ from repro.core.correctness import (
 )
 from repro.core.errors import ErrorDistribution
 from repro.core.query_types import QueryType, QueryTypeClassifier
-from repro.core.relevancy import derive_rd, impulse_rd
+from repro.core.relevancy import RelevancyDistribution, derive_rd
 from repro.core.selection import RDBasedSelector
 from repro.core.topk import CorrectnessMetric
 from repro.core.training import EDTrainer, ErrorModel
@@ -66,7 +66,7 @@ class TestDeriveRD:
         assert rd.support_size == 1
 
     def test_impulse_rd(self):
-        rd = impulse_rd(7.0)
+        rd = RelevancyDistribution.impulse(7.0)
         assert rd.is_impulse
         assert rd.mean() == 7.0
 

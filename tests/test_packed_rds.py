@@ -3,15 +3,17 @@
 ``RDBasedSelector.build_rds`` builds the candidates' RDs on a vectorized
 backend in array passes — estimates, estimate bands, the compiled ED
 table's slots, one batched derivation and a per-segment normalization —
-and must equal the per-database ``build_rd`` route bit for bit. The
-sweep draws random exact and sampled summaries, queries whose estimate
-lands exactly on a band threshold, both relevancy definitions and
-random error models whose slices hold 0–8 samples around
-``min_samples`` (so every fallback level is sometimes present and
-sometimes absent, down to a global ED too thin to use). The compiled
-table must equal ``lookup`` slot for slot and follow ``observe``, and a
-``TopKComputer`` over a packed sequence must equal one over the same
-RDs as a list, through chains of collapses, on both backends.
+and must equal the per-database ``build_rd`` route bit for bit, for
+every estimator. The sweep draws random exact and sampled summaries,
+queries whose estimate lands exactly on a band threshold, each
+estimator (term independence, CORI, MaxSimilarity, GlOSS) under both
+relevancy definitions and random error models whose slices hold 0–8
+samples around ``min_samples`` (so every fallback level is sometimes
+present and sometimes absent, down to a global ED too thin to use).
+The compiled table must equal ``lookup`` slot for slot and follow
+``observe``, and a ``TopKComputer`` over a packed sequence must equal
+one over the same RDs as a list, through chains of collapses, on both
+backends.
 """
 
 from __future__ import annotations
@@ -31,7 +33,12 @@ from repro.core.topk import CorrectnessMetric, TopKComputer
 from repro.core.training import ErrorModel
 from repro.hiddenweb.database import RelevancyDefinition
 from repro.stats.distribution import DiscreteDistribution as D
-from repro.summaries.estimators import TermIndependenceEstimator
+from repro.summaries.estimators import (
+    CoriEstimator,
+    GlossEstimator,
+    MaxSimilarityEstimator,
+    TermIndependenceEstimator,
+)
 from repro.summaries.summary import ContentSummary
 from repro.types import Query
 
@@ -39,6 +46,13 @@ VOCABULARY = [f"w{i}" for i in range(8)]
 CLASSIFIER = QueryTypeClassifier()
 #: Integer thresholds a constructed summary can hit exactly.
 EXACT_THRESHOLDS = [t for t in CLASSIFIER.estimate_thresholds if t == int(t)]
+#: The estimators a case draws from, term independence most often.
+ESTIMATORS = (
+    TermIndependenceEstimator,
+    CoriEstimator,
+    MaxSimilarityEstimator,
+    GlossEstimator,
+)
 
 
 def _error(rng: np.random.Generator) -> float:
@@ -72,7 +86,13 @@ def _random_model(rng: np.random.Generator, names: list[str]) -> ErrorModel:
 
 
 def _random_case(rng: np.random.Generator):
-    """``(selector, query, names)`` over 2–10 random databases."""
+    """``(selector, query, names)`` over 2–10 random databases.
+
+    The estimator is term independence in about half the cases, and
+    CORI, MaxSimilarity or GlOSS (over weight-carrying summaries) in
+    the rest.
+    """
+    estimator = ESTIMATORS[rng.choice(4, p=[0.55, 0.15, 0.15, 0.15])]
     n = int(rng.integers(2, 11))
     terms = tuple(
         rng.choice(VOCABULARY, int(rng.integers(1, 4)), replace=False).tolist()
@@ -99,18 +119,33 @@ def _random_case(rng: np.random.Generator):
                 for term in terms:
                     frequencies[term] = int(rng.integers(1, size + 1))
         sampled = None if rng.random() < 0.7 else int(rng.integers(1, size + 1))
+        weights = None
+        if estimator is GlossEstimator:
+            # Σ_d (1 + log tf) is at least df.
+            weights = {
+                term: df * float(rng.uniform(1.0, 3.0))
+                for term, df in frequencies.items()
+            }
         summaries[name] = ContentSummary(
-            name, size, frequencies, sampled_documents=sampled
+            name,
+            size,
+            frequencies,
+            sampled_documents=sampled,
+            term_weight_sums=weights,
         )
     definition = (
         RelevancyDefinition.DOCUMENT_FREQUENCY
-        if rng.random() < 0.7
+        if rng.random() < 0.6
         else RelevancyDefinition.DOCUMENT_SIMILARITY
     )
     selector = RDBasedSelector(
         mediator=[SimpleNamespace(name=name) for name in names],
         summaries=summaries,
-        estimator=TermIndependenceEstimator(),
+        estimator=(
+            CoriEstimator(list(summaries.values()))
+            if estimator is CoriEstimator
+            else estimator()
+        ),
         error_model=_random_model(rng, names),
         classifier=CLASSIFIER,
         definition=definition,
@@ -126,7 +161,11 @@ def _same_rd(a, b) -> bool:
 
 
 def test_packed_route_is_bitwise_build_rd():
-    seen = {"long": 0, "on_threshold": 0, "no_ed": 0, "similarity": 0}
+    seen = {"long": 0, "on_threshold": 0, "no_ed": 0} | {
+        (estimator, definition): 0
+        for estimator in ESTIMATORS
+        for definition in RelevancyDefinition
+    }
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -135,26 +174,24 @@ def test_packed_route_is_bitwise_build_rd():
         packed = selector.build_rds(query, backend="numpy")
         assert isinstance(packed, PackedRDs) and len(packed) == len(names)
         oracle = selector.build_rds(query, backend="python")
-        estimator = TermIndependenceEstimator()
         for i, name in enumerate(names):
             single = selector.build_rd(name, query)
             assert _same_rd(packed[i], single), (seed, name)
             assert _same_rd(oracle[i], single), (seed, name)
             seen["long"] += single.support_size >= 8
-            estimate = estimator.estimate(selector.summaries[name], query)
+            estimate = selector.estimate(name, query)
             seen["on_threshold"] += estimate in EXACT_THRESHOLDS
             query_type = CLASSIFIER.classify(query, estimate)
             seen["no_ed"] += (
                 int(i) in selector.nonzero(query)
                 and selector.error_model.lookup(name, query_type) is None
             )
-        seen["similarity"] += (
-            selector.definition is RelevancyDefinition.DOCUMENT_SIMILARITY
-        )
+        seen[type(selector.estimator), selector.definition] += 1
 
     check()
     # The sweep reached both summation branches (8+ atoms), band
-    # thresholds, the no-usable-ED impulse and both definitions.
+    # thresholds, the no-usable-ED impulse, and every estimator under
+    # both definitions.
     assert all(count > 0 for count in seen.values()), seen
 
 

@@ -22,7 +22,7 @@ from repro.core.policies import (
     GreedyUsefulnessPolicy,
     RandomPolicy,
 )
-from repro.core.pruning import prunable_mask, support_bounds, survivor_indices
+from repro.core.pruning import prunable_mask, support_bounds
 from repro.core.probing import APro, _pad_survivors
 from repro.exceptions import ConfigurationError
 from repro.corpus.generator import DatabaseSpec, DocumentGenerator
@@ -112,7 +112,7 @@ class TestBounds:
     @given(_bounds())
     def test_survivor_floor(self, case):
         mins, maxs, k = case
-        survivors = survivor_indices(mins, maxs, k)
+        survivors = np.flatnonzero(~prunable_mask(mins, maxs, k)).tolist()
         assert len(survivors) >= min(k, len(mins))
         assert survivors == sorted(set(survivors))
 
@@ -134,13 +134,14 @@ class TestBounds:
         observed = data.draw(
             st.floats(min_value=float(mins[p]), max_value=float(maxs[p]))
         )
-        before = survivor_indices(mins, maxs, k)
+        before = np.flatnonzero(~prunable_mask(mins, maxs, k)).tolist()
         sub = _pad_survivors(np.array(before, dtype=int), mins, k).tolist()
         # The recheck writes the observation into mins/maxs in place.
         assert APro._recheck_certificate(
             (mins, maxs), sub, k, p, observed
         ) == (sub, False)
-        assert set(survivor_indices(mins, maxs, k)) <= set(before)
+        after = np.flatnonzero(~prunable_mask(mins, maxs, k))
+        assert set(after.tolist()) <= set(before)
 
     def test_support_bounds_reads_atom_extremes(self, trained_pipeline):
         selector = trained_pipeline["selector"]
@@ -383,7 +384,9 @@ class TestPrunedRunsMatchUnpruned:
         # so a run that dropped db0 would probe differently.
         selector = _StubSelector([(1, 4), (5, 10), (6, 12)])
         prober = _ScriptedProber([4.0, 10.0, 12.0])
-        assert survivor_indices(*support_bounds(selector.rds), 1) == [1, 2]
+        assert np.flatnonzero(
+            ~prunable_mask(*support_bounds(selector.rds), 1)
+        ).tolist() == [1, 2]
         pruned = self._assert_same_session(
             selector, prober, backend, _POLICIES[policy], **run
         )
