@@ -1,6 +1,6 @@
 """Command-line interface: ``repro-metasearch``.
 
-Thirteen commands:
+Nine commands:
 
 * ``demo``        — build a testbed, train, and answer one query
   end-to-end;
@@ -14,25 +14,12 @@ Thirteen commands:
 * ``gateway``     — run the asyncio TCP front end over a trained
   service: `gateway/v1` protocol, admission control, coalescing,
   deadlines (see ``docs/GATEWAY.md``);
-* ``bench-serve`` — benchmark the serving layer: serial vs concurrent
-  executor over a fault-injected testbed (see ``docs/SERVING.md``), or
-  with ``--snapshot`` the in-process-vs-pool selection-throughput grid
-  written to ``BENCH_serve.json`` (see ``docs/PERFORMANCE.md``);
-* ``bench-train`` — benchmark the offline phase: serial vs parallel ED
-  training under injected probe latency (see ``docs/TRAINING.md``);
-* ``bench-gateway`` — load-test the gateway: coalescing under a
-  duplicate burst and clean shedding under overload, with p50/p95/p99
-  latency (see ``docs/GATEWAY.md``);
 * ``bench-drift`` — replay a topic-shifting corpus against an adapting
   vs. a frozen service and write ``BENCH_drift.json`` (see
   ``docs/ADAPTATION.md``);
 * ``cluster``     — run a sharded multi-replica cluster: N subprocess
   replicas behind a consistent-hash router, with an optional shared
   selection-cache tier (see ``docs/CLUSTER.md``);
-* ``bench-cluster`` — benchmark the cluster: QPS across 1/2/4
-  replicas with answers proven identical to a single node, cursor
-  paging, a cross-replica cache-tier hit, and a mid-burst replica
-  kill, written to ``BENCH_cluster.json`` (see ``docs/CLUSTER.md``);
 * ``bench-scale`` — benchmark selection cost vs federated database
   count: unpruned vs exact bound pruning, with answer-identity proven
   for exact mode, written to ``BENCH_scale.json`` (see
@@ -64,7 +51,11 @@ from repro.experiments.reporting import (
     format_threshold_probes,
 )
 from repro.exceptions import ReproError
-from repro.experiments.setup import PaperSetupConfig, build_paper_context
+from repro.experiments.setup import (
+    PaperSetupConfig,
+    build_paper_context,
+    build_trained_testbed,
+)
 from repro.experiments.threshold_probes import probes_per_threshold
 
 __all__ = ["main", "build_parser"]
@@ -226,93 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the metrics snapshot JSON to this path",
     )
 
-    bench = subparsers.add_parser(
-        "bench-serve",
-        help="benchmark serial vs concurrent probe execution",
-    )
-    bench.add_argument(
-        "--queries", type=int, default=100, help="stream length"
-    )
-    bench.add_argument(
-        "--unique", type=int, default=60, help="unique queries in the stream"
-    )
-    bench.add_argument("--k", type=int, default=3)
-    bench.add_argument("--certainty", type=float, default=0.95)
-    bench.add_argument(
-        "--batch", type=int, default=16, help="probes per APro round"
-    )
-    bench.add_argument(
-        "--workers", type=int, default=16, help="concurrent executor width"
-    )
-    bench.add_argument(
-        "--pool",
-        type=int,
-        default=0,
-        help=(
-            "selection-pool worker processes for the concurrent leg "
-            "(0 = in-process)"
-        ),
-    )
-    bench.add_argument(
-        "--latency-ms",
-        type=float,
-        default=50.0,
-        help="injected mean probe latency",
-    )
-    bench.add_argument(
-        "--error-rate",
-        type=float,
-        default=0.02,
-        help="injected probe failure probability",
-    )
-    bench.add_argument(
-        "--timeout-ms",
-        type=float,
-        default=150.0,
-        help="per-probe deadline",
-    )
-    bench.add_argument(
-        "--retries", type=int, default=2, help="retries per probe"
-    )
-    bench.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write the metrics snapshot JSON to this path",
-    )
-    bench.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help=(
-            "trace the concurrent leg: write NDJSON span records to "
-            "PATH and report a per-tier latency breakdown "
-            "(see docs/OBSERVABILITY.md)"
-        ),
-    )
-    bench.add_argument(
-        "--snapshot",
-        nargs="?",
-        const="BENCH_serve.json",
-        default=None,
-        metavar="PATH",
-        help=(
-            "instead of the serial-vs-concurrent comparison, measure "
-            "the in-process-vs-pool grid (pool sizes x concurrency) and "
-            "write the stable-schema snapshot JSON here "
-            "(default BENCH_serve.json)"
-        ),
-    )
-    bench.add_argument(
-        "--snapshot-pool-sizes",
-        default="0,1,2,4",
-        help="comma-separated pool sizes for the snapshot grid",
-    )
-    bench.add_argument(
-        "--snapshot-concurrency",
-        default="1,4",
-        help="comma-separated client concurrency levels for the grid",
-    )
-
     gateway = subparsers.add_parser(
         "gateway",
         help="run the asyncio TCP gateway over a trained service",
@@ -341,64 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="deadline applied to requests without their own (ms)",
-    )
-
-    bench_gateway = subparsers.add_parser(
-        "bench-gateway",
-        help="load-test the gateway (coalescing + load shedding)",
-    )
-    bench_gateway.add_argument("--k", type=int, default=3)
-    bench_gateway.add_argument("--certainty", type=float, default=0.9)
-    bench_gateway.add_argument(
-        "--batch", type=int, default=16, help="probes per APro round"
-    )
-    bench_gateway.add_argument(
-        "--workers", type=int, default=8, help="backend executor width"
-    )
-    bench_gateway.add_argument(
-        "--pool",
-        type=int,
-        default=0,
-        help="selection-pool worker processes (0 = in-process)",
-    )
-    bench_gateway.add_argument(
-        "--latency-ms",
-        type=float,
-        default=25.0,
-        help="injected mean probe latency",
-    )
-    bench_gateway.add_argument(
-        "--requests",
-        type=int,
-        default=60,
-        help="requests in the coalesce burst",
-    )
-    bench_gateway.add_argument(
-        "--unique",
-        type=int,
-        default=6,
-        help="unique queries in the coalesce burst",
-    )
-    bench_gateway.add_argument(
-        "--shed-requests",
-        type=int,
-        default=24,
-        help="open-loop arrivals in the shed phase",
-    )
-    bench_gateway.add_argument(
-        "--out",
-        default="bench_gateway.json",
-        help="path of the report JSON (default bench_gateway.json)",
-    )
-    bench_gateway.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help=(
-            "trace the coalesce phase: write NDJSON span records to "
-            "PATH and report a per-tier latency breakdown "
-            "(see docs/OBSERVABILITY.md)"
-        ),
     )
 
     cluster = subparsers.add_parser(
@@ -473,53 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    bench_cluster = subparsers.add_parser(
-        "bench-cluster",
-        help=(
-            "benchmark cluster scaling, cache-tier sharing, cursors, "
-            "and mid-burst failover"
-        ),
-    )
-    bench_cluster.add_argument("--k", type=int, default=3)
-    bench_cluster.add_argument("--certainty", type=float, default=0.9)
-    bench_cluster.add_argument(
-        "--batch", type=int, default=16, help="probes per APro round"
-    )
-    bench_cluster.add_argument(
-        "--unique",
-        type=int,
-        default=12,
-        help="unique queries in each burst",
-    )
-    bench_cluster.add_argument(
-        "--repeats",
-        type=int,
-        default=6,
-        help="times each unique query repeats in a scaling burst",
-    )
-    bench_cluster.add_argument(
-        "--concurrency",
-        type=int,
-        default=16,
-        help="client requests in flight at once",
-    )
-    bench_cluster.add_argument(
-        "--replica-counts",
-        default="1,2,4",
-        help="comma-separated cluster sizes to measure (default 1,2,4)",
-    )
-    bench_cluster.add_argument(
-        "--failover-requests",
-        type=int,
-        default=48,
-        help="burst length of the replica-kill phase",
-    )
-    bench_cluster.add_argument(
-        "--out",
-        default="BENCH_cluster.json",
-        help="path of the report JSON (default BENCH_cluster.json)",
-    )
-
     fig = subparsers.add_parser(
         "fig", help="regenerate one paper figure/table"
     )
@@ -555,52 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=25,
         help="queries between checkpoints (default 25)",
-    )
-
-    bench_train = subparsers.add_parser(
-        "bench-train",
-        help="benchmark serial vs parallel ED training",
-    )
-    bench_train.add_argument(
-        "--queries",
-        type=int,
-        default=40,
-        help="training queries to probe with",
-    )
-    bench_train.add_argument(
-        "--workers", type=int, default=8, help="parallel trainer width"
-    )
-    bench_train.add_argument(
-        "--samples-per-type",
-        type=int,
-        default=20,
-        help="early-stop budget per (database, type) slice",
-    )
-    bench_train.add_argument(
-        "--latency-ms",
-        type=float,
-        default=20.0,
-        help="injected mean probe latency",
-    )
-    bench_train.add_argument(
-        "--error-rate",
-        type=float,
-        default=0.0,
-        help="injected probe failure probability",
-    )
-    bench_train.add_argument(
-        "--timeout-ms",
-        type=float,
-        default=100.0,
-        help="per-probe deadline",
-    )
-    bench_train.add_argument(
-        "--retries", type=int, default=2, help="retries per probe"
-    )
-    bench_train.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write the metrics snapshot JSON to this path",
     )
 
     bench_drift = subparsers.add_parser(
@@ -723,16 +476,9 @@ def _context(args: argparse.Namespace):
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    from repro.metasearch.metasearcher import Metasearcher, MetasearcherConfig
-
     context = _context(args)
-    searcher = Metasearcher(
-        context.mediator,
-        MetasearcherConfig(probe_batch_size=args.batch),
-        analyzer=context.analyzer,
-    )
     print("Training (offline sampling)...", flush=True)
-    searcher.train(context.train_queries)
+    _, searcher = build_trained_testbed(context=context, batch_size=args.batch)
     answer = searcher.search(args.query, k=args.k, certainty=args.certainty)
     print(f"\nQuery     : {args.query!r}")
     print(f"Selected  : {', '.join(answer.selected)}")
@@ -806,20 +552,13 @@ def _service(args: argparse.Namespace, searcher):
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
-    from repro.metasearch.metasearcher import Metasearcher, MetasearcherConfig
-
     queries = _read_queries(args.queries)
     if not queries:
         print("no queries to serve", file=sys.stderr)
         return 1
     context = _context(args)
-    searcher = Metasearcher(
-        context.mediator,
-        MetasearcherConfig(probe_batch_size=args.batch),
-        analyzer=context.analyzer,
-    )
     print("Training (offline sampling)...", flush=True)
-    searcher.train(context.train_queries)
+    _, searcher = build_trained_testbed(context=context, batch_size=args.batch)
     with _service(args, searcher) as service:
         for text in queries:
             answer = service.serve(text, k=args.k, certainty=args.certainty)
@@ -832,7 +571,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         snapshot = service.snapshot()
     if args.metrics_out:
-        _write_metrics(snapshot, args.metrics_out)
+        with open(args.metrics_out, "w", encoding="utf-8") as handle:
+            json.dump(snapshot, handle, indent=2, sort_keys=True)
+        print(f"Metrics written to {args.metrics_out}")
     else:
         print("\nmetrics:")
         print(json.dumps(snapshot, indent=2, sort_keys=True))
@@ -843,10 +584,9 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.gateway.gateway import GatewayConfig, MetasearchGateway
-    from repro.service.bench import build_trained_testbed
 
     print("Training (offline sampling)...", flush=True)
-    _context_unused, searcher = build_trained_testbed(
+    _, searcher = build_trained_testbed(
         scale=args.scale,
         seed=args.seed,
         n_train=args.train_queries,
@@ -886,42 +626,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_gateway(args: argparse.Namespace) -> int:
-    from repro.bench import finish
-    from repro.gateway.bench import (
-        BenchGatewayConfig,
-        format_bench_gateway,
-        run_bench_gateway,
-    )
-
-    print(
-        f"Benchmarking gateway (scale={args.scale}, "
-        f"{args.requests} coalesce requests / "
-        f"{args.shed_requests} shed requests)...",
-        flush=True,
-    )
-    document = run_bench_gateway(
-        BenchGatewayConfig(
-            scale=args.scale,
-            seed=args.seed,
-            n_train=args.train_queries,
-            n_test=args.test_queries,
-            k=args.k,
-            certainty=args.certainty,
-            batch_size=args.batch,
-            workers=args.workers,
-            pool_workers=args.pool,
-            mean_latency_ms=args.latency_ms,
-            coalesce_requests=args.requests,
-            coalesce_unique=args.unique,
-            shed_requests=args.shed_requests,
-            trace_path=args.trace,
-        )
-    )
-    print(format_bench_gateway(document))
-    return finish(document, args.out)
-
-
 def _parse_int_list(raw: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(
@@ -931,96 +635,6 @@ def _parse_int_list(raw: str, flag: str) -> tuple[int, ...]:
         raise ReproError(
             f"{flag} must be a comma-separated integer list, got {raw!r}"
         ) from None
-
-
-def _write_metrics(metrics: dict, path: str | None) -> None:
-    """``--metrics-out``: the metrics snapshot JSON, when asked for."""
-    if path:
-        import json
-
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(metrics, handle, indent=2, sort_keys=True)
-        print(f"Metrics written to {path}")
-
-
-def _cmd_bench_serve_snapshot(args: argparse.Namespace) -> int:
-    from repro.bench import finish
-    from repro.service.bench import (
-        BenchServeSnapshotConfig,
-        format_bench_serve_snapshot,
-        run_bench_serve_snapshot,
-    )
-
-    pool_sizes = _parse_int_list(
-        args.snapshot_pool_sizes, "--snapshot-pool-sizes"
-    )
-    concurrency = _parse_int_list(
-        args.snapshot_concurrency, "--snapshot-concurrency"
-    )
-    print(
-        f"Measuring serving snapshot grid (scale={args.scale}, "
-        f"{args.queries} queries, pool sizes {list(pool_sizes)}, "
-        f"concurrency {list(concurrency)})...",
-        flush=True,
-    )
-    document = run_bench_serve_snapshot(
-        BenchServeSnapshotConfig(
-            scale=args.scale,
-            seed=args.seed,
-            n_train=args.train_queries,
-            n_test=args.test_queries,
-            queries=args.queries,
-            unique_queries=args.unique,
-            k=args.k,
-            certainty=args.certainty,
-            batch_size=args.batch,
-            max_workers=args.workers,
-            pool_sizes=pool_sizes,
-            concurrency=concurrency,
-        )
-    )
-    print(format_bench_serve_snapshot(document))
-    return finish(document, args.snapshot)
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.bench import finish
-    from repro.service.bench import (
-        BenchServeConfig,
-        format_bench_serve,
-        run_bench_serve,
-    )
-
-    if args.snapshot is not None:
-        return _cmd_bench_serve_snapshot(args)
-    print(
-        f"Benchmarking serving layer (scale={args.scale}, "
-        f"{args.queries} queries, {args.workers} workers)...",
-        flush=True,
-    )
-    document = run_bench_serve(
-        BenchServeConfig(
-            scale=args.scale,
-            seed=args.seed,
-            n_train=args.train_queries,
-            n_test=args.test_queries,
-            queries=args.queries,
-            unique_queries=args.unique,
-            k=args.k,
-            certainty=args.certainty,
-            batch_size=args.batch,
-            workers=args.workers,
-            mean_latency_ms=args.latency_ms,
-            error_rate=args.error_rate,
-            timeout_ms=args.timeout_ms,
-            max_retries=args.retries,
-            pool_workers=args.pool,
-            trace_path=args.trace,
-        )
-    )
-    print(format_bench_serve(document))
-    _write_metrics(document["results"]["metrics"], args.metrics_out)
-    return finish(document)
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
@@ -1079,41 +693,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_cluster(args: argparse.Namespace) -> int:
-    from repro.bench import finish
-    from repro.cluster import (
-        BenchClusterConfig,
-        format_bench_cluster,
-        run_bench_cluster,
-    )
-
-    counts = _parse_int_list(args.replica_counts, "--replica-counts")
-    print(
-        f"Benchmarking cluster (scale={args.scale}, replica counts "
-        f"{list(counts)}, {args.unique}x{args.repeats} requests per "
-        f"burst)...",
-        flush=True,
-    )
-    document = run_bench_cluster(
-        BenchClusterConfig(
-            scale=args.scale,
-            seed=args.seed,
-            n_train=args.train_queries,
-            n_test=args.test_queries,
-            k=args.k,
-            certainty=args.certainty,
-            batch_size=args.batch,
-            unique_queries=args.unique,
-            repeats=args.repeats,
-            concurrency=args.concurrency,
-            replica_counts=counts,
-            failover_requests=args.failover_requests,
-        )
-    )
-    print(format_bench_cluster(document))
-    return finish(document, args.out)
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     from repro.metasearch.metasearcher import Metasearcher, MetasearcherConfig
 
@@ -1141,39 +720,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     probes = context.mediator.total_probes()
     print(f"Saved trained state to {args.output} ({probes} offline probes).")
     return 0
-
-
-def _cmd_bench_train(args: argparse.Namespace) -> int:
-    from repro.bench import finish
-    from repro.service.bench import (
-        BenchTrainConfig,
-        format_bench_train,
-        run_bench_train,
-    )
-
-    print(
-        f"Benchmarking ED training (scale={args.scale}, "
-        f"{args.queries} queries, {args.workers} workers)...",
-        flush=True,
-    )
-    document = run_bench_train(
-        BenchTrainConfig(
-            scale=args.scale,
-            seed=args.seed,
-            n_train=args.train_queries,
-            n_test=args.test_queries,
-            train_queries=args.queries,
-            workers=args.workers,
-            samples_per_type=args.samples_per_type,
-            mean_latency_ms=args.latency_ms,
-            error_rate=args.error_rate,
-            timeout_ms=args.timeout_ms,
-            max_retries=args.retries,
-        )
-    )
-    print(format_bench_train(document))
-    _write_metrics(document["results"]["metrics"], args.metrics_out)
-    return finish(document)
 
 
 def _cmd_bench_drift(args: argparse.Namespace) -> int:
@@ -1255,8 +801,6 @@ _OUTPUT_ARGUMENTS = (
     ("checkpoint", "--checkpoint"),
     ("out", "--out"),
     ("metrics_out", "--metrics-out"),
-    ("trace", "--trace"),
-    ("snapshot", "--snapshot"),
 )
 
 
@@ -1268,8 +812,7 @@ def _check_output_paths(args: argparse.Namespace) -> None:
     """
     for dest, flag in _OUTPUT_ARGUMENTS:
         path = getattr(args, dest, None)
-        # ``cluster --trace`` is an on/off flag, not a path.
-        if not isinstance(path, str):
+        if path is None:
             continue
         directory = Path(path).parent
         if not directory.is_dir():
@@ -1287,12 +830,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "train": _cmd_train,
         "serve": _cmd_serve,
         "gateway": _cmd_gateway,
-        "bench-serve": _cmd_bench_serve,
-        "bench-train": _cmd_bench_train,
-        "bench-gateway": _cmd_bench_gateway,
         "bench-drift": _cmd_bench_drift,
         "cluster": _cmd_cluster,
-        "bench-cluster": _cmd_bench_cluster,
         "bench-scale": _cmd_bench_scale,
         "bench-index": _cmd_bench_index,
     }

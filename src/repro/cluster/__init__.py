@@ -18,12 +18,6 @@ preserved:
 See ``docs/CLUSTER.md`` for topology and protocol details.
 """
 
-from repro.cluster.bench import (
-    BenchClusterConfig,
-    cluster_gates,
-    format_bench_cluster,
-    run_bench_cluster,
-)
 from repro.cluster.cachetier import (
     CACHE_PROTOCOL_VERSION,
     CacheTierClient,
@@ -44,7 +38,6 @@ from repro.cluster.router import ClusterRouter, RouterConfig
 
 __all__ = [
     "CACHE_PROTOCOL_VERSION",
-    "BenchClusterConfig",
     "CacheTierClient",
     "CacheTierServer",
     "ClusterRouter",
@@ -55,11 +48,8 @@ __all__ = [
     "RouterConfig",
     "SubprocessReplica",
     "answer_key",
-    "cluster_gates",
     "decode_answer",
     "encode_answer",
-    "format_bench_cluster",
     "parse_address",
     "request_fingerprint",
-    "run_bench_cluster",
 ]

@@ -1,6 +1,6 @@
 """`LocalCluster`: replicas + cache tier + router as one unit.
 
-The deployment shape the CLI, the benchmark, and CI all stand up: N
+The deployment shape the CLI and the cluster tests stand up: N
 :class:`~repro.cluster.replica.SubprocessReplica` processes (each
 rebuilding identical trained state from the shared
 :class:`~repro.cluster.replica.ReplicaSpec`), an optional shared

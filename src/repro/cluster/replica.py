@@ -98,7 +98,7 @@ def _replica_main(conn, spec: ReplicaSpec) -> None:
 async def _replica_serve(conn, spec: ReplicaSpec) -> None:
     # Imported here: the testbed builder pulls in the experiments
     # stack, which the parent-side router never needs.
-    from repro.service.bench import build_trained_testbed
+    from repro.experiments.setup import build_trained_testbed
 
     _, metasearcher = build_trained_testbed(
         scale=spec.scale,

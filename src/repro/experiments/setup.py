@@ -9,6 +9,9 @@ Assembles, deterministically from a single config:
 * disjoint Q_train / Q_test sets,
 * the golden standard (true top-k per test query).
 
+:func:`build_trained_testbed` adds a metasearcher trained on that
+setup's training queries: the front half of every serving entry point.
+
 Test queries are additionally required to match at least
 ``min_matching_databases`` databases; a query matching nothing anywhere
 has no meaningful "most relevant database" and the paper's real-user
@@ -23,6 +26,7 @@ from repro.core.correctness import GoldenStandard
 from repro.exceptions import ConfigurationError
 from repro.hiddenweb.database import RelevancyDefinition
 from repro.hiddenweb.mediator import Mediator
+from repro.metasearch.metasearcher import Metasearcher, MetasearcherConfig
 from repro.corpus.collections import testbed_specs
 from repro.corpus.generator import DocumentGenerator
 from repro.corpus.topics import TopicRegistry, default_topic_registry
@@ -32,7 +36,12 @@ from repro.querylog.vocabulary import domain_vocabulary, is_domain_query
 from repro.text.analyzer import Analyzer
 from repro.types import Query
 
-__all__ = ["PaperSetupConfig", "ExperimentContext", "build_paper_context"]
+__all__ = [
+    "PaperSetupConfig",
+    "ExperimentContext",
+    "build_paper_context",
+    "build_trained_testbed",
+]
 
 
 @dataclass(frozen=True)
@@ -141,3 +150,38 @@ def build_paper_context(
         test_queries=test_queries,
         golden=golden,
     )
+
+
+def build_trained_testbed(
+    scale: float = 0.05,
+    seed: int = 2004,
+    n_train: int = 200,
+    n_test: int = 80,
+    batch_size: int = 16,
+    train_queries_cap: int | None = None,
+    context: ExperimentContext | None = None,
+) -> tuple[ExperimentContext, Metasearcher]:
+    """Build the paper testbed and a trained metasearcher over it.
+
+    The shared front half of every serving entry point (the ``demo``,
+    ``serve`` and ``gateway`` CLI commands and each cluster replica):
+    construct the scaled paper context, train a metasearcher on its
+    training queries (optionally capped), and return ``(context,
+    metasearcher)``. Pass *context* to reuse an already-built testbed.
+    """
+    if context is None:
+        context = build_paper_context(
+            PaperSetupConfig(
+                scale=scale, seed=seed, n_train=n_train, n_test=n_test
+            )
+        )
+    metasearcher = Metasearcher(
+        context.mediator,
+        MetasearcherConfig(probe_batch_size=batch_size),
+        analyzer=context.analyzer,
+    )
+    train = context.train_queries
+    if train_queries_cap is not None:
+        train = train[:train_queries_cap]
+    metasearcher.train(train)
+    return context, metasearcher

@@ -13,12 +13,6 @@ top of :class:`~repro.service.server.MetasearchService`:
 See ``docs/GATEWAY.md`` for the protocol and operational semantics.
 """
 
-from repro.gateway.bench import (
-    BenchGatewayConfig,
-    format_bench_gateway,
-    gateway_gates,
-    run_bench_gateway,
-)
 from repro.gateway.client import GatewayClient, SyncGatewayClient
 from repro.gateway.gateway import GatewayConfig, MetasearchGateway
 from repro.gateway.protocol import (
@@ -39,8 +33,4 @@ __all__ = [
     "MetasearchGateway",
     "GatewayClient",
     "SyncGatewayClient",
-    "BenchGatewayConfig",
-    "run_bench_gateway",
-    "format_bench_gateway",
-    "gateway_gates",
 ]

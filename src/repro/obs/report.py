@@ -1,12 +1,13 @@
 """Turning span records into a per-tier latency breakdown.
 
-The bench commands (``bench-serve --trace`` / ``bench-gateway
---trace``) collect NDJSON span records and want one table answering
-"which tier ate the budget": for each span name, how many spans ran
-and the distribution of their wall-ms. Per-database probe spans
-(``probe.corpus-3`` and friends) are collapsed into one ``probe.*``
-row — the tier view cares about probe latency, not fan-out identity;
-the raw span file keeps the full names.
+A traced run's span records (read back with :func:`load_spans` from a
+:class:`~repro.obs.sinks.FileTraceSink`, or from the ring buffer
+through ``MetasearchService.trace_spans`` or the ``trace`` op) answer
+"which tier ate the budget" as one table: for each span name, how
+many spans ran and the distribution of their wall-ms. Per-database
+probe spans (``probe.corpus-3`` and friends) are collapsed into one
+``probe.*`` row — the tier view cares about probe latency, not fan-out
+identity; the raw span file keeps the full names.
 """
 
 from __future__ import annotations

@@ -11,11 +11,11 @@ Three concrete sinks cover the stack's needs:
   gateway's ``trace`` op and the tests read back.
 * :class:`StderrTraceSink` — one NDJSON line per span, for operators
   tailing a service process.
-* :class:`FileTraceSink` — NDJSON to a file, for bench runs
-  (``bench-serve --trace`` / ``bench-gateway --trace``).
+* :class:`FileTraceSink` — NDJSON to a file, for offline analysis
+  (:func:`repro.obs.report.load_spans` reads it back).
 
 :class:`MultiTraceSink` fans one record out to several sinks (e.g.
-ring buffer for the ``trace`` op plus a file for the bench report).
+ring buffer for the ``trace`` op plus a file for offline analysis).
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class FileTraceSink(TraceSink):
 
     Usable as a context manager; ``close`` is idempotent and emits
     after close are silently dropped (a late probe thread must not
-    crash the bench that already collected its report).
+    crash the run that already read the file back).
     """
 
     def __init__(self, path: str) -> None:

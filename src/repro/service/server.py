@@ -330,8 +330,8 @@ class MetasearchService:
         Forwarded to the resilient wrappers (tests inject a recorder).
     trace_sink:
         Extra :class:`~repro.obs.TraceSink` to fan span records into
-        alongside the ring buffer (benches pass a file sink). Ignored
-        when tracing is off.
+        alongside the ring buffer (e.g. a
+        :class:`~repro.obs.FileTraceSink`). Ignored when tracing is off.
     """
 
     def __init__(

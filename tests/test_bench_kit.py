@@ -175,10 +175,12 @@ class TestBenchIndex:
         assert self.failures(tmp_path) == []
         assert main(["bench-index", "--dir", str(tmp_path)]) == 0
 
-    def test_false_gate_fails(self, tmp_path):
+    def test_false_gate_fails(self, tmp_path, capsys):
         write_report(tmp_path, "a", [bench.gate("bad", 0, 1, "==")])
         assert self.failures(tmp_path) == ["BENCH_a.json.false_gates"]
         assert main(["bench-index", "--dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "gate BENCH_a.json.false_gates failed" in err
 
     def test_non_bench_v1_fails(self, tmp_path):
         (tmp_path / "BENCH_old.json").write_text(

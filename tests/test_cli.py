@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import importlib
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -28,6 +31,16 @@ class TestParser:
         assert args.artifact == "15"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig", "99"])
+
+    @pytest.mark.parametrize(
+        "command",
+        ["bench-serve", "bench-train", "bench-gateway", "bench-cluster"],
+    )
+    def test_retired_command_is_an_invalid_choice(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_global_options(self):
         args = build_parser().parse_args(
@@ -160,7 +173,7 @@ class TestServeCommands:
         assert args.batch == 4
 
     def test_invalid_config_is_a_clean_error(self, capsys):
-        code = main(["bench-serve", "--queries", "0"])
+        code = main(["bench-scale", "--queries", "0"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
@@ -174,13 +187,6 @@ class TestServeCommands:
             "error: REPRO_PREFILTER='topm' is not a valid prune mode"
             in capsys.readouterr().err
         )
-
-    def test_bench_serve_parser_defaults(self):
-        args = build_parser().parse_args(["bench-serve"])
-        assert args.command == "bench-serve"
-        assert args.workers == 16
-        assert args.batch == 16
-        assert args.latency_ms == 50.0
 
     def test_serve_runs(self, tmp_path, capsys):
         queries = tmp_path / "queries.txt"
@@ -209,8 +215,6 @@ class TestServeCommands:
         out = capsys.readouterr().out
         assert "->" in out
         assert "(cache)" in out  # repeated query served from cache
-        import json
-
         snapshot = json.loads(metrics_path.read_text())
         assert snapshot["counters"]["queries_served"] == 3
         assert snapshot["cache"]["hits"] == 1
@@ -239,119 +243,78 @@ class TestServeCommands:
             ["bench-index", "--dir", str(tmp_path), "--out", out],
             ["bench-scale", "--out", out],
             ["serve", "--metrics-out", out],
-            ["bench-serve", "--trace", out],
-            ["bench-serve", "--snapshot", out],
         ):
             assert main(SMALL + argv) == 2, argv
             captured = capsys.readouterr()
             assert captured.err.startswith("error: ") and out in captured.err
             assert captured.out == "", argv
 
-    def test_bench_train_parser_defaults(self):
-        args = build_parser().parse_args(["bench-train"])
-        assert args.command == "bench-train"
-        assert args.workers == 8
-        assert args.queries == 40
-        assert args.samples_per_type == 20
-        assert args.latency_ms == 20.0
-
-    def test_bench_train_runs(self, tmp_path, capsys):
-        metrics_path = tmp_path / "metrics.json"
-        code = main(
-            SMALL
-            + [
-                "bench-train",
-                "--queries", "6",
-                "--workers", "4",
-                "--samples-per-type", "2",
-                "--latency-ms", "1",
-                "--timeout-ms", "60",
-                "--metrics-out", str(metrics_path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "identical state      : True" in out
-        assert "speedup" in out
-        import json
-
-        snapshot = json.loads(metrics_path.read_text())
-        assert "training_queries" in snapshot["counters"]
-
-    def test_bench_serve_runs(self, tmp_path, capsys):
-        metrics_path = tmp_path / "metrics.json"
-        code = main(
-            SMALL
-            + [
-                "bench-serve",
-                "--queries",
-                "8",
-                "--unique",
-                "5",
-                "--latency-ms",
-                "2",
-                "--timeout-ms",
-                "60",
-                "--workers",
-                "4",
-                "--batch",
-                "2",
-                "--error-rate",
-                "0",
-                "--metrics-out",
-                str(metrics_path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "identical selections : True" in out
-        assert "speedup" in out
-        import json
-
-        snapshot = json.loads(metrics_path.read_text())
-        assert "probes_issued" in snapshot["counters"]
-
     @pytest.mark.parametrize(
-        ("command", "runner", "gates", "key"),
+        ("command", "runner", "gate"),
         [
             (
                 [
-                    "bench-train", "--queries", "6", "--workers", "2",
-                    "--samples-per-type", "2", "--latency-ms", "1",
-                    "--timeout-ms", "60",
+                    "bench-scale", "--sizes", "34,36", "--queries", "1",
+                    "--repeats", "1", "--train-queries", "20",
                 ],
-                "run_bench_train",
-                "train_gates",
-                "identical_state",
+                "repro.experiments.bench_scale.run_bench_scale",
+                "34db.exact.identical_selections",
             ),
             (
-                [
-                    "bench-serve", "--queries", "4", "--unique", "3",
-                    "--latency-ms", "1", "--timeout-ms", "60",
-                    "--workers", "2", "--batch", "2", "--error-rate", "0",
-                ],
-                "run_bench_serve",
-                "serve_gates",
-                "identical_selections",
+                SMALL + ["bench-drift", "--queries-per-phase", "8"],
+                "repro.adapt.bench.run_bench_drift",
+                "frozen.model_changed",
             ),
         ],
-        ids=["bench-train", "bench-serve"],
+        ids=["bench-scale", "bench-drift"],
     )
     def test_identity_mismatch_exits_3(
-        self, monkeypatch, capsys, command, runner, gates, key
+        self, monkeypatch, tmp_path, capsys, command, runner, gate
     ):
-        from repro.service import bench as service_bench
-
-        measure = getattr(service_bench, runner)
+        # A real run whose identity verdict is then flipped: the command
+        # must exit 3 and name that gate on stderr. Runs this small may
+        # also miss a speed or recovery gate; the stderr line pins the
+        # flipped one.
+        module_name, _, name = runner.rpartition(".")
+        module = importlib.import_module(module_name)
+        measure = getattr(module, name)
 
         def mismatched(config):
             document = measure(config)
-            document["results"][key] = False
-            document["gates"] = getattr(service_bench, gates)(
-                document["results"]
-            )
+            assert _verdict(document, gate) is True
+            _MISMATCH[gate](document)
+            assert _verdict(document, gate) is False
             return document
 
-        monkeypatch.setattr(service_bench, runner, mismatched)
-        assert main(SMALL + command) == 3
-        assert f"gate {key} failed" in capsys.readouterr().err
+        monkeypatch.setattr(module, name, mismatched)
+        out = str(tmp_path / "report.json")
+        assert main(command + ["--out", out]) == 3
+        assert f"gate {gate} failed" in capsys.readouterr().err
+
+
+def _verdict(document, gate):
+    (entry,) = [g for g in document["gates"] if g["name"] == gate]
+    return entry["meets_target"]
+
+
+def _mismatched_selections(document):
+    """bench-scale: exact mode picks other databases at the first size."""
+    from repro.experiments.bench_scale import scale_gates
+
+    document["results"]["sizes"][0]["identical_selections"] = False
+    document["gates"] = scale_gates(document["results"], document["config"])
+
+
+def _changed_frozen_model(document):
+    """bench-drift: the frozen leg's model no longer matches its start."""
+    from repro.adapt.bench import drift_gates
+
+    fingerprints = document["results"]["runs"]["frozen"]["fingerprints"]
+    fingerprints["final"] = fingerprints["initial"] + "-changed"
+    document["gates"] = drift_gates(document["results"])
+
+
+_MISMATCH = {
+    "34db.exact.identical_selections": _mismatched_selections,
+    "frozen.model_changed": _changed_frozen_model,
+}

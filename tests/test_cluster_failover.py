@@ -19,9 +19,9 @@ import asyncio
 import pytest
 
 from repro.cluster import LocalCluster, ReplicaSpec, RouterConfig
+from repro.experiments.setup import build_trained_testbed
 from repro.gateway.client import GatewayClient
 from repro.gateway.protocol import ErrorCode, GatewayError
-from repro.service.bench import build_trained_testbed
 from repro.service.server import MetasearchService, ServiceConfig
 
 SPEC = ReplicaSpec(scale=0.04, seed=2004, n_train=60, n_test=20)
@@ -196,3 +196,34 @@ def test_graceful_drain_then_restore(reference):
             tuple(result["answer"]["selected"]) == answers[query].selected
         )
     assert spread == {"r0", "r1"}
+
+
+def test_cache_tier_serves_a_cross_replica_hit(reference):
+    """LocalCluster points every replica at its tier: r0's answer serves r1."""
+    queries, _ = reference
+
+    async def scenario():
+        async with LocalCluster(
+            replicas=2, spec=SPEC, cache_tier=True
+        ) as cluster:
+            results = []
+            for replica in cluster.replicas:
+                # Straight to each replica, past the router's sharding.
+                client = await GatewayClient.connect(
+                    replica.host, replica.port
+                )
+                try:
+                    result = await client.search(
+                        queries[0], k=3, certainty=0.9
+                    )
+                    stats = await client.stats()
+                finally:
+                    await client.close()
+                results.append((result, stats["service"]["counters"]))
+            return results
+
+    (first, _), (second, counters) = asyncio.run(scenario())
+    assert first["served"]["cache_hit"] is False
+    assert second["served"]["cache_hit"] is True
+    assert second["answer"] == first["answer"]
+    assert counters["cache_tier_hits"] == 1
