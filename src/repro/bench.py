@@ -7,12 +7,12 @@ Every ``bench-*`` command builds one ``bench/v1`` envelope::
 
 ``results`` is the family's own measurement layout. ``gates`` is the
 list of verdicts :func:`gate` builds from those results, each
-``{"name", "value", "op", "target", "min_cores", "meets_target"}``.
-``meets_target`` is ``null`` only when the recording host has fewer
-than ``min_cores`` cores (wall-clock scaling gates); every other gate
-is judged ``true`` or ``false`` wherever it runs. :func:`finish` writes
-the envelope, prints the gate table and returns exit code 3 on any
-false gate, so a bench command fails whenever its own evidence does.
+``{"name", "value", "op", "target", "meets_target"}``. Every gate is
+judged ``true`` or ``false`` on whatever host runs it: a verdict the
+recording host could not reach is not evidence, so no gate records
+one. :func:`finish` writes the envelope, prints the gate table and
+returns exit code 3 on any false gate, so a bench command fails
+whenever its own evidence does.
 
 The measurement helpers are the ones every family shares: the host
 block, one nearest-rank percentile, and an interleaved timer whose
@@ -59,7 +59,7 @@ SCHEMA = "bench/v1"
 GATE_FAILED = 3
 
 _ENVELOPE_KEYS = ("family", "environment", "config", "results", "gates")
-_GATE_KEYS = {"name", "value", "op", "target", "min_cores", "meets_target"}
+_GATE_KEYS = {"name", "value", "op", "target", "meets_target"}
 
 _OPS = {
     "==": operator.eq,
@@ -68,10 +68,6 @@ _OPS = {
     "<=": operator.le,
     "<": operator.lt,
 }
-
-
-def _cpu_count() -> int:
-    return os.cpu_count() or 1
 
 
 def host_fingerprint() -> str:
@@ -95,7 +91,7 @@ def _blas() -> str:
 def environment() -> dict[str, object]:
     """The host facts and ``REPRO_*`` knobs a measurement depends on."""
     return {
-        "cpu_count": _cpu_count(),
+        "cpu_count": os.cpu_count() or 1,
         "host_fingerprint": host_fingerprint(),
         "python": platform.python_version(),
         "platform": platform.platform(),
@@ -153,31 +149,20 @@ def paired_ratio(numerator: list[float], denominator: list[float]) -> float:
 
 
 def gate(
-    name: str,
-    value: object,
-    target: object,
-    op: str,
-    min_cores: int = 1,
+    name: str, value: object, target: object, op: str
 ) -> dict[str, object]:
     """One recorded verdict: does ``value op target`` hold?
 
-    ``meets_target`` is ``None`` when this host has fewer than
-    *min_cores* cores. A missing *value* is a failed measurement,
-    never a pass.
+    A missing *value* is a failed measurement, never a pass.
     """
     if op not in _OPS:
         raise ConfigurationError(f"unknown gate operator {op!r}")
-    if _cpu_count() < min_cores:
-        verdict = None
-    else:
-        verdict = value is not None and bool(_OPS[op](value, target))
     return {
         "name": name,
         "value": value,
         "op": op,
         "target": target,
-        "min_cores": min_cores,
-        "meets_target": verdict,
+        "meets_target": value is not None and bool(_OPS[op](value, target)),
     }
 
 
@@ -240,14 +225,6 @@ def read(path: str, family: str | None = None) -> dict[str, object]:
     return document
 
 
-def _verdict(entry: dict[str, object]) -> str:
-    if entry["meets_target"] is True:
-        return "pass"
-    if entry["meets_target"] is False:
-        return "FAIL"
-    return f"not judged (needs {entry['min_cores']} cores)"
-
-
 def _format_gates(gates: list[dict[str, object]]) -> str:
     """The gate table :func:`finish` prints."""
     width = max([len(str(g["name"])) for g in gates] + [4])
@@ -257,13 +234,11 @@ def _format_gates(gates: list[dict[str, object]]) -> str:
     for entry in gates:
         lines.append(
             f"{entry['name']:<{width}}  {entry['value']!s:>10} "
-            f"{entry['op']:<2} {entry['target']!s:<10} {_verdict(entry)}"
+            f"{entry['op']:<2} {entry['target']!s:<10} "
+            f"{'pass' if entry['meets_target'] is True else 'FAIL'}"
         )
-    verdicts = [entry["meets_target"] for entry in gates]
-    lines.append(
-        f"gates: {verdicts.count(True)} passed, {verdicts.count(False)} "
-        f"failed, {verdicts.count(None)} not judged"
-    )
+    passed = sum(entry["meets_target"] is True for entry in gates)
+    lines.append(f"gates: {passed} passed, {len(gates) - passed} failed")
     return "\n".join(lines)
 
 
@@ -277,7 +252,7 @@ def finish(document: dict[str, object], path: str | None = None) -> int:
         print(f"Report written to {path}")
     gates = document["gates"]
     print(_format_gates(gates))
-    failed = [entry for entry in gates if entry["meets_target"] is False]
+    failed = [entry for entry in gates if entry["meets_target"] is not True]
     for entry in failed:
         print(
             f"error: gate {entry['name']} failed: {entry['value']} "

@@ -442,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bench-index",
         help=(
             "judge every committed BENCH_*.json report: exit 3 on a "
-            "non-bench/v1 file, a report without gates, a false gate, "
-            "or a null verdict its host could have judged"
+            "non-bench/v1 file, a report without gates, or a gate whose "
+            "meets_target is not true"
         ),
     )
     bench_index.add_argument(

@@ -48,6 +48,7 @@ from repro.obs import (
     RingBufferTraceSink,
     Tracer,
     replay_spans,
+    span,
     wire_context,
 )
 from repro.service.metrics import MetricsRegistry
@@ -372,11 +373,8 @@ class ClusterRouter(FrontEnd):
         self._refuse_if_draining()
         self._metrics.counter("router_searches").inc()
         started = time.perf_counter()
-        if self._tracer is None:
+        with span("router.request", tracer=self._tracer):
             result = await self._forward_search(request)
-        else:
-            with self._tracer.trace("router.request"):
-                result = await self._forward_search(request)
         self._metrics.histogram(
             "router_request_ms", deterministic=False
         ).observe((time.perf_counter() - started) * 1000.0)

@@ -18,10 +18,7 @@ from repro.experiments.harness import (
     SelectionQualityResult,
     evaluate_selection_quality,
 )
-from repro.experiments.similarity import (
-    SimilarityQualityResult,
-    similarity_selection_quality,
-)
+from repro.experiments.similarity import similarity_selection_quality
 from repro.experiments.probing_curves import ProbingCurveResult, probing_curves
 from repro.experiments.sampling_size import (
     SamplingGoodnessResult,
@@ -41,7 +38,6 @@ __all__ = [
     "ProbingCurveResult",
     "SamplingGoodnessResult",
     "SelectionQualityResult",
-    "SimilarityQualityResult",
     "ThresholdProbesResult",
     "build_paper_context",
     "calibration_curve",

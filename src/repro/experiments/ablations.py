@@ -199,45 +199,22 @@ def sampled_summary_ablation(
     for topic in context.registry.in_domain("health"):
         seed_terms.extend(context.analyzer.analyze(topic.words[0]))
 
-    for label, builder in (
+    sampler = SampledSummaryBuilder(
+        seed_terms=seed_terms,
+        target_documents=target_documents,
+        max_probes=target_documents * 4,
+        analyzer=context.analyzer,
+    )
+    for label, summaries in (
         ("exact", None),
         (
             f"sampled({target_documents} docs)",
-            SampledSummaryBuilder(
-                seed_terms=seed_terms,
-                target_documents=target_documents,
-                max_probes=target_documents * 4,
-                analyzer=context.analyzer,
-            ),
+            {db.name: sampler.build(db) for db in context.mediator},
         ),
     ):
-        if builder is None:
-            pipeline = train_pipeline(context, estimator=estimator)
-        else:
-            from repro.core.training import EDTrainer
-            from repro.core.selection import RDBasedSelector
-            from repro.metasearch.baselines import EstimationBasedSelector
-
-            summaries = {
-                db.name: builder.build(db) for db in context.mediator
-            }
-            trainer = EDTrainer(
-                context.mediator, summaries, estimator,
-                definition=context.config.definition,
-            )
-            error_model = trainer.train(context.train_queries)
-            pipeline = TrainedPipeline(
-                summaries=summaries,
-                error_model=error_model,
-                rd_selector=RDBasedSelector(
-                    context.mediator, summaries, estimator, error_model,
-                    definition=context.config.definition,
-                ),
-                baseline=EstimationBasedSelector(
-                    context.mediator, summaries, estimator
-                ),
-                estimator=estimator,
-            )
+        pipeline = train_pipeline(
+            context, estimator=estimator, summaries=summaries
+        )
         for method, select in (
             ("baseline", pipeline.baseline.select),
             (

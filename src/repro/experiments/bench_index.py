@@ -6,13 +6,13 @@ Every bench family writes the same ``bench/v1`` envelope
 when it
 
 * is unreadable or not a ``bench/v1`` envelope,
-* records no gate at all,
-* records a false gate, or
-* records a null verdict on a gate whose ``min_cores`` its own host
-  met — a gate that host could have judged is not evidence.
+* records no gate at all, or
+* records a gate whose ``meets_target`` is not ``true`` — a ``false``,
+  or a ``null`` an older writer left for a gate its host did not
+  judge: a verdict nobody reached is not evidence.
 
 The index is itself a ``bench/v1`` document (family ``bench-index``)
-whose gates are those four checks per file, so ``bench-index`` fails
+whose gates are those three checks per file, so ``bench-index`` fails
 through the same :func:`repro.bench.finish` as every bench command.
 """
 
@@ -32,25 +32,18 @@ def _summary(name: str, path: str) -> dict[str, object]:
         document = bench.read(path)
     except ReproError as error:
         return {"file": name, "error": str(error)}
-    cores = document["environment"].get("cpu_count", 0)
     gates = document["gates"]
-    verdicts = [entry["meets_target"] for entry in gates]
+    failed = [
+        entry["name"] for entry in gates if entry["meets_target"] is not True
+    ]
     return {
         "file": name,
         "family": document["family"],
-        "cpu_count": cores,
+        "cpu_count": document["environment"].get("cpu_count", 0),
         "host_fingerprint": document["environment"].get("host_fingerprint"),
         "gates": len(gates),
-        "passed": verdicts.count(True),
-        "failed": [
-            entry["name"] for entry in gates if entry["meets_target"] is False
-        ],
-        "not_judged": verdicts.count(None),
-        "judgeable_nulls": [
-            entry["name"]
-            for entry in gates
-            if entry["meets_target"] is None and cores >= entry["min_cores"]
-        ],
+        "passed": len(gates) - len(failed),
+        "failed": failed,
     }
 
 
@@ -69,7 +62,7 @@ def build_bench_index(directory: str = ".") -> dict[str, object]:
 
 
 def index_gates(reports: list[dict[str, object]]) -> list[dict[str, object]]:
-    """The four checks above for each report summary."""
+    """The three checks above for each report summary."""
     gates = [bench.gate("reports", len(reports), 1, ">=")]
     for report in reports:
         name = report["file"]
@@ -80,12 +73,6 @@ def index_gates(reports: list[dict[str, object]]) -> list[dict[str, object]]:
         gates += [
             bench.gate(f"{name}.gates", report["gates"], 1, ">="),
             bench.gate(f"{name}.false_gates", len(report["failed"]), 0, "=="),
-            bench.gate(
-                f"{name}.judgeable_nulls",
-                len(report["judgeable_nulls"]),
-                0,
-                "==",
-            ),
         ]
     return gates
 
@@ -104,10 +91,8 @@ def format_bench_index(document: dict[str, object]) -> str:
         lines.append(
             f"  {report['file']:<20} {report['family']:<21} "
             f"cpu_count={report['cpu_count']:<3} gates: "
-            f"{report['passed']} passed, {len(report['failed'])} failed, "
-            f"{report['not_judged']} not judged"
+            f"{report['passed']} passed, {len(report['failed'])} failed"
         )
-        for label in ("failed", "judgeable_nulls"):
-            if report[label]:
-                lines.append(f"    {label}: {', '.join(report[label])}")
+        if report["failed"]:
+            lines.append(f"    failed: {', '.join(report['failed'])}")
     return "\n".join(lines)

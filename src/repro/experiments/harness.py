@@ -10,10 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
+from repro.core.correctness import GoldenStandard
 from repro.core.selection import RDBasedSelector
 from repro.core.topk import CorrectnessMetric
 from repro.core.training import EDTrainer, ErrorModel
 from repro.experiments.setup import ExperimentContext
+from repro.hiddenweb.database import RelevancyDefinition
 from repro.metasearch.baselines import EstimationBasedSelector
 from repro.summaries.builder import ExactSummaryBuilder
 from repro.summaries.estimators import (
@@ -62,17 +64,25 @@ def train_pipeline(
     estimator: RelevancyEstimator | None = None,
     samples_per_type: int | None = 50,
     classifier=None,
+    definition: RelevancyDefinition | None = None,
+    summaries: dict[str, ContentSummary] | None = None,
 ) -> TrainedPipeline:
-    """Build exact summaries and train the error model on Q_train."""
+    """Train the error model on Q_train and build both selectors.
+
+    *summaries* default to exact ones built here; *definition* defaults
+    to the context's relevancy definition.
+    """
     estimator = estimator or TermIndependenceEstimator()
-    builder = ExactSummaryBuilder()
-    summaries = {db.name: builder.build(db) for db in context.mediator}
+    definition = definition or context.config.definition
+    if summaries is None:
+        builder = ExactSummaryBuilder()
+        summaries = {db.name: builder.build(db) for db in context.mediator}
     trainer = EDTrainer(
         mediator=context.mediator,
         summaries=summaries,
         estimator=estimator,
         classifier=classifier,
-        definition=context.config.definition,
+        definition=definition,
         samples_per_type=samples_per_type,
     )
     error_model = trainer.train(context.train_queries)
@@ -82,7 +92,7 @@ def train_pipeline(
         estimator=estimator,
         error_model=error_model,
         classifier=classifier,
-        definition=context.config.definition,
+        definition=definition,
     )
     baseline = EstimationBasedSelector(context.mediator, summaries, estimator)
     return TrainedPipeline(
@@ -100,14 +110,17 @@ def evaluate_selector_fn(
     select: SelectorFn,
     k: int,
     queries: Sequence[Query] | None = None,
+    golden: GoldenStandard | None = None,
 ) -> SelectionQualityResult:
-    """Average (tie-tolerant) correctness of *select* over the test set."""
+    """Average (tie-tolerant) correctness of *select* over the test set,
+    scored against *golden* (default: the context's)."""
     queries = list(queries if queries is not None else context.test_queries)
+    golden = golden if golden is not None else context.golden
     total_abs = 0.0
     total_part = 0.0
     for query in queries:
         names = select(query, k)
-        cor_a, cor_p = context.golden.score(query, names, k)
+        cor_a, cor_p = golden.score(query, names, k)
         total_abs += cor_a
         total_part += cor_p
     count = max(len(queries), 1)

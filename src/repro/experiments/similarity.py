@@ -10,30 +10,18 @@ similarity-valued RDs — closing the loop on the paper's claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.correctness import GoldenStandard, tie_tolerant_scores
-from repro.core.selection import RDBasedSelector
+from repro.core.correctness import GoldenStandard
 from repro.core.topk import CorrectnessMetric
-from repro.core.training import EDTrainer
+from repro.experiments.harness import (
+    SelectionQualityResult,
+    evaluate_selector_fn,
+    train_pipeline,
+)
 from repro.experiments.setup import ExperimentContext
 from repro.hiddenweb.database import RelevancyDefinition
-from repro.metasearch.baselines import EstimationBasedSelector
-from repro.summaries.builder import ExactSummaryBuilder
 from repro.summaries.estimators import MaxSimilarityEstimator
 
-__all__ = ["SimilarityQualityResult", "similarity_selection_quality"]
-
-
-@dataclass(frozen=True)
-class SimilarityQualityResult:
-    """One method's correctness under the similarity definition."""
-
-    method: str
-    k: int
-    avg_absolute: float
-    avg_partial: float
-    num_queries: int
+__all__ = ["similarity_selection_quality"]
 
 
 def similarity_selection_quality(
@@ -41,70 +29,31 @@ def similarity_selection_quality(
     k_values: tuple[int, ...] = (1, 3),
     samples_per_type: int | None = 50,
     num_queries: int | None = None,
-) -> list[SimilarityQualityResult]:
+) -> list[SelectionQualityResult]:
     """Fig. 15-style table under the document-similarity definition."""
-    estimator = MaxSimilarityEstimator()
-    builder = ExactSummaryBuilder()
-    summaries = {db.name: builder.build(db) for db in context.mediator}
-    trainer = EDTrainer(
-        mediator=context.mediator,
-        summaries=summaries,
-        estimator=estimator,
-        definition=RelevancyDefinition.DOCUMENT_SIMILARITY,
+    definition = RelevancyDefinition.DOCUMENT_SIMILARITY
+    pipeline = train_pipeline(
+        context,
+        estimator=MaxSimilarityEstimator(),
         samples_per_type=samples_per_type,
+        definition=definition,
     )
-    error_model = trainer.train(context.train_queries)
-    selector = RDBasedSelector(
-        mediator=context.mediator,
-        summaries=summaries,
-        estimator=estimator,
-        error_model=error_model,
-        definition=RelevancyDefinition.DOCUMENT_SIMILARITY,
-    )
-    baseline = EstimationBasedSelector(context.mediator, summaries, estimator)
-    golden = GoldenStandard(
-        context.mediator, RelevancyDefinition.DOCUMENT_SIMILARITY
-    )
-    queries = context.test_queries
-    if num_queries is not None:
-        queries = queries[:num_queries]
-
-    results: list[SimilarityQualityResult] = []
+    golden = GoldenStandard(context.mediator, definition)
+    queries = context.test_queries[:num_queries]
+    results: list[SelectionQualityResult] = []
     for k in k_values:
         for method, select in (
-            (
-                "max-similarity estimator (baseline)",
-                lambda q, kk: baseline.select(q, kk),
-            ),
+            ("max-similarity estimator (baseline)", pipeline.baseline.select),
             (
                 "RD-based, no probing",
-                lambda q, kk: selector.select(
+                lambda q, kk: pipeline.rd_selector.select(
                     q, kk, CorrectnessMetric.ABSOLUTE
                 ).names,
             ),
         ):
-            total_abs = 0.0
-            total_part = 0.0
-            for query in queries:
-                relevancies = golden.relevancies(query)
-                names = select(query, k)
-                selected_rels = [
-                    relevancies[context.mediator.position(name)]
-                    for name in names
-                ]
-                cor_a, cor_p = tie_tolerant_scores(
-                    selected_rels, relevancies, k
-                )
-                total_abs += cor_a
-                total_part += cor_p
-            count = max(len(queries), 1)
             results.append(
-                SimilarityQualityResult(
-                    method=method,
-                    k=k,
-                    avg_absolute=total_abs / count,
-                    avg_partial=total_part / count,
-                    num_queries=len(queries),
+                evaluate_selector_fn(
+                    context, method, select, k, queries=queries, golden=golden
                 )
             )
     return results

@@ -73,7 +73,7 @@ from repro.gateway.protocol import (
     GatewayRequest,
     answer_payload,
 )
-from repro.obs import collecting_trace, current_trace_id, span, trace_active
+from repro.obs import collecting_trace, current_trace_id, span
 from repro.service.cache import SelectionCache
 from repro.service.pool import PoolUnavailableError
 from repro.service.server import MetasearchService, ServedAnswer
@@ -306,32 +306,21 @@ class MetasearchGateway(FrontEnd):
     # -- search path -----------------------------------------------------------
 
     async def _traced_search(self, request: GatewayRequest) -> dict:
-        """Run one search under a ``gateway.request`` root span.
+        """Run one search under a ``gateway.request`` span.
 
-        The root span covers exactly the interval ``gateway_request_ms``
+        The span covers exactly the interval ``gateway_request_ms``
         measures — parse already done, response write not included — so
-        per-tier child spans sum to it. Without a tracer this is just
-        :meth:`_search`.
+        per-tier child spans sum to it. It is the trace's root, except
+        for a routed request: that arrives with the router's trace
+        adopted (collecting_trace in _dispatch), so the span opens as a
+        *child* of the router's and one tree covers router -> replica
+        gateway -> pool.
         """
-        tracer = self._service.tracer
-        if tracer is None and not trace_active():
-            return await self._search(request)
-        # A routed request arrives with the router's trace adopted
-        # (collecting_trace in _dispatch): open gateway.request as a
-        # *child* of the router's span instead of minting a new root,
-        # so one tree covers router -> replica gateway -> pool.
-        context = (
-            span(
-                "gateway.request",
-                fingerprint=self._service.state_fingerprint,
-            )
-            if trace_active()
-            else tracer.trace(
-                "gateway.request",
-                fingerprint=self._service.state_fingerprint,
-            )
-        )
-        with context as root:
+        with span(
+            "gateway.request",
+            fingerprint=self._service.state_fingerprint,
+            tracer=self._service.tracer,
+        ) as root:
             try:
                 result = await self._search(request)
             except GatewayError as error:

@@ -9,7 +9,6 @@ See ``docs/OBSERVABILITY.md`` for the trace model and span catalog.
 
 from repro.obs.report import format_tier_breakdown, load_spans, tier_breakdown
 from repro.obs.sinks import (
-    FileTraceSink,
     MultiTraceSink,
     RingBufferTraceSink,
     StderrTraceSink,
@@ -40,7 +39,6 @@ __all__ = [
     "TraceSink",
     "RingBufferTraceSink",
     "StderrTraceSink",
-    "FileTraceSink",
     "MultiTraceSink",
     "tier_breakdown",
     "format_tier_breakdown",

@@ -1,13 +1,13 @@
 """Turning span records into a per-tier latency breakdown.
 
-A traced run's span records (read back with :func:`load_spans` from a
-:class:`~repro.obs.sinks.FileTraceSink`, or from the ring buffer
+A traced run's span records (read back with :func:`load_spans` from
+a captured ``REPRO_TRACE=stderr`` stream, or from the ring buffer
 through ``MetasearchService.trace_spans`` or the ``trace`` op) answer
 "which tier ate the budget" as one table: for each span name, how
 many spans ran and the distribution of their wall-ms. Per-database
 probe spans (``probe.corpus-3`` and friends) are collapsed into one
 ``probe.*`` row — the tier view cares about probe latency, not fan-out
-identity; the raw span file keeps the full names.
+identity; the raw span records keep the full names.
 """
 
 from __future__ import annotations

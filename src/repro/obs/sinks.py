@@ -5,17 +5,17 @@ plain JSON-able dicts (see :meth:`repro.obs.trace.Span.to_dict`).
 Emit is called from event-loop callbacks, service worker threads, and
 probe threads alike, so every sink here serializes with a lock.
 
-Three concrete sinks cover the stack's needs:
+Two concrete sinks cover the stack's needs:
 
 * :class:`RingBufferTraceSink` — bounded in-memory buffer; what the
   gateway's ``trace`` op and the tests read back.
 * :class:`StderrTraceSink` — one NDJSON line per span, for operators
-  tailing a service process.
-* :class:`FileTraceSink` — NDJSON to a file, for offline analysis
-  (:func:`repro.obs.report.load_spans` reads it back).
+  tailing a service process (:func:`repro.obs.report.load_spans`
+  reads a captured stream back).
 
-:class:`MultiTraceSink` fans one record out to several sinks (e.g.
-ring buffer for the ``trace`` op plus a file for offline analysis).
+:class:`MultiTraceSink` fans one record out to several sinks (the
+ring buffer for the ``trace`` op plus stderr under
+``REPRO_TRACE=stderr``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "TraceSink",
     "RingBufferTraceSink",
     "StderrTraceSink",
-    "FileTraceSink",
     "MultiTraceSink",
 ]
 
@@ -107,46 +106,6 @@ class StderrTraceSink(TraceSink):
         stream = self._stream if self._stream is not None else sys.stderr
         with self._lock:
             stream.write(line + "\n")
-
-
-class FileTraceSink(TraceSink):
-    """NDJSON span records appended to ``path``; close when done.
-
-    Usable as a context manager; ``close`` is idempotent and emits
-    after close are silently dropped (a late probe thread must not
-    crash the run that already read the file back).
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._handle = open(path, "w", encoding="utf-8")
-        self._lock = threading.Lock()
-        self._emitted = 0
-
-    @property
-    def emitted(self) -> int:
-        """Records written so far."""
-        return self._emitted
-
-    def emit(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True, default=str)
-        with self._lock:
-            if self._handle is None:
-                return
-            self._handle.write(line + "\n")
-            self._emitted += 1
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-    def __enter__(self) -> FileTraceSink:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 class MultiTraceSink(TraceSink):

@@ -40,7 +40,6 @@ from repro.obs import (
     Tracer,
     replay_spans,
     span,
-    trace_active,
     wire_context,
 )
 from repro.service.cache import SelectionCache
@@ -328,10 +327,6 @@ class MetasearchService:
         Monotonic clock for cache expiry (injectable for tests).
     sleeper:
         Forwarded to the resilient wrappers (tests inject a recorder).
-    trace_sink:
-        Extra :class:`~repro.obs.TraceSink` to fan span records into
-        alongside the ring buffer (e.g. a
-        :class:`~repro.obs.FileTraceSink`). Ignored when tracing is off.
     """
 
     def __init__(
@@ -342,7 +337,6 @@ class MetasearchService:
         metrics: MetricsRegistry | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleeper: Callable[[float], None] | None = None,
-        trace_sink=None,
     ) -> None:
         if not metasearcher.is_trained:
             raise ReproError(
@@ -457,14 +451,11 @@ class MetasearchService:
                 self._config.trace_buffer,
                 on_drop=self._metrics.counter("trace_spans_dropped").inc,
             )
-            sinks: list = [self._trace_ring]
+            sink = self._trace_ring
             if self._config.trace_stderr:
-                sinks.append(StderrTraceSink())
-            if trace_sink is not None:
-                sinks.append(trace_sink)
+                sink = MultiTraceSink(sink, StderrTraceSink())
             self._tracer = Tracer(
-                sinks[0] if len(sinks) == 1 else MultiTraceSink(*sinks),
-                on_emit=self._metrics.counter("trace_spans_total").inc,
+                sink, on_emit=self._metrics.counter("trace_spans_total").inc
             )
         self._observations = None
         self._adaptation = None
@@ -645,16 +636,11 @@ class MetasearchService:
         ``gateway.request``) when there is one, else a new root for
         direct callers.
         """
-        if self._tracer is None and not trace_active():
-            return self._serve(query, k, certainty, deadline)
-        context = (
-            span("service.serve", fingerprint=self._blob.fingerprint)
-            if trace_active()
-            else self._tracer.trace(
-                "service.serve", fingerprint=self._blob.fingerprint
-            )
-        )
-        with context as serve_span:
+        with span(
+            "service.serve",
+            fingerprint=self._blob.fingerprint,
+            tracer=self._tracer,
+        ) as serve_span:
             answer = self._serve(query, k, certainty, deadline)
             if answer.degraded is not None:
                 serve_span.set_outcome("degraded")

@@ -123,7 +123,12 @@ class SampledSummaryBuilder:
                     continue
                 sampled_ids.add(hit.doc_id)
                 document = database.fetch_document(hit.doc_id)
-                doc_terms = set(self._analyzer.analyze(document.text))
+                # First-occurrence order, not set order: the vocabulary
+                # the seeded rng draws from must not depend on the
+                # process's string-hash seed.
+                doc_terms = dict.fromkeys(
+                    self._analyzer.analyze(document.text)
+                )
                 for doc_term in doc_terms:
                     term_doc_counts[doc_term] = (
                         term_doc_counts.get(doc_term, 0) + 1

@@ -20,16 +20,6 @@ class TestGate:
         assert bench.gate("c", True, True, "==")["meets_target"] is True
         assert bench.gate("d", 0.5, 0.5, "<")["meets_target"] is False
 
-    def test_null_below_min_cores(self, monkeypatch):
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
-        entry = bench.gate("scaling", 0.8, 2.5, ">=", min_cores=4)
-        assert entry["meets_target"] is None
-        assert entry["min_cores"] == 4
-        # The same measurement is judged on a host that has the cores.
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: 4)
-        entry = bench.gate("scaling", 0.8, 2.5, ">=", min_cores=4)
-        assert entry["meets_target"] is False
-
     def test_missing_value_fails(self):
         assert bench.gate("x", None, 0, "==")["meets_target"] is False
         assert bench.gate("y", None, 1, ">=")["meets_target"] is False
@@ -44,7 +34,6 @@ class TestGate:
             "value",
             "op",
             "target",
-            "min_cores",
             "meets_target",
         }
 
@@ -131,7 +120,7 @@ class TestEnvelope:
         )
         assert bench.finish(bad) == bench.GATE_FAILED == 3
         captured = capsys.readouterr()
-        assert "1 passed, 1 failed, 0 not judged" in captured.out
+        assert "gates: 1 passed, 1 failed\n" in captured.out
         assert "gate y failed" in captured.err
 
     def test_read_rejects_other_schemas_and_families(self, tmp_path):
@@ -153,12 +142,6 @@ def write_report(directory, name, gates, cores=None):
     (directory / f"BENCH_{name}.json").write_text(json.dumps(document))
 
 
-def null_gate(min_cores):
-    entry = bench.gate("scaling", 1.0, 2.0, ">=", min_cores=min_cores)
-    entry["meets_target"] = None
-    return entry
-
-
 class TestBenchIndex:
     def failures(self, directory):
         gates = build_bench_index(str(directory))["gates"]
@@ -168,9 +151,11 @@ class TestBenchIndex:
 
     def test_passes_on_judged_reports(self, tmp_path):
         write_report(tmp_path, "a", [bench.gate("ok", 1, 1, "==")])
-        # A null verdict its host could not judge is allowed.
         write_report(
-            tmp_path, "b", [bench.gate("ok", 1, 1, "=="), null_gate(4)], 2
+            tmp_path,
+            "b",
+            [bench.gate("ok", 1, 1, "=="), bench.gate("up", 3, 2, ">=")],
+            1,
         )
         assert self.failures(tmp_path) == []
         assert main(["bench-index", "--dir", str(tmp_path)]) == 0
@@ -195,11 +180,17 @@ class TestBenchIndex:
         write_report(tmp_path, "a", [])
         assert self.failures(tmp_path) == ["BENCH_a.json.gates"]
 
-    def test_judgeable_null_fails(self, tmp_path):
+    def test_null_verdict_fails(self, tmp_path, capsys):
+        # A null left by an older writer (a gate its host did not
+        # judge) is not evidence: it fails the index like a false.
+        unjudged = dict(bench.gate("scaling", 1.0, 2.0, ">="))
+        unjudged.update(min_cores=4, meets_target=None)
         write_report(
-            tmp_path, "a", [bench.gate("ok", 1, 1, "=="), null_gate(4)], 4
+            tmp_path, "a", [bench.gate("ok", 1, 1, "=="), unjudged], 2
         )
-        assert self.failures(tmp_path) == ["BENCH_a.json.judgeable_nulls"]
+        assert self.failures(tmp_path) == ["BENCH_a.json.false_gates"]
+        assert main(["bench-index", "--dir", str(tmp_path)]) == 3
+        assert "failed: scaling" in capsys.readouterr().out
 
     def test_empty_directory_fails(self, tmp_path):
         assert self.failures(tmp_path) == ["reports"]

@@ -1,7 +1,14 @@
 """Unit tests for content summaries, builders and estimators."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.exceptions import SummaryError
 from repro.hiddenweb.database import HiddenWebDatabase
 from repro.summaries.builder import ExactSummaryBuilder, SampledSummaryBuilder
@@ -123,6 +130,54 @@ class TestSampledSummaryBuilder:
         )
         with pytest.raises(SummaryError):
             builder.build(database)
+
+    def test_independent_of_string_hash_seed(self):
+        # The probe vocabulary grows from sampled documents in a fixed
+        # order, so the seeded draws -- and the summary -- are the same
+        # in every process, whatever PYTHONHASHSEED it runs under.
+        code = textwrap.dedent(
+            """
+            import json
+            from repro.hiddenweb.database import HiddenWebDatabase
+            from repro.summaries.builder import SampledSummaryBuilder
+            from repro.text.analyzer import Analyzer
+            from repro.types import Document
+
+            analyzer = Analyzer(stem=False)
+            documents = [
+                Document(
+                    i,
+                    " ".join(
+                        f"term{(i * 7 + j * 13) % 41}" for j in range(6)
+                    ),
+                )
+                for i in range(120)
+            ]
+            database = HiddenWebDatabase("s", documents, analyzer)
+            builder = SampledSummaryBuilder(
+                ["term0"], target_documents=30, max_probes=60, seed=5,
+                analyzer=analyzer,
+            )
+            print(json.dumps(builder.build(database).to_dict()))
+            """
+        )
+        summaries = []
+        for hash_seed in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONPATH=str(Path(repro.__file__).parents[1]),
+                PYTHONHASHSEED=hash_seed,
+            )
+            result = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            )
+            summaries.append(result.stdout)
+        assert summaries[0] == summaries[1]
 
 
 class TestTermIndependenceEstimator:
