@@ -116,7 +116,11 @@ class ArrayBackend(abc.ABC):
 
     @abc.abstractmethod
     def override_membership(
-        self, dp_loo: np.ndarray, g: np.ndarray, k: int
+        self,
+        dp_loo: np.ndarray,
+        g: np.ndarray,
+        k: int,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
         """Fold indicator outrank rows into a leave-one-out table.
 
@@ -124,6 +128,9 @@ class ArrayBackend(abc.ABC):
         count table; ``g`` a ``(..., m)`` 0/1 outrank row per
         hypothetical impulse. Returns ``(..., m)``:
         ``P[count <= k-1]`` per atom after folding in the impulse.
+        With ``rows`` given, ``dp_loo`` is a stack of tables and row r
+        of ``g`` folds into ``dp_loo[rows[r]]``: the same result as
+        passing ``dp_loo[rows]``, without requiring that gather.
         """
 
     @abc.abstractmethod

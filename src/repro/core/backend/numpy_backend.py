@@ -1,9 +1,9 @@
 """The default tensor backend: stacked array kernels, no per-database loops.
 
 Subclasses the row-wise oracle and overrides exactly the kernels where a
-whole-matrix formulation wins; inherited kernels (the k > 1 DP recurrence
-step, the k > 1 leave-one-out combine) are already a handful of array
-ops per call. A compiled backend would subclass this the same way.
+whole-matrix formulation wins; inherited kernels (the k > 1 DP chain,
+the k > 1 leave-one-out combine) are already a handful of array ops per
+call. A compiled backend would subclass this the same way.
 
 Bitwise notes (why the equality contract holds tighter than 1e-9 in
 practice):
@@ -20,13 +20,26 @@ practice):
   elementwise products, matching the oracle's loop bodies term for term
   up to the sign of a zero: the oracle adds each product to 0.0, which
   turns a −0.0 into +0.0 (the two compare equal).
+* The k > 1 override fold is closed-form. Every override row g is
+  exactly 0.0 or 1.0, so the oracle folds a leave-one-out table d into
+  [d0, d1 + d0·0, …, d_{k−1} + d_{k−2}·0] where g = 0 and into
+  [d0·0, d1·0 + d0, …, d_{k−1}·0 + d_{k−2}] where g = 1: the table, or
+  the table shifted up one count, each entry up to the sign of a zero.
+  Adding a signed zero to a nonzero partial sum changes nothing, and
+  numpy's sum, which starts from +0.0, returns +0.0 for a row of
+  zeros of either sign. Summing d and [0, d0, …, d_{k−2}] over a count
+  axis of the same length k (numpy's pairwise tree depends on that
+  length: a ``d[..., :-1]`` sum does not match from k = 8) therefore
+  gives the oracle's values bit for bit, and ``where(g, …)`` picks one
+  per entry. The stacked batch sums the (n, m, k) leave-one-out stack
+  before its (m, m) gather (``rows``).
 * ``collapse_column`` reads the same cumulative sums the oracle's
   per-database ``cumsum`` builds: one row per database of a padded
   (database, rank)-sorted layout, summed along the row by
   ``np.cumsum`` (a left fold), with padding that adds exactly 0.
-* No kernel reassociates a sum: the k > 1 leave-one-out combine is the
-  oracle's own k-unrolled loop (inherited), so every count's terms are
-  added in the oracle's order.
+* No other kernel reassociates a sum: the k > 1 leave-one-out combine
+  is the oracle's own k-unrolled loop (inherited), so every count's
+  terms are added in the oracle's order.
 """
 
 from __future__ import annotations
@@ -84,10 +97,19 @@ class NumpyBackend(PythonBackend):
             return pre * suf
         return super().loo_combine(pre, suf, k)
 
-    def override_membership(self, dp_loo, g, k):
+    def override_membership(self, dp_loo, g, k, rows=None):
         if k == 1:
-            return dp_loo[..., 0] * (1.0 - g)
-        return super().override_membership(dp_loo, g, k)
+            kept = dp_loo[..., 0]
+            return (kept if rows is None else kept[rows]) * (1.0 - g)
+        # Every g is 0.0 or 1.0, so each table sums to one of two values:
+        # its own counts, or its counts shifted up by one (bitwise
+        # notes above). Both reduce the count axis before any gather.
+        shifted = np.zeros_like(dp_loo)
+        shifted[..., 1:] = dp_loo[..., :-1]
+        stay, moved = dp_loo.sum(axis=-1), shifted.sum(axis=-1)
+        if rows is not None:
+            stay, moved = stay[rows], moved[rows]
+        return np.where(g, moved, stay)
 
     def collapse_column(self, rank0, database, probs, ranks, bounds):
         # The oracle's reads — cum[-1] - cum[right] and cum[left] per

@@ -88,7 +88,9 @@ class PythonBackend(ArrayBackend):
                 out[..., c] += pre[..., a] * suf[..., c - a]
         return out
 
-    def override_membership(self, dp_loo, g, k):
+    def override_membership(self, dp_loo, g, k, rows=None):
+        if rows is not None:
+            dp_loo = dp_loo[rows]
         p = g[..., None]
         keep = dp_loo * (1.0 - p)
         keep[..., 1:] += dp_loo[..., :-1] * p

@@ -75,11 +75,12 @@ class GreedyUsefulnessPolicy:
     already-certain databases — so greedy never prefers a probe that
     cannot help over one that can.
 
-    The per-atom conditional scores come from
-    :meth:`TopKComputer.conditional_best_scores`, which evaluates every
-    atom of the candidate in one vectorized leave-one-out pass; on a
-    vectorized backend :meth:`TopKComputer.usefulness_sweep` serves the
-    whole sweep from one cached array pass instead.
+    On a vectorized backend :meth:`TopKComputer.usefulness_sweep`
+    serves every candidate from one cached array pass, for either
+    metric and every k. The ``python`` oracle scores one candidate at a
+    time through :meth:`TopKComputer.conditional_best_scores`: one
+    leave-one-out pass for the partial metric and for k = 1, one
+    answer-set search per atom for the absolute metric at k > 1.
     """
 
     _NEGLIGIBLE = 1e-9
@@ -93,7 +94,9 @@ class GreedyUsefulnessPolicy:
         """Expected post-probe maximal correctness for one database."""
         # A vectorized backend serves every candidate from one cached
         # array pass, which adds each database's terms in the order of
-        # the loop below, so both paths return the same floats.
+        # the loop below, so both paths return the same floats (a
+        # settled database's within 1e-12 at k > 1 under the absolute
+        # metric; see TopKComputer.usefulness_sweep).
         sweep = computer.usefulness_sweep(metric, self._NEGLIGIBLE)
         if sweep is not None:
             return float(sweep[database])

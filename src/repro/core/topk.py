@@ -46,6 +46,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +63,20 @@ class CorrectnessMetric(enum.Enum):
 
     ABSOLUTE = "absolute"
     PARTIAL = "partial"
+
+
+class _Lanes(NamedTuple):
+    """One greedy round's hypothetical probes, answered at once
+    (:meth:`TopKComputer._batch_lanes`)."""
+
+    #: (m,) each atom's lane; −1 for an atom that is no lane.
+    lane_of: np.ndarray
+    #: (lanes, k) each lane's answer set, ascending.
+    sets: np.ndarray
+    #: (lanes,) each answer's value.
+    values: np.ndarray
+    #: (lanes, n) each lane's marginals.
+    marginals: np.ndarray
 
 
 class TopKComputer:
@@ -155,9 +170,8 @@ class TopKComputer:
         self._batch_all: np.ndarray | None = None
         self._scores_memo: dict[tuple[int, CorrectnessMetric], np.ndarray] = {}
         self._sweep_memo: dict[tuple[CorrectnessMetric, float], np.ndarray] = {}
-        # Set once the lane batch has filled _best_set_memo for every
-        # hypothetical probe (see _batch_lanes).
-        self._lanes_batched = False
+        # The lane batch, once run (see _batch_lanes).
+        self._lanes: _Lanes | None = None
         # Per-row atom tables of the answer-set sweep (_sweep_spans).
         self._spans: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -404,6 +418,12 @@ class TopKComputer:
             for (metric, ov), best in self._best_set_memo.items():
                 if ov == migrated:
                     new._best_set_memo[(metric, None)] = best
+            lane = self._lane(t0)
+            if lane >= 0:
+                new._best_set_memo[(CorrectnessMetric.ABSOLUTE, None)] = (
+                    self._lane_answer(lane)
+                )
+                new._marginals_memo[None] = self._lanes.marginals[lane]
         return new
 
     def _inserted_rank(
@@ -584,8 +604,12 @@ class TopKComputer:
             result = np.clip(marginals, 0.0, 1.0)
         else:
             i, t0 = override
-            batch = self._override_marginals_all(i)
-            result = batch[t0 - int(self._db_atom_start[i])].copy()
+            lane = self._lane(t0)
+            if lane >= 0:
+                result = self._lanes.marginals[lane].copy()
+            else:
+                batch = self._override_marginals_all(i)
+                result = batch[t0 - int(self._db_atom_start[i])].copy()
         self._marginals_memo[override] = result
         return result.copy()
 
@@ -600,10 +624,9 @@ class TopKComputer:
         """
         start = int(self._db_atom_start[i])
         stop = int(self._db_atom_stop[i])
-        if self._num_atoms * self._num_atoms * self._k <= self._BATCH_ALL_LIMIT:
-            if self._batch_all is None:
-                self._override_batch_all()
-            return self._batch_all[start:stop]
+        stacked = self._stacked_batch()
+        if stacked is not None:
+            return stacked[start:stop]
         cached = self._override_batch_memo.get(i)
         if cached is not None:
             return cached
@@ -636,17 +659,28 @@ class TopKComputer:
     #: bounds peak memory.
     _BATCH_ALL_LIMIT = 2_000_000
 
+    def _stacked_batch(self) -> np.ndarray | None:
+        """Every database's override batch as one (m, n) matrix, built on
+        first use; ``None`` above :attr:`_BATCH_ALL_LIMIT`."""
+        if self._num_atoms * self._num_atoms * self._k > self._BATCH_ALL_LIMIT:
+            return None
+        if self._batch_all is None:
+            self._override_batch_all()
+        return self._batch_all
+
     def _override_batch_all(self) -> None:
         """Every database's override batch at once, as one (m, n) matrix.
 
         A greedy usefulness sweep asks for the batch of each candidate
         in turn; stacking the per-database computations collapses the n
-        passes of :meth:`_override_marginals_all` into one set of
-        (m × m × k) array operations, and each database's batch is its
-        span of rows. Each row's own-database span is masked exactly
-        like the per-database path (compare ``g_rows[:, start:stop] =
-        0`` with the masks of :meth:`_batch_masks`), so the rows are
-        bitwise identical to it.
+        passes of :meth:`_override_marginals_all` into one set of array
+        operations over all m override rows, and each database's batch
+        is its span of rows. Row t folds into the leave-one-out table of
+        t's database (``rows=dbs``), so a backend whose fold reduces the
+        count axis first never gathers the (m, m, k) stack. Each row's
+        own-database span is masked exactly like the per-database path
+        (compare ``g_rows[:, start:stop] = 0`` with the masks of
+        :meth:`_batch_masks`), so the rows are bitwise identical to it.
         """
         dbs = self._atom_dbs
         loo_all = self._loo_dps_all()
@@ -656,7 +690,7 @@ class TopKComputer:
             contrib = loo_all[:, :, 0][dbs] * masked_probs  # (m, m)
         else:
             membership = self._backend.override_membership(
-                loo_all[dbs], fold, self._k
+                loo_all, fold, self._k, rows=dbs
             )  # (m, m)
             contrib = membership * masked_probs
         starts = np.asarray(self._db_atom_start, dtype=np.intp)
@@ -715,12 +749,12 @@ class TopKComputer:
         averages. For the partial metric and for k = 1 every atom is
         evaluated in one vectorized pass over the shared leave-one-out
         DP; for the absolute metric with k > 1 each atom is read through
-        :meth:`best_set`, whose first override miss on a vectorized
-        backend answers every atom of every uncertain database in one
-        batched pass, so the later reads here are memo hits. Atoms with
-        probability below *min_prob* are skipped in the per-atom path
-        and their entries are 0.0 — callers that skip negligible mass
-        pass their own threshold.
+        :meth:`best_set`, one search per atom. The greedy policy takes
+        this per-candidate route on the ``python`` oracle only: a
+        vectorized backend serves it from :meth:`usefulness_sweep`.
+        Atoms with probability below *min_prob* are skipped in the
+        per-atom path and their entries are 0.0 — callers that skip
+        negligible mass pass their own threshold.
         """
         if not 0 <= database < self._n:
             raise SelectionError(f"database {database} out of range")
@@ -770,14 +804,8 @@ class TopKComputer:
         the per-database :meth:`_span_scores` slices see, so the scores
         are bitwise identical to the per-database route used otherwise.
         """
-        within_budget = (
-            self._num_atoms * self._num_atoms * self._k
-            <= self._BATCH_ALL_LIMIT
-        )
-        if within_budget:
-            if self._batch_all is None:
-                self._override_batch_all()
-            batch_all = self._batch_all
+        batch_all = self._stacked_batch()
+        if batch_all is not None:
             if self._k == 1:
                 return batch_all.max(axis=1)
             boundary = self._n - self._k
@@ -799,11 +827,14 @@ class TopKComputer:
         GreedyUsefulnessPolicy` computes per candidate: the expectation
         over database i's atoms of the best post-probe expected
         correctness, with atoms of probability below *negligible*
-        contributing their probability alone. Returns ``None`` when no
-        whole-sweep path exists — on a non-vectorized backend, or for
-        the absolute metric with 1 < k < n — in which case callers fall
-        back to the per-database route, which :meth:`best_set` batches
-        for the latter.
+        contributing their probability alone. Returns ``None`` on a
+        non-vectorized backend, whose callers take the per-database
+        route (:meth:`conditional_best_scores`).
+        For the absolute metric with k > 1 the per-atom scores are the
+        lane values of :meth:`_batch_lanes`. A settled database's atom
+        (P = 1) is no lane: its override leaves the state as it is, so
+        it scores the unconditioned :meth:`best_set` value, which the
+        per-atom search matches within 1e-12.
         Each database's terms are added in atom order from 0.0, as the
         per-database loop adds them (``np.bincount``; a segmented
         ``np.add.reduceat`` would add a span's tail first), and the
@@ -812,15 +843,16 @@ class TopKComputer:
         """
         if not self._backend.vectorized:
             return None
-        if metric is CorrectnessMetric.ABSOLUTE and 1 < self._k < self._n:
-            return None
         key = (metric, float(negligible))
         cached = self._sweep_memo.get(key)
         if cached is None:
             if self._k >= self._n:
                 cached = np.ones(self._n)
             else:
-                scores_all = self._all_span_scores(metric)
+                if metric is CorrectnessMetric.ABSOLUTE and self._k > 1:
+                    scores_all = self._all_lane_scores()
+                else:
+                    scores_all = self._all_span_scores(metric)
                 probs = self._atom_probs
                 contrib = np.where(
                     probs < negligible, probs, probs * scores_all
@@ -960,8 +992,9 @@ class TopKComputer:
 
         The ``python`` oracle scores one set at a time with
         :meth:`prob_set_is_topk`; a vectorized backend answers a greedy
-        round's every override at its first miss (:meth:`_batch_lanes`),
-        with the oracle's sets and values within 1e-12.
+        round's every override at its first miss (:meth:`_batch_lanes`)
+        and reads the lane arrays after it, with the oracle's sets and
+        values within 1e-12.
         """
         if self._k == self._n:
             return tuple(range(self._n)), 1.0
@@ -973,14 +1006,14 @@ class TopKComputer:
             override is not None
             and metric is CorrectnessMetric.ABSOLUTE
             and self._k > 1
-            and not self._lanes_batched
             and self._backend.vectorized
         ):
             self._validate_override(override)
-            self._batch_lanes()
-            cached = self._best_set_memo.get(memo_key)
-            if cached is not None:
-                return cached
+            if self._lanes is None:
+                self._batch_lanes()
+            lane = self._lane(override[1])
+            if lane >= 0:
+                return self._lane_answer(lane)
         marginals = self.marginals(override)
         if self._k == 1:
             # The marginal IS the set probability, so the best singleton
@@ -995,9 +1028,10 @@ class TopKComputer:
             result = chosen, min(1.0, float(np.mean([marginals[i] for i in chosen])))
         elif self._backend.vectorized:
             lane = (-1, -1) if override is None else override
-            result = self._search_lanes(
+            sets, values = self._search_lanes(
                 np.array([lane[0]]), np.array([lane[1]]), marginals[None, :]
-            )[0]
+            )
+            result = tuple(sets[0].tolist()), float(values[0])
         else:
             result = self._best_absolute(override, marginals)
         self._best_set_memo[memo_key] = result
@@ -1036,67 +1070,113 @@ class TopKComputer:
             if value >= best - self._TIE_WINDOW
         )
 
+    def _lane_atoms(self) -> np.ndarray:
+        """The atoms with 0 < P < 1, ascending: one lane each."""
+        probs = self._atom_probs
+        return np.flatnonzero((probs > 0.0) & (probs < 1.0))
+
     def _batch_lanes(self) -> None:
-        """Fill the best-set memo for every hypothetical probe at once.
+        """Answer every hypothetical probe at once, into ``_lanes``.
 
         A *lane* is one override (i, t0) the greedy sweep can ask for:
-        every atom with 0 < P < 1. The marginals memo is filled
-        alongside, as per-call searches would, for collapse's migration.
+        every atom with 0 < P < 1. Their marginals are one gather of
+        the stacked override batch (per database above its budget), and
+        one :meth:`_search_lanes` call answers them all. The arrays are
+        what :meth:`best_set`, :meth:`marginals`,
+        :meth:`usefulness_sweep` and :meth:`collapse` read for a lane.
         """
-        self._lanes_batched = True
-        probs = self._atom_probs
-        lane_atoms = np.flatnonzero((probs > 0.0) & (probs < 1.0))
+        lane_atoms = self._lane_atoms()
+        lane_of = np.full(self._num_atoms, -1, dtype=np.intp)
+        lane_of[lane_atoms] = np.arange(len(lane_atoms))
         if not len(lane_atoms):
+            self._lanes = _Lanes(
+                lane_of,
+                np.empty((0, self._k), dtype=np.intp),
+                np.empty(0),
+                np.empty((0, self._n)),
+            )
             return
         lane_dbs = self._atom_dbs[lane_atoms]
-        with_lanes = np.flatnonzero(np.bincount(lane_dbs, minlength=self._n))
-        marginals = np.concatenate(
-            [
-                self._override_marginals_all(i)[
-                    lane_atoms[lane_dbs == i] - int(self._db_atom_start[i])
+        stacked = self._stacked_batch()
+        if stacked is not None:
+            marginals = stacked[lane_atoms]
+        else:
+            with_lanes = np.flatnonzero(
+                np.bincount(lane_dbs, minlength=self._n)
+            )
+            marginals = np.concatenate(
+                [
+                    self._override_marginals_all(i)[
+                        lane_atoms[lane_dbs == i] - int(self._db_atom_start[i])
+                    ]
+                    for i in with_lanes.tolist()
                 ]
-                for i in with_lanes.tolist()
-            ]
-        )
-        answers = self._search_lanes(lane_dbs, lane_atoms, marginals)
-        metric = CorrectnessMetric.ABSOLUTE
-        for i, t0, answer, row in zip(
-            lane_dbs.tolist(), lane_atoms.tolist(), answers, marginals
-        ):
-            self._best_set_memo.setdefault((metric, (i, t0)), answer)
-            self._marginals_memo.setdefault((i, t0), row)
+            )
+        sets, values = self._search_lanes(lane_dbs, lane_atoms, marginals)
+        self._lanes = _Lanes(lane_of, sets, values, marginals)
+
+    def _lane(self, atom: int) -> int:
+        """The lane of the override onto *atom*; −1 before the batch or
+        for an atom that is no lane."""
+        return -1 if self._lanes is None else int(self._lanes.lane_of[atom])
+
+    def _lane_answer(self, lane: int) -> tuple[tuple[int, ...], float]:
+        """*lane*'s answer as :meth:`best_set` returns it."""
+        lanes = self._lanes
+        return tuple(lanes.sets[lane].tolist()), float(lanes.values[lane])
+
+    def _all_lane_scores(self) -> np.ndarray:
+        """Absolute-metric best-set value under every atom's override, (m,).
+
+        Lanes read the batch; settled atoms (P = 1) the unconditioned
+        value; atoms of zero mass 0.0, as their terms are 0 either way.
+        The batch is entered through :meth:`best_set`'s first override
+        miss, as on the per-candidate route.
+        """
+        if self._lanes is None:
+            lane_atoms = self._lane_atoms()
+            if len(lane_atoms):
+                t0 = int(lane_atoms[0])
+                self.best_set(
+                    CorrectnessMetric.ABSOLUTE,
+                    override=(int(self._atom_dbs[t0]), t0),
+                )
+            else:
+                self._batch_lanes()
+        _best, settled = self.best_set(CorrectnessMetric.ABSOLUTE)
+        scores = np.where(self._atom_probs >= 1.0, settled, 0.0)
+        scores[self._lanes.lane_of >= 0] = self._lanes.values
+        return scores
 
     def _search_lanes(
         self, xs: np.ndarray, t0s: np.ndarray, marginals: np.ndarray
-    ) -> list[tuple[tuple[int, ...], float]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`_best_absolute`'s answer for every lane, in array passes.
 
         Lane l collapses database ``xs[l]`` onto atom ``t0s[l]`` (both
         −1 for the unconditioned state) and has ``marginals[l]``. One
         pass scores the incumbents, then one pass per larger pool size.
+        Returns ``(sets, values)``: lane l's ascending answer set is row
+        l of the (lanes, k) ``sets``, its value ``values[l]``.
         """
         k = self._k
         ranked = np.argsort(-marginals, axis=1, kind="stable")
-        top = np.sort(ranked[:, :k], axis=1)
-        incumbent = self._pool_scores(xs, t0s, top)[:, 0]
-        floor = (incumbent - self._POOL_SLACK)[:, None]
+        sets = np.sort(ranked[:, :k], axis=1)
+        values = self._pool_scores(xs, t0s, sets)[:, 0]
+        floor = (values - self._POOL_SLACK)[:, None]
         widest = _widest_pool(k, self._SUBSET_LIMIT)
         sizes = np.clip((marginals >= floor).sum(axis=1), k, widest)
-        answers = list(zip(map(tuple, top.tolist()), incumbent.tolist()))
         for size in np.flatnonzero(np.bincount(sizes)[k + 1 :]).tolist():
             size += k + 1
             picked = np.flatnonzero(sizes == size)
             pools = np.sort(ranked[picked, :size], axis=1)
-            values = self._pool_scores(xs[picked], t0s[picked], pools)
-            best = values.max(axis=1, keepdims=True)
-            first = np.argmax(values >= best - self._TIE_WINDOW, axis=1)
+            scored = self._pool_scores(xs[picked], t0s[picked], pools)
+            best = scored.max(axis=1, keepdims=True)
+            first = np.argmax(scored >= best - self._TIE_WINDOW, axis=1)
             rows = np.arange(len(picked))
-            chosen = pools[rows[:, None], _subsets(size, k)[first]]
-            for lane, row, value in zip(
-                picked.tolist(), chosen.tolist(), values[rows, first].tolist()
-            ):
-                answers[lane] = (tuple(row), value)
-        return answers
+            sets[picked] = pools[rows[:, None], _subsets(size, k)[first]]
+            values[picked] = scored[rows, first]
+        return sets, values
 
     #: Element budget of one :meth:`_sweep_table` call's temporaries:
     #: peak memory stays flat however many lanes and subsets there are.
@@ -1300,7 +1380,11 @@ def _sweep_picks(size: int, k: int) -> np.ndarray:
     return picks
 
 
+@lru_cache(maxsize=32)
 def _others(size: int) -> np.ndarray:
-    """Row s lists the positions of ``range(size)`` other than s."""
+    """Row s lists the positions of ``range(size)`` other than s.
+    Shared through the cache like :func:`_subsets`: never written."""
     positions = np.arange(size - 1, dtype=np.int32)
-    return positions + (positions >= np.arange(size)[:, None])
+    others = positions + (positions >= np.arange(size)[:, None])
+    others.flags.writeable = False
+    return others

@@ -114,18 +114,6 @@ class MultiTraceSink(TraceSink):
     def __init__(self, *sinks: TraceSink) -> None:
         self._sinks = tuple(sinks)
 
-    @property
-    def sinks(self) -> tuple[TraceSink, ...]:
-        return self._sinks
-
     def emit(self, record: dict) -> None:
         for sink in self._sinks:
             sink.emit(record)
-
-    def recent(self, limit: int | None = None) -> list[dict]:
-        """Delegate to the first child that buffers (ring, usually)."""
-        for sink in self._sinks:
-            getter = getattr(sink, "recent", None)
-            if getter is not None:
-                return getter(limit)
-        return []

@@ -331,17 +331,6 @@ class Tracer:
         self._sink = sink
         self._on_emit = on_emit
 
-    def recent(self, limit: int | None = None) -> list[dict]:
-        """Recent span records, oldest first, when the sink buffers.
-
-        Returns ``[]`` for sinks without a ``recent`` method (stderr):
-        they are write-only.
-        """
-        getter = getattr(self._sink, "recent", None)
-        if getter is None:
-            return []
-        return getter(limit)
-
     def emit(self, record: dict) -> None:
         """Hand one span record to the sink."""
         self._sink.emit(record)

@@ -535,9 +535,9 @@ class MetasearchService:
         Empty when tracing is disabled — callers need no enabled
         check before asking.
         """
-        if self._tracer is None:
+        if self._trace_ring is None:
             return []
-        return self._tracer.recent(limit)
+        return self._trace_ring.recent(limit)
 
     @property
     def observations(self):

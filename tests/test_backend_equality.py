@@ -11,10 +11,12 @@ set values, which the numpy backend scores in its sweep table and must
 match within 1e-12. A second sweep over 8–24 databases holds the numpy
 backend's batched answer-set search to the oracle's per-call search.
 The usefulness sweep must add each database's terms in the
-oracle loop's order, and the numpy DP chain must equal the oracle's
-bit for bit, from the default start or a resumed chain's entry. RD
-construction is held to the stricter bitwise standard: the batched
-``derive_packed`` must reproduce ``derive_rd`` exactly.
+oracle loop's order (for the absolute metric at k > 1 too, against the
+per-atom loop), the numpy k > 1 override fold must equal the oracle's
+bit for bit, and so must the numpy DP chain, from the default start or
+a resumed chain's entry. RD construction is held to the stricter
+bitwise standard: the batched ``derive_packed`` must reproduce
+``derive_rd`` exactly.
 """
 
 from __future__ import annotations
@@ -133,7 +135,8 @@ def test_backends_agree_on_random_belief_states(seed):
     oracle, tensor = _computers(rds, k)
     # For k > 1 every kernel the tensor backend runs here adds in the
     # oracle's order (the leave-one-out combine is the oracle's own
-    # loop), so marginals and override batches are bitwise equal. The
+    # loop, the override fold its closed form over 0/1 rows), so
+    # marginals and override batches are bitwise equal. The
     # absolute metric's set values come from the numpy sweep table,
     # which sums in its own order.
     bitwise = k > 1
@@ -361,6 +364,82 @@ def test_usefulness_sweep_adds_in_oracle_order(seed):
             ) == policy.usefulness(tensor, database, metric), (
                 seed, k, metric, database,
             )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_absolute_sweep_matches_the_per_atom_loop(seed):
+    # At 1 < k < n the numpy sweep scores each atom by its lane in the
+    # batch. An open database's usefulness must equal the policy's loop
+    # over conditional_best_scores float for float; a settled one (its
+    # one atom scored by the unconditioned best value) within 1e-12.
+    # Checked on the prior and after an in-support and an
+    # out-of-support collapse; the twin computer hides its sweep, so
+    # the policy takes the per-atom loop there.
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 5))
+    n = int(rng.integers(k + 1, 11))
+    rds = _random_rds(rng, n)
+    metric = CorrectnessMetric.ABSOLUTE
+    policy = GreedyUsefulnessPolicy()
+    swept = TopKComputer(rds, k, backend="numpy")
+    looped = TopKComputer(rds, k, backend="numpy")
+    uncertain = [i for i, rd in enumerate(rds) if not rd.is_impulse]
+    observations = [(None, None)]
+    if uncertain:
+        first, last = uncertain[0], uncertain[-1]
+        observations.append((first, float(rng.choice(rds[first].values))))
+        observations.append((last, float(rds[last].values.max()) + 0.5))
+    for database, value in observations:
+        if database is not None:
+            swept = swept.collapse(database, value)
+            looped = looped.collapse(database, value)
+        sweep = swept.usefulness_sweep(metric, policy._NEGLIGIBLE)
+        looped.usefulness_sweep = lambda metric, negligible=0.0: None
+        for row in range(n):
+            loop = policy.usefulness(looped, row, metric)
+            trial = (seed, k, database, row)
+            if len(swept.atoms_of(row)) == 1:
+                assert abs(sweep[row] - loop) <= 1e-12, trial
+            else:
+                assert sweep[row] == loop, trial
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_override_fold_is_bitwise_the_oracle(k):
+    # Every override row is exactly 0.0 or 1.0, so the numpy backend
+    # sums each leave-one-out table, or the table shifted up one count,
+    # and picks one per entry. That must equal the oracle's fold bit for
+    # bit, signs of zero included, on tables holding 0.0, -0.0 and tiny
+    # negatives, in both shapes topk calls it with: the stacked batch
+    # (row t folds into the table of atom t's database) and one
+    # database's (s, m) override rows against its own table.
+    tensor, oracle = get_backend("numpy"), get_backend("python")
+    for seed in range(5):
+        rng = np.random.default_rng([k, seed])
+        n, m, s = 6, 40, 7
+        loo = rng.random((n, m, k))
+        draw = rng.random(loo.shape)
+        loo[draw < 0.2] = 0.0
+        loo[(draw >= 0.2) & (draw < 0.4)] = -0.0
+        tiny = (draw >= 0.4) & (draw < 0.5)
+        loo[tiny] = -rng.choice([5e-324, 1e-310, 1e-300], tiny.sum())
+        loo[rng.random((n, m)) < 0.1] = -0.0
+        rows = np.sort(rng.integers(0, n, m))
+        fold = (rng.random((m, m)) < 0.5).astype(np.float64)
+        stacked = tensor.override_membership(loo, fold, k, rows=rows)
+        expected = oracle.override_membership(loo[rows], fold, k)
+        assert stacked.tobytes() == expected.tobytes(), (k, seed)
+        assert (
+            oracle.override_membership(loo, fold, k, rows=rows).tobytes()
+            == expected.tobytes()
+        ), (k, seed)
+        table = loo[int(rng.integers(n))][None, :, :]
+        g_rows = (rng.random((s, m)) < 0.5).astype(np.float64)
+        assert (
+            tensor.override_membership(table, g_rows, k).tobytes()
+            == oracle.override_membership(table, g_rows, k).tobytes()
+        ), (k, seed)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -239,19 +239,13 @@ class TestStreamAndFileSinks:
         lines = stream.getvalue().strip().split("\n")
         assert [json.loads(line)["name"] for line in lines] == ["a", "b"]
 
-    def test_multi_sink_fans_out_and_delegates_recent(self):
+    def test_multi_sink_fans_out(self):
         ring = RingBufferTraceSink(4)
         stream = io.StringIO()
         multi = MultiTraceSink(ring, StderrTraceSink(stream))
         multi.emit({"name": "a"})
-        assert [r["name"] for r in multi.recent()] == ["a"]
+        assert [r["name"] for r in ring.recent()] == ["a"]
         assert json.loads(stream.getvalue())["name"] == "a"
-
-    def test_tracer_recent_on_writeonly_sink_is_empty(self):
-        tracer = Tracer(StderrTraceSink(io.StringIO()))
-        with span("root", tracer=tracer):
-            pass
-        assert tracer.recent() == []
 
 
 # -- the per-tier breakdown ----------------------------------------------------
@@ -455,6 +449,22 @@ class TestServiceTracing:
             service.serve(text, k=2, certainty=0.9)
             assert service.tracer is None
             assert service.trace_spans() == []
+
+    def test_trace_spans_read_the_ring_under_stderr(
+        self, trained_metasearcher, health_queries, capsys
+    ):
+        # The tracer writes to the ring and to stderr; trace_spans
+        # reads the ring, which holds every span stderr received.
+        text = " ".join(health_queries[41].terms)
+        with make_service(trained_metasearcher, trace_stderr=True) as service:
+            service.serve(text, k=2, certainty=0.9)
+            records = service.trace_spans()
+        streamed = [
+            json.loads(line)["span_id"]
+            for line in capsys.readouterr().err.splitlines()
+        ]
+        assert records
+        assert [record["span_id"] for record in records] == streamed
 
     def test_instrument_keyset_is_trace_invariant(
         self, trained_metasearcher, health_queries

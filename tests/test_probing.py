@@ -110,11 +110,12 @@ class TestGreedySweepRead:
             size = int(rng.integers(1, 5))
             values = np.sort(rng.choice(60, size, replace=False)).astype(float)
             rds.append(D.from_pairs(zip(values, rng.random(size) + 0.05)))
-        # The sweep exists for k = 1 and for the partial metric.
-        k, metric = (
-            (1, CorrectnessMetric.ABSOLUTE)
+        # The sweep serves both metrics at every k.
+        k = int(rng.integers(1, n + 1))
+        metric = (
+            CorrectnessMetric.ABSOLUTE
             if rng.random() < 0.5
-            else (int(rng.integers(1, n + 1)), CorrectnessMetric.PARTIAL)
+            else CorrectnessMetric.PARTIAL
         )
         computer = TopKComputer(rds, k, backend="numpy")
         assert computer.usefulness_sweep(metric, 1e-9) is not None

@@ -179,28 +179,29 @@ class TestMemoMigration:
             1
         ] == pytest.approx(score_after, abs=ATOL)
 
-        # The same at k = 3, where a vectorized backend answers every
-        # override from one batched search.
+        # The same at k = 3 for every atom of two databases, where a
+        # vectorized backend answers every override from one batched
+        # search and migrates the observed lane's answer from its lane
+        # arrays: the answer moves over as it was, float for float.
         rds = random_rds(np.random.default_rng(21), 9, impulse_prob=0.0)
         computer = TopKComputer(rds, 3)
         for database in (2, 6):
-            t0, value, _p = computer.atoms_of(database)[0]
-            best_override, score_override = computer.best_set(
-                CorrectnessMetric.ABSOLUTE, override=(database, t0)
-            )
-            collapsed = computer.collapse(database, value)
-            best_after, score_after = collapsed.best_set(
-                CorrectnessMetric.ABSOLUTE
-            )
-            assert best_after == best_override
-            assert score_after == pytest.approx(score_override, abs=1e-12)
-            current = list(rds)
-            current[database] = D.impulse(value)
-            best_fresh, score_fresh = TopKComputer(current, 3).best_set(
-                CorrectnessMetric.ABSOLUTE
-            )
-            assert best_fresh == best_after
-            assert score_fresh == pytest.approx(score_after, abs=ATOL)
+            for t0, value, _p in computer.atoms_of(database):
+                answer = computer.best_set(
+                    CorrectnessMetric.ABSOLUTE, override=(database, t0)
+                )
+                collapsed = computer.collapse(database, value)
+                best_after, score_after = collapsed.best_set(
+                    CorrectnessMetric.ABSOLUTE
+                )
+                assert (best_after, score_after) == answer
+                current = list(rds)
+                current[database] = D.impulse(value)
+                best_fresh, score_fresh = TopKComputer(current, 3).best_set(
+                    CorrectnessMetric.ABSOLUTE
+                )
+                assert best_fresh == best_after
+                assert score_fresh == pytest.approx(score_after, abs=ATOL)
 
     def test_collapsed_computer_not_polluted_by_parent_overrides(self):
         """Memo entries for overrides of *other* databases must not leak
